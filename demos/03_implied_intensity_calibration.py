@@ -22,7 +22,7 @@ snap = make_snapshot(state, lam_true, timestamp_s=1080.0, spread=0.02)
 fit = calibrate_snapshot(snap)
 print(f"  recovered lam  = ({fit.intensities.home:.9f}, {fit.intensities.away:.9f})")
 print(f"  residual       = {fit.residual:.2e} half-spreads")
-print(f"  converged      = {fit.converged} after {fit.iterations} iterations")
+print(f"  converged      = {fit.converged} after {fit.iterations} board evaluations")
 
 print("\nWith mids jittered by a quarter of the spread:")
 rng = np.random.default_rng(7)

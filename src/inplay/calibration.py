@@ -2,11 +2,15 @@
 
 A snapshot is fitted by minimising the root-mean-square of the mid-versus-
 model differences, each measured in units of that quote's half bid-ask
-spread.  The search runs a Nelder-Mead simplex on (log lam_home,
-log lam_away), then applies a single Gauss-Newton polish using the exact
-intensity sensitivities dV/dlam_i = (1 - tau) * delta_i.  Parameter
-uncertainties come from inverting the Gauss-Newton normal matrix, so they
-inherit the bid-ask spreads' scale.
+spread.  All quoted bets are priced together on one
+:class:`~inplay.pricing.EuropeanBoard`, which also returns the exact
+intensity sensitivities dV/dlam_i = (1 - tau) * delta_i.  With that
+Jacobian the fit is a Levenberg-Marquardt least-squares solve on
+(log lam_home, log lam_away): each step solves the damped 2x2 normal
+equations, moves at most 1 in either log intensity, and is projected into
+:data:`LAMBDA_BOX`.  Identifiability is tested on the Jacobian rows at the
+start point.  Parameter uncertainties come from inverting the normal
+matrix at the fit, so they inherit the bid-ask spreads' scale.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .contracts import Intensities, Quote, ScoreState
 from . import pricing
@@ -39,8 +42,16 @@ COLD_START = Intensities(1.3, 1.1)
 # spread weighting, so they are dropped from the residual.
 MID_FILTER = (0.001, 0.999)
 
-_GRAD_TOL = 1e-8
-_SIMPLEX_TOL = 1e-10
+# Iterates stay inside this box: the score grid grows with the intensity,
+# so an unbounded step can ask for a grid of arbitrary size.
+LAMBDA_BOX = (1e-4, 50.0)
+
+_MAX_LOG_STEP = 1.0
+_MAX_EVALUATIONS = 100
+_GRAD_TOL = 1e-10
+_EXPLAINED_TOL = 1e-14
+_DAMPING_START = 1e-3
+_DAMPING_MAX = 1e12
 
 
 class IdentifiabilityError(ValueError):
@@ -58,12 +69,22 @@ class QuoteSnapshot:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """One snapshot's fit.
+
+    ``residual`` is the rms residual in half-spread units, ``iterations``
+    the number of board evaluations the solve made, ``condition`` the
+    condition number of the residual Jacobian at the fit and
+    ``truncation_bound`` the board's omitted probability mass there.
+    """
+
     intensities: Intensities
     residual: float
     stderr_home: float
     stderr_away: float
     iterations: int
     converged: bool
+    condition: float = math.nan
+    truncation_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -96,8 +117,9 @@ class IntensitySeries:
 def usable_quotes(snapshot: QuoteSnapshot) -> list[Quote]:
     """Two-sided European quotes inside the mid filter; zero spread is an error.
 
-    Path-dependent bets are left out of the residual: the Gauss-Newton
-    machinery leans on the European identity dV/dlam_i = (1-tau) delta_i.
+    Path-dependent bets are left out of the residual: the board prices
+    European bets only, and the solve leans on the European identity
+    dV/dlam_i = (1-tau) delta_i.
     """
     out = []
     for q in snapshot.quotes:
@@ -112,13 +134,21 @@ def usable_quotes(snapshot: QuoteSnapshot) -> list[Quote]:
     return out
 
 
-def _residuals(lam: Intensities, quotes: list[Quote], state: ScoreState) -> np.ndarray:
-    return np.array(
-        [
-            (q.value_mid - pricing.price(q.bet, state, lam).value) / (0.5 * q.spread)
-            for q in quotes
-        ]
-    )
+class _Residuals:
+    """Mid-versus-model residuals of a quote list in half-spread units."""
+
+    def __init__(self, quotes: list[Quote], state: ScoreState):
+        self.board = pricing.EuropeanBoard([q.bet for q in quotes], state)
+        self.mids = np.array([q.value_mid for q in quotes])
+        self.half = np.array([0.5 * q.spread for q in quotes])
+
+    def __call__(
+        self, lam: Intensities
+    ) -> tuple[np.ndarray, np.ndarray, pricing.BoardValues]:
+        """Residuals, their Jacobian in lam, and the board values behind them."""
+        fit = self.board.evaluate(lam)
+        r = (self.mids - fit.values) / self.half
+        return r, -fit.jacobian / self.half[:, None], fit
 
 
 def objective(lam: Intensities, snapshot: QuoteSnapshot) -> float:
@@ -126,37 +156,27 @@ def objective(lam: Intensities, snapshot: QuoteSnapshot) -> float:
     quotes = usable_quotes(snapshot)
     if not quotes:
         raise ValueError("no usable quotes in snapshot")
-    r = _residuals(lam, quotes, snapshot.state)
+    r, _, _ = _Residuals(quotes, snapshot.state)(lam)
     return float(math.sqrt(np.mean(r * r)))
 
 
-def _jacobian(lam: Intensities, quotes: list[Quote], state: ScoreState) -> np.ndarray:
-    """d(residual_i)/d(lam_j), from the exact sensitivity (1-tau)*delta_j."""
-    rows = []
-    for q in quotes:
-        s1, s2 = pricing.intensity_sensitivity(q.bet, state, lam)
-        w = 0.5 * q.spread
-        rows.append((-s1 / w, -s2 / w))
-    return np.array(rows)
+def _check_identifiable(quotes: list[Quote], jacobian: np.ndarray) -> None:
+    """Raise unless two quotes have non-parallel intensity sensitivities.
 
-
-def _check_identifiable(quotes: list[Quote], state: ScoreState, lam0: Intensities) -> None:
+    ``jacobian`` holds one (dV/dlam_home, dV/dlam_away) row per quote; two
+    rows are parallel when their cross product is below 1e-9 of the
+    product of their norms.
+    """
     if len(quotes) < 2:
         raise IdentifiabilityError("need at least two usable quotes")
-    distinct = {q.bet for q in quotes}
-    if len(distinct) < 2:
+    if len({q.bet for q in quotes}) < 2:
         raise IdentifiabilityError("need at least two distinct bet variants")
-    deltas = []
-    for bet in distinct:
-        g = pricing.greeks(bet, state, lam0)
-        deltas.append((g.delta_home, g.delta_away))
-    for i in range(len(deltas)):
-        for j in range(i + 1, len(deltas)):
-            a, b = deltas[i], deltas[j]
-            cross = abs(a[0] * b[1] - a[1] * b[0])
-            scale = math.hypot(*a) * math.hypot(*b)
-            if scale > 0.0 and cross > 1e-9 * scale:
-                return
+    a, b = jacobian[:, 0], jacobian[:, 1]
+    cross = np.abs(np.multiply.outer(a, b) - np.multiply.outer(b, a))
+    norms = np.hypot(a, b)
+    scale = np.multiply.outer(norms, norms)
+    if np.any((scale > 0.0) & (cross > 1e-9 * scale)):
+        return
     raise IdentifiabilityError(
         "quoted bets have linearly dependent goal sensitivities; "
         "intensities are not identifiable"
@@ -169,54 +189,65 @@ def calibrate_snapshot(
     """Fit implied intensities to one snapshot.
 
     Raises :class:`IdentifiabilityError` when the quoted bets cannot pin
-    down two parameters.  A non-converged search still returns its best
+    down two parameters.  A solve that stops before its convergence tests
+    pass, or that ends held on :data:`LAMBDA_BOX`, still returns its best
     point, flagged ``converged=False``.
     """
     quotes = usable_quotes(snapshot)
-    state = snapshot.state
     lam0 = init if init is not None else COLD_START
     if lam0.home <= 0.0 or lam0.away <= 0.0:
         lam0 = COLD_START
-    _check_identifiable(quotes, state, lam0)
+    residuals = _Residuals(quotes, snapshot.state)
 
-    def f(u: np.ndarray) -> float:
-        lam = Intensities(math.exp(u[0]), math.exp(u[1]))
-        r = _residuals(lam, quotes, state)
-        return float(math.sqrt(np.mean(r * r)))
+    def at(u: np.ndarray) -> Intensities:
+        return Intensities(math.exp(u[0]), math.exp(u[1]))
 
-    u0 = np.array([math.log(lam0.home), math.log(lam0.away)])
-    simplex = np.array([u0, u0 + (0.25, 0.0), u0 + (0.0, 0.25)])
-    res = minimize(
-        f,
-        u0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": _SIMPLEX_TOL,
-            "fatol": 1e-12,
-            "maxiter": 1000,
-            "maxfev": 1500,
-        },
-    )
-    lam = Intensities(math.exp(res.x[0]), math.exp(res.x[1]))
-    best = f(res.x)
-    iterations = int(res.nit)
+    lo, hi = math.log(LAMBDA_BOX[0]), math.log(LAMBDA_BOX[1])
+    u = np.clip([math.log(lam0.home), math.log(lam0.away)], lo, hi)
+    r, jac, fit = residuals(at(u))
+    _check_identifiable(quotes, fit.jacobian)
+    cost = float(r @ r)
+    evaluations = 1
+    damping = _DAMPING_START
+    converged = False
+    while evaluations < _MAX_EVALUATIONS:
+        ju = jac * np.exp(u)  # d(residual)/d(log lam)
+        grad = ju.T @ r
+        # A log intensity on the box whose descent direction leaves it is
+        # held there; the solve continues in the other one.
+        held = ((u <= lo) & (grad > 0.0)) | ((u >= hi) & (grad < 0.0))
+        if held.all():
+            break
+        free = ~held
+        ju, grad = ju[:, free], grad[free]
+        # Converged once the gradient vanishes (an exact fit) or the part of
+        # the residual the Jacobian can still explain is at rounding level.
+        explained = ju @ np.linalg.lstsq(ju, r, rcond=None)[0]
+        if (
+            float(np.max(np.abs(grad))) / len(quotes) < _GRAD_TOL
+            or float(explained @ explained) <= _EXPLAINED_TOL * cost
+        ):
+            converged = not held.any()
+            break
+        normal = ju.T @ ju
+        scale = np.maximum(np.diag(normal), np.finfo(float).tiny)
+        step = np.zeros(2)
+        step[free] = np.linalg.solve(normal + damping * np.diag(scale), -grad)
+        longest = float(np.max(np.abs(step)))
+        if longest > _MAX_LOG_STEP:
+            step *= _MAX_LOG_STEP / longest
+        u_new = np.clip(u + step, lo, hi)
+        r_new, jac_new, fit_new = residuals(at(u_new))
+        evaluations += 1
+        cost_new = float(r_new @ r_new)
+        if cost_new < cost:
+            u, r, jac, fit, cost = u_new, r_new, jac_new, fit_new, cost_new
+            damping /= 3.0
+        else:
+            damping *= 4.0
+            if damping > _DAMPING_MAX:
+                break
 
-    # One Gauss-Newton step with the analytic Jacobian; kept only if it helps.
-    jac = _jacobian(lam, quotes, state)
-    r = _residuals(lam, quotes, state)
-    step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-    polished = Intensities(
-        max(lam.home + step[0], 1e-12), max(lam.away + step[1], 1e-12)
-    )
-    r_pol = _residuals(polished, quotes, state)
-    val_pol = float(math.sqrt(np.mean(r_pol * r_pol)))
-    if val_pol <= best:
-        lam, best, r = polished, val_pol, r_pol
-        jac = _jacobian(lam, quotes, state)
-        iterations += 1
-
-    grad = jac.T @ r / len(quotes)
     normal = jac.T @ jac
     try:
         cov = np.linalg.inv(normal)
@@ -224,15 +255,15 @@ def calibrate_snapshot(
         stderr_away = math.sqrt(max(cov[1, 1], 0.0))
     except np.linalg.LinAlgError:
         stderr_home = stderr_away = math.inf
-
-    converged = bool(res.success) or float(np.linalg.norm(grad)) < _GRAD_TOL
     return CalibrationResult(
-        intensities=lam,
-        residual=best,
+        intensities=at(u),
+        residual=math.sqrt(cost / len(quotes)),
         stderr_home=stderr_home,
         stderr_away=stderr_away,
-        iterations=iterations,
+        iterations=evaluations,
         converged=converged,
+        condition=float(np.linalg.cond(jac)),
+        truncation_bound=fit.truncation_bound,
     )
 
 
@@ -242,8 +273,9 @@ def calibrate_series(
     """Calibrate a timeline on a fixed grid, warm-starting each step.
 
     Snapshots are bucketed to floor(t/step)*step, keeping the latest one per
-    bucket.  Buckets with no snapshot, or where calibration fails, become
-    gap points rather than aborting the series.
+    bucket.  Buckets with no snapshot, or whose snapshot cannot identify two
+    intensities, become gap points rather than aborting the series; any
+    other error (a zero-spread quote, say) propagates.
     """
     if not snapshots:
         raise ValueError("empty timeline")
@@ -267,7 +299,7 @@ def calibrate_series(
             continue
         try:
             result = calibrate_snapshot(snap, init=warm)
-        except (IdentifiabilityError, ValueError):
+        except IdentifiabilityError:
             points.append(SeriesPoint(t, None))
             continue
         warm = result.intensities

@@ -143,11 +143,12 @@ class _LambdaSource:
             self._times = [p.timestamp_s for p in valid]
             self._values = [p.result.intensities for p in valid]
 
-    def at(self, timestamp_s: float) -> Intensities:
+    def at(self, timestamp_s: float) -> Intensities | None:
+        """The latest intensities stamped at or before the timestamp, if any."""
         if self._fixed is not None:
             return self._fixed
         idx = bisect_right(self._times, timestamp_s) - 1
-        return self._values[max(idx, 0)]
+        return self._values[idx] if idx >= 0 else None
 
 
 def _mid_of(snapshot, bet: Bet) -> float | None:
@@ -170,8 +171,9 @@ def replay_hedge(
     deltas computed from the model at the supplied intensities.  Next Goal
     instruments settle at each goal (winner pays 1, loser 0, payout booked
     to cash) and are re-established at the next snapshot.  Steps where the
-    solve is singular or quotes are missing are flagged and the position is
-    carried unchanged.
+    solve is singular, quotes are missing, or no calibration stamped at or
+    before the step exists yet are flagged and the position is carried
+    unchanged; a step never uses intensities stamped after it.
 
     A Next Goal *target* settles at the first goal; the replay ends there,
     with the realized payout as the final target value (post-goal quotes
@@ -285,18 +287,21 @@ def replay_hedge(
 
         lam = lam_at.at(snap.timestamp_s)
         flag = ""
-        try:
-            tg = greeks_of(target, snap.state, lam)
-            g1 = greeks_of(instruments[0], snap.state, lam)
-            g2 = greeks_of(instruments[1], snap.state, lam)
-            matrix = np.array(
-                [[g1.delta_home, g2.delta_home], [g1.delta_away, g2.delta_away]]
-            )
-            new1, new2 = _solve_2x2(matrix, (tg.delta_home, tg.delta_away))
-            psi1, psi2 = new1, new2
-            cash = value - psi1 * z1 - psi2 * z2
-        except SingularHedgeError:
-            flag = "singular"
+        if lam is None:
+            flag = "no intensity"
+        else:
+            try:
+                tg = greeks_of(target, snap.state, lam)
+                g1 = greeks_of(instruments[0], snap.state, lam)
+                g2 = greeks_of(instruments[1], snap.state, lam)
+                matrix = np.array(
+                    [[g1.delta_home, g2.delta_home], [g1.delta_away, g2.delta_away]]
+                )
+                new1, new2 = _solve_2x2(matrix, (tg.delta_home, tg.delta_away))
+                psi1, psi2 = new1, new2
+                cash = value - psi1 * z1 - psi2 * z2
+            except SingularHedgeError:
+                flag = "singular"
 
         steps.append(
             HedgeStep(

@@ -9,7 +9,10 @@ Two independent pricing routes are deliberately kept for every European bet:
   hyperbolic forms for parity, plain products for correct scores).
 
 They must agree to 1e-10; the test suite enforces this on a dense grid.
-All functions are pure and thread-safe.
+:class:`EuropeanBoard` runs the double-sum route for many bets at one score
+state at once, returning every value together with its exact intensity
+sensitivities; calibration solves against it.  All functions are pure and
+thread-safe; a board caches its payoff masks and belongs to one caller.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .distributions import (
 __all__ = [
     "PriceResult",
     "Greeks",
+    "BoardValues",
+    "EuropeanBoard",
     "price",
     "price_european",
     "price_closed_form",
@@ -119,6 +124,18 @@ def _payoff_grid(bet: Bet, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return grid.astype(float)
 
 
+def _remaining_goal_pmfs(
+    state: ScoreState, lam: Intensities
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Truncated pmfs of the home and away goals still to come, plus an
+    upper bound on the joint mass the truncation omits."""
+    l1, l2 = _horizons(state, lam)
+    c1 = cap_for_tail(l1, TRUNCATION_TOL, TRUNCATION_FLOOR)
+    c2 = cap_for_tail(l2, TRUNCATION_TOL, TRUNCATION_FLOOR)
+    bound = poisson_tail(c1, l1) + poisson_tail(c2, l2)
+    return poisson_pmf_vector(l1, c1), poisson_pmf_vector(l2, c2), bound
+
+
 def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult:
     """Value of a European bet as the truncated double Poisson sum.
 
@@ -130,17 +147,78 @@ def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult
         raise NonEuropeanBetError(
             f"{format_bet(bet)} is path dependent; use price_next_goal/price_ht_ft"
         )
-    l1, l2 = _horizons(state, lam)
-    c1 = cap_for_tail(l1, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    c2 = cap_for_tail(l2, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    p1 = poisson_pmf_vector(l1, c1)
-    p2 = poisson_pmf_vector(l2, c2)
-    n1 = state.home_goals + np.arange(c1 + 1)
-    n2 = state.away_goals + np.arange(c2 + 1)
+    p1, p2, bound = _remaining_goal_pmfs(state, lam)
+    n1 = state.home_goals + np.arange(len(p1))
+    n2 = state.away_goals + np.arange(len(p2))
     grid = _payoff_grid(bet, n1, n2)
     value = float(p1 @ grid @ p2)
-    bound = poisson_tail(c1, l1) + poisson_tail(c2, l2)
     return PriceResult(_clamp01(value), bound)
+
+
+@dataclass(frozen=True)
+class BoardValues:
+    """Values of a board's bets, their intensity Jacobian and the omitted mass.
+
+    ``jacobian[i]`` is (dV_i/dlam_home, dV_i/dlam_away).
+    """
+
+    values: np.ndarray
+    jacobian: np.ndarray
+    truncation_bound: float
+
+
+class EuropeanBoard:
+    """Several European bets priced together on one score-matrix grid.
+
+    Every value is the double sum of :func:`price_european`, contracted
+    against one payoff mask per bet.  The Jacobian is exact: d/dm of the
+    Poisson pmf p(k; m) is p(k-1; m) - p(k; m), so dV/dlam_i is (1 - tau)
+    times the same contraction with the one-step-shifted pmf minus the pmf,
+    which is (1 - tau) * delta_i as the forward equation requires.  Masks
+    depend on the state and on the grid caps only, so they are rebuilt only
+    when a cap changes.
+    """
+
+    def __init__(self, bets: list[Bet] | tuple[Bet, ...], state: ScoreState):
+        for bet in bets:
+            if not bet.european:
+                raise NonEuropeanBetError(
+                    f"{format_bet(bet)} is path dependent and has no board mask"
+                )
+        self.bets = tuple(bets)
+        self.state = state
+        self._caps: tuple[int, int] | None = None
+        self._masks: np.ndarray | None = None
+
+    def _masks_for(self, c1: int, c2: int) -> np.ndarray:
+        if self._caps != (c1, c2):
+            n1 = self.state.home_goals + np.arange(c1 + 1)
+            n2 = self.state.away_goals + np.arange(c2 + 1)
+            self._masks = np.array([_payoff_grid(b, n1, n2) for b in self.bets]).reshape(
+                len(self.bets), c1 + 1, c2 + 1
+            )
+            self._caps = (c1, c2)
+        return self._masks
+
+    def evaluate(self, lam: Intensities) -> BoardValues:
+        p1, p2, bound = _remaining_goal_pmfs(self.state, lam)
+        masks = self._masks_for(len(p1) - 1, len(p2) - 1)
+        by_home = masks @ p2  # (bets, home goals): away goals summed out
+        by_away = p1 @ masks  # (bets, away goals): home goals summed out
+        values = np.clip(by_home @ p1, 0.0, 1.0)
+        horizon = 1.0 - self.state.clock
+        jacobian = np.empty((len(self.bets), 2))
+        jacobian[:, 0] = by_home @ _pmf_derivative(p1)
+        jacobian[:, 1] = by_away @ _pmf_derivative(p2)
+        jacobian *= horizon
+        return BoardValues(values, jacobian, bound)
+
+
+def _pmf_derivative(p: np.ndarray) -> np.ndarray:
+    """d/dm of the Poisson pmf vector p(.; m): p(k-1; m) - p(k; m)."""
+    out = -p
+    out[1:] += p[:-1]
+    return out
 
 
 @lru_cache(maxsize=4096)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from inplay.calibration import (
+    LAMBDA_BOX,
     CalibrationResult,
     IdentifiabilityError,
     IntensitySeries,
@@ -20,6 +21,7 @@ from inplay.calibration import (
 from inplay.contracts import (
     Bet,
     Intensities,
+    MATCH_ODDS_AWAY,
     MATCH_ODDS_DRAW,
     MATCH_ODDS_HOME,
     Quote,
@@ -87,6 +89,29 @@ class TestCalibrateSnapshot:
         assert result.intensities.home == pytest.approx(LAM_TRUE.home, abs=1e-6)
         assert result.intensities.away == pytest.approx(LAM_TRUE.away, abs=1e-6)
         assert result.residual < 1e-8
+        assert result.iterations <= 20  # board evaluations from the cold start
+        assert 1.0 <= result.condition < 1e3
+        assert 0.0 <= result.truncation_bound < 1e-12
+
+    def test_no_goal_after_3_2_bets_are_unidentifiable(self):
+        # Both bets pay only if no further goal is scored, so their
+        # intensity sensitivities are parallel.
+        state = ScoreState(3, 2, 5340.0 / 5400.0)
+        bets = [Bet.under(5.5), Bet.correct_score(3, 2)]
+        snap = make_snapshot(state, LAM_TRUE, timestamp_s=5340.0, bets=bets)
+        with pytest.raises(IdentifiabilityError):
+            calibrate_snapshot(snap)
+
+    def test_near_certain_over_lines_stay_inside_the_box(self):
+        quotes = tuple(Quote.from_values(Bet.over(x + 0.5), 0.998, 0.02) for x in range(6))
+        quotes += (
+            Quote.from_values(MATCH_ODDS_HOME, 0.6, 0.02),
+            Quote.from_values(MATCH_ODDS_AWAY, 0.35, 0.02),
+        )
+        result = calibrate_snapshot(QuoteSnapshot(0.0, ScoreState(0, 0, 0.0), quotes))
+        assert result.iterations <= 30
+        for lam in (result.intensities.home, result.intensities.away):
+            assert LAMBDA_BOX[0] <= lam <= LAMBDA_BOX[1]
 
     def test_recovered_residual_never_beats_truth_materially(self):
         snap = model_snapshot(noise=0.25, rng=np.random.default_rng(42))
@@ -170,6 +195,13 @@ class TestCalibrateSeries:
         assert [p.timestamp_s for p in series] == [0.0, 60.0, 120.0, 180.0]
         assert series.points[2].result is None
         assert len(series.valid()) == 3
+
+    def test_zero_spread_snapshot_raises(self):
+        snaps = [model_snapshot(ts=0.0, state=STATE.at_clock(0.0))]
+        bad = Quote(MATCH_ODDS_HOME, value_buy=0.5, value_sell=0.5)
+        snaps.append(QuoteSnapshot(60.0, STATE.at_clock(0.011), (bad,) + snaps[0].quotes))
+        with pytest.raises(ValueError, match="zero spread"):
+            calibrate_series(snaps, step_s=60.0)
 
     def test_empty_timeline_rejected(self):
         with pytest.raises(ValueError, match="empty"):

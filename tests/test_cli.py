@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from inplay.cli import main
-from inplay.contracts import Intensities, MATCH_ODDS_HOME, Team
+from inplay.contracts import Intensities, MATCH_ODDS_DRAW, MATCH_ODDS_HOME, Team
 from inplay.io import (
     parse_intensity_series_csv,
     write_events_csv,
@@ -149,6 +149,33 @@ class TestCalibrate:
             ]
         )
         assert code == 3
+
+    def test_zero_spread_quote_is_data_error(self, tmp_path, capsys):
+        bets = [MATCH_ODDS_HOME, MATCH_ODDS_DRAW]
+        tl = make_model_timeline(LAM, goals=[], step_s=600.0, bets=bets)
+        quotes = tmp_path / "q.csv"
+        events = tmp_path / "e.csv"
+        write_quotes_csv(tl, quotes)
+        write_events_csv([], events, match_id=tl.match_id)
+        # Lay the first quote at its back odds: a two-sided quote with no spread.
+        lines = quotes.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[5] = cells[4]
+        lines[1] = ",".join(cells)
+        quotes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "calibrate",
+                "--quotes",
+                str(quotes),
+                "--events",
+                str(events),
+                "--out",
+                str(tmp_path / "out.csv"),
+            ]
+        )
+        assert code == 2
+        assert "zero spread" in capsys.readouterr().err
 
 
 class TestHedgeReplay:
@@ -292,6 +319,20 @@ def test_console_entry_point_smoke():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert 0.0 < payload["value"] < 1.0
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, inplay.cli; print('scipy.optimize' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_bad_subcommand_is_usage_error():

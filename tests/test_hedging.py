@@ -1,9 +1,14 @@
 """Tests for replication weights and the hedge replay ledger."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from inplay import pricing
+from inplay.calibration import CalibrationResult, IntensitySeries, SeriesPoint
 
 from inplay.contracts import (
     Bet,
@@ -206,6 +211,48 @@ class TestReplay:
         assert rep.terminal_error < 0.05
         for g in rep.goals:
             assert abs((g.target_post - g.target_pre) - (g.portfolio_post - g.portfolio_pre)) < 1e-6
+
+
+REPLAY_TIMELINE = make_model_timeline(
+    LAM, goals=[(1500.0, Team.AWAY)], step_s=300.0, bets=[MATCH_ODDS_HOME, *HEDGES]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    minutes=st.lists(st.integers(0, 95), min_size=1, max_size=8, unique=True),
+    gaps=st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_no_step_reads_a_calibration_stamped_after_it(minutes, gaps):
+    # Each series point's intensities encode its own stamp; the last point
+    # is always valid so the series has one.
+    minutes = sorted(minutes)
+    points = []
+    for i, m in enumerate(minutes):
+        gap = gaps[i] and i < len(minutes) - 1
+        lam = Intensities(1.0 + m / 1000.0, 0.8)
+        points.append(
+            SeriesPoint(60.0 * m, None if gap else CalibrationResult(lam, 0.0, 0.0, 0.0, 1, True))
+        )
+    series = IntensitySeries(tuple(points))
+    stamp_of = {p.result.intensities: p.timestamp_s for p in series.valid()}
+
+    seen = []
+    real = pricing.greeks
+
+    def spy(bet, state, lam, *args):
+        seen.append((state.clock * 5400.0, lam))
+        return real(bet, state, lam, *args)
+
+    with mock.patch.object(pricing, "greeks", spy):
+        rep = replay_hedge(REPLAY_TIMELINE, MATCH_ODDS_HOME, HEDGES, series)
+    for t, lam in seen:
+        assert stamp_of[lam] <= t + 1e-6
+    first = series.valid()[0].timestamp_s
+    for step in rep.steps:
+        assert (step.flag == "no intensity") == (step.timestamp_s < first)
+        if step.flag:
+            assert (step.psi1, step.psi2) == (0.0, 0.0)
 
 
 class TestJumpStats:

@@ -29,7 +29,9 @@ from inplay.contracts import (
 from inplay.distributions import poisson_pmf_vector
 from inplay.hedging import next_goal_delta_matrix, solve_replication_weights
 from inplay.oracle import enumerate_price
+from inplay.synthetic import calibration_catalogue
 from inplay.pricing import (
+    EuropeanBoard,
     greeks,
     intensity_sensitivity,
     kolmogorov_residual,
@@ -364,6 +366,42 @@ class TestIntensitySensitivity:
                 - price_european(bet, state, Intensities(*dn)).value
             ) / (2 * h)
             assert s[i] == pytest.approx(fd, abs=1e-6)
+
+
+class TestEuropeanBoard:
+    @pytest.mark.parametrize("score", [(0, 0), (1, 2), (3, 3)])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 0.9])
+    def test_matches_closed_form_and_sensitivities(self, score, tau):
+        bets = calibration_catalogue()
+        state = ScoreState(score[0], score[1], tau)
+        board = EuropeanBoard(bets, state)
+        for l1 in [0.1, 0.5, 1.0, 2.0, 5.0]:
+            for l2 in [0.1, 0.5, 1.0, 2.0, 5.0]:
+                lam = Intensities(l1, l2)
+                out = board.evaluate(lam)
+                values = [price_closed_form(b, state, lam).value for b in bets]
+                sens = [intensity_sensitivity(b, state, lam) for b in bets]
+                assert np.max(np.abs(out.values - values)) <= 1e-10
+                assert np.max(np.abs(out.jacobian - sens)) <= 1e-10
+                assert out.truncation_bound < 1e-12
+
+    def test_masks_follow_the_grid_caps(self):
+        # lam = 20 needs a wider grid than the floor of 25 goals; going back
+        # must rebuild the narrow masks, not reuse the wide ones.
+        bets = calibration_catalogue()
+        state = ScoreState(1, 0, 0.1)
+        board = EuropeanBoard(bets, state)
+        for lam in [Intensities(0.5, 0.5), Intensities(20.0, 0.1), Intensities(0.5, 0.5)]:
+            fresh = EuropeanBoard(bets, state).evaluate(lam)
+            out = board.evaluate(lam)
+            assert np.array_equal(out.values, fresh.values)
+            assert np.array_equal(out.jacobian, fresh.jacobian)
+            expected = [price_european(b, state, lam).value for b in bets]
+            assert np.max(np.abs(out.values - expected)) <= 1e-12
+
+    def test_rejects_path_dependent_bets(self):
+        with pytest.raises(NonEuropeanBetError):
+            EuropeanBoard([MATCH_ODDS_HOME, NEXT_GOAL_HOME], ScoreState(0, 0, 0.0))
 
 
 class TestStaticReplication:
