@@ -3,8 +3,10 @@
 A bet's two deltas are the value changes if home or away scored right now;
 theta is the drift between goals.  For European bets the three satisfy
 theta = -(lam_home * delta_home + lam_away * delta_away), which is why a
-goal-jump-neutral book also carries no time decay.  Intensity sensitivities
-come for free: dV/dlam_i = (1 - clock) * delta_i.
+goal-jump-neutral book also carries no time decay.  ``greeks`` uses that
+identity for theta; the residual column checks it against an independent
+finite-difference theta.  Intensity sensitivities come for free:
+dV/dlam_i = (1 - clock) * delta_i.
 """
 
 from inplay import (
@@ -37,8 +39,10 @@ for bet in (
         f"{str(bet):22s} {v:9.5f} {g.delta_home:+9.5f} {g.delta_away:+9.5f}"
         f" {g.theta:+9.5f} {resid:+10.2e}"
     )
-print("\nresidual = theta + lam_home*d_home + lam_away*d_away; zero up to")
-print("finite-difference noise for every European bet.")
+print("\ntheta above is exact: greeks computes it as -(lam_home*d_home + lam_away*d_away).")
+print("residual = theta_fd + lam_home*d_home + lam_away*d_away, where theta_fd is the")
+print("oracle's clock-bumped derivative; it is zero up to finite-difference noise for")
+print("every European bet.")
 
 print("\nIntensity sensitivities versus a brute-force bump:")
 bet = Bet.under(2.5)

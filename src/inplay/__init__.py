@@ -15,7 +15,8 @@ The package exposes:
 * CSV ingestion/emission and a CLI (see ``inplay.cli``).
 
 ``inplay.oracle`` holds independent verification engines (simulation,
-Monte Carlo, extended-precision enumeration) used by the test suite; the
+Monte Carlo, extended-precision enumeration, finite-difference theta and
+the forward-equation residual built on it) used by the test suite; the
 production pricers never call into it.
 """
 
@@ -46,7 +47,6 @@ from .pricing import (
     PriceResult,
     greeks,
     intensity_sensitivity,
-    kolmogorov_residual,
     price,
     price_closed_form,
     price_european,
@@ -76,6 +76,7 @@ from .hedging import (
     replay_hedge,
     solve_replication_weights,
 )
+from .oracle import kolmogorov_residual
 from .timeline import GoalEvent, MatchTimeline
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, logsumexp
+from scipy.special import gammainc, gammaincc, gammaln, ive, logsumexp
 
 __all__ = [
     "poisson_pmf",
@@ -184,11 +184,31 @@ def skellam_pmf(k: int, mean1: float, mean2: float) -> float:
     return _clamp01(math.exp(log_p))
 
 
+def _log_bessel_series(orders: np.ndarray, log_half: float) -> np.ndarray:
+    """log I_nu(z) for each order nu, with log(z/2) given, by the ascending
+    series folded into a logsumexp over its terms (no overflow anywhere)."""
+    n_terms = 40
+    while True:
+        m = np.arange(n_terms)[:, None]
+        nu = orders[None, :]
+        log_terms = (2 * m + nu) * log_half - gammaln(m + 1) - gammaln(m + nu + 1)
+        log_bessel = logsumexp(log_terms, axis=0)
+        # Converged once the last term is negligible against the total.
+        if np.all(log_terms[-1, :] < log_bessel - 40.0):
+            return log_bessel
+        n_terms *= 2
+        if n_terms > _BESSEL_MAX_TERMS:
+            raise ValueError("Bessel series did not converge in range evaluation")
+
+
 def skellam_pmf_range(k_lo: int, k_hi: int, mean1: float, mean2: float) -> np.ndarray:
     """Vectorised skellam_pmf for k = k_lo .. k_hi inclusive.
 
-    Works entirely in log space (the Bessel series is folded into a
-    logsumexp over its terms) so large intensity ratios cannot overflow.
+    Works in log space so large intensity ratios cannot overflow:
+    log p = z - (m1+m2) + (k/2) log(m1/m2) + log ive(|k|, z), with the
+    exponentially scaled Bessel function ive(nu, z) = I_nu(z) e^-z.  Orders
+    where ive underflows to 0 (high order, small z) take the log-space
+    ascending series instead.
     """
     mean1 = _check_mean(mean1, "mean1")
     mean2 = _check_mean(mean2, "mean2")
@@ -205,21 +225,16 @@ def skellam_pmf_range(k_lo: int, k_hi: int, mean1: float, mean2: float) -> np.nd
         return np.array([poisson_pmf(int(-k), mean2) for k in ks])
 
     z = 2.0 * math.sqrt(mean1 * mean2)
-    log_half = 0.5 * (math.log(mean1) + math.log(mean2))  # log(z/2)
     orders = np.abs(ks)
+    scaled = ive(orders, z)
+    # log I_nu(z) - z: the scaled Bessel function where it did not underflow
+    # to 0 (ive flushes to 0 below ~1e-305 rather than going subnormal).
+    ok = scaled > 0.0
+    log_scaled = np.empty(len(ks))
+    log_scaled[ok] = np.log(scaled[ok])
+    if not ok.all():
+        log_half = 0.5 * (math.log(mean1) + math.log(mean2))  # log(z/2)
+        log_scaled[~ok] = _log_bessel_series(orders[~ok], log_half) - z
 
-    n_terms = 40
-    while True:
-        m = np.arange(n_terms)[:, None]
-        nu = orders[None, :]
-        log_terms = (2 * m + nu) * log_half - gammaln(m + 1) - gammaln(m + nu + 1)
-        log_bessel = logsumexp(log_terms, axis=0)
-        # Converged once the last term is negligible against the total.
-        if np.all(log_terms[-1, :] < log_bessel - 40.0):
-            break
-        n_terms *= 2
-        if n_terms > _BESSEL_MAX_TERMS:
-            raise ValueError("Bessel series did not converge in range evaluation")
-
-    log_p = -(mean1 + mean2) + 0.5 * ks * (math.log(mean1) - math.log(mean2)) + log_bessel
+    log_p = (z - (mean1 + mean2)) + 0.5 * ks * math.log(mean1 / mean2) + log_scaled
     return np.clip(np.exp(log_p), 0.0, 1.0)

@@ -160,12 +160,24 @@ def parse_quotes_csv(
     return snapshots
 
 
+def _decimal(cell: str, side: str, path: Path, lineno: int) -> float | None:
+    """An odds cell as a float; empty means that side is absent."""
+    if cell == "":
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        raise QuotesParseError(f"{path}:{lineno}: bad {side} decimal {cell!r}") from None
+
+
 def _parse_quotes(
     path, match_length_min: float = DEFAULT_MATCH_MINUTES
 ) -> tuple[str, list[QuoteSnapshot]]:
     path = Path(path)
     groups: dict[tuple, list[Quote]] = {}
     match_ids: set[str] = set()
+    # A board repeats the same few tokens on every row: parse each once.
+    bets: dict[tuple[str, str], Bet] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -189,26 +201,17 @@ def _parse_quotes(
                 ts = float(ts_s)
             except ValueError:
                 raise QuotesParseError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
-            try:
-                bet = _bet_from_market_selection(market, selection)
-            except ValueError:
-                raise QuotesParseError(
-                    f"{path}:{lineno}: unknown selection {market!r}/{selection!r}"
-                ) from None
-
-            def _decimal(cell: str, side: str) -> float | None:
-                if cell == "":
-                    return None
+            bet = bets.get((market, selection))
+            if bet is None:
                 try:
-                    d = float(cell)
+                    bet = _bet_from_market_selection(market, selection)
                 except ValueError:
                     raise QuotesParseError(
-                        f"{path}:{lineno}: bad {side} decimal {cell!r}"
+                        f"{path}:{lineno}: unknown selection {market!r}/{selection!r}"
                     ) from None
-                return d
-
-            back = _decimal(back_s, "back")
-            lay = _decimal(lay_s, "lay")
+                bets[(market, selection)] = bet
+            back = _decimal(back_s, "back", path, lineno)
+            lay = _decimal(lay_s, "lay", path, lineno)
             if (back is not None and back < 1.0) or (lay is not None and lay < 1.0):
                 log.warning("%s:%d: decimal odds below 1, row rejected", path, lineno)
                 continue

@@ -11,8 +11,12 @@ Two independent pricing routes are deliberately kept for every European bet:
 They must agree to 1e-10; the test suite enforces this on a dense grid.
 :class:`EuropeanBoard` runs the double-sum route for many bets at one score
 state at once, returning every value together with its exact intensity
-sensitivities; calibration solves against it.  All functions are pure and
-thread-safe; a board caches its payoff masks and belongs to one caller.
+sensitivities; calibration solves against it.  :func:`greeks` re-prices
+only at the two bumped scores: the forward equation makes theta the
+intensity-weighted sum of the goal-jump deltas, so the clock is never
+bumped (the finite-difference theta that checks this lives in
+``inplay.oracle``).  All functions are pure and thread-safe; a board caches
+its payoff masks and belongs to one caller.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -55,7 +59,6 @@ __all__ = [
     "price_next_goal",
     "price_ht_ft",
     "greeks",
-    "kolmogorov_residual",
     "intensity_sensitivity",
     "static_replication",
 ]
@@ -63,9 +66,6 @@ __all__ = [
 # Per-team truncation: smallest cap with tail mass below this, floor 25.
 TRUNCATION_TOL = 1e-13
 TRUNCATION_FLOOR = 25
-
-# Clock step for the finite-difference theta.
-_THETA_STEP = 1e-6
 
 DEFAULT_HALF_CLOCK = 0.5
 
@@ -418,24 +418,6 @@ def price(
     return price_closed_form(bet, state, lam)
 
 
-def _theta_fd(
-    value_at: Callable[[float], float], tau: float, lo: float, hi: float
-) -> float:
-    """Finite-difference time derivative on the smooth clock segment [lo, hi].
-
-    Centered in the interior; second-order one-sided at the segment edges so
-    the truncation error stays O(step^2) everywhere.
-    """
-    h = _THETA_STEP
-    if tau - h > lo and tau + h < hi:
-        return (value_at(tau + h) - value_at(tau - h)) / (2.0 * h)
-    if tau + 2.0 * h < hi:
-        return (-3.0 * value_at(tau) + 4.0 * value_at(tau + h) - value_at(tau + 2.0 * h)) / (2.0 * h)
-    if tau - 2.0 * h > lo:
-        return (3.0 * value_at(tau) - 4.0 * value_at(tau - h) + value_at(tau - 2.0 * h)) / (2.0 * h)
-    return 0.0
-
-
 def greeks(
     bet: Bet,
     state: ScoreState,
@@ -443,11 +425,17 @@ def greeks(
     half_clock: float = DEFAULT_HALF_CLOCK,
     ht_score: tuple[int, int] | None = None,
 ) -> Greeks:
-    """Forward-difference deltas and finite-difference theta of a bet.
+    """Goal-jump deltas of a bet and its time drift from the forward equation.
 
     Deltas are the value changes if home/away scored right now.  For Next
     Goal bets that change is the settlement jump (payout minus current
     value); for everything else it is a re-pricing at the bumped score.
+    Every catalogue bet is a function of (score, clock) alone between goals
+    (HT/FT on either side of half time, with the half-time score held), so
+    the forward equation gives theta = -(lam_home*delta_home +
+    lam_away*delta_away) exactly; for Next Goal that is
+    -lam_team*exp(-(lam_home+lam_away)(1-clock)).  No clock re-pricing is
+    needed; ``inplay.oracle.theta_fd`` is the independent check.
     """
     base = price(bet, state, lam, half_clock, ht_score).value
 
@@ -460,33 +448,8 @@ def greeks(
         up_away = price(bet, state.with_goal(Team.AWAY), lam, half_clock, ht_score).value
         d1, d2 = up_home - base, up_away - base
 
-    lo, hi = 0.0, 1.0
-    if bet.kind is BetKind.HT_FT:
-        if state.clock < half_clock:
-            hi = half_clock
-        else:
-            lo = half_clock
-
-    def value_at(tau: float) -> float:
-        return price(bet, state.at_clock(tau), lam, half_clock, ht_score).value
-
-    theta = _theta_fd(value_at, state.clock, lo, hi)
-    return Greeks(d1, d2, theta)
-
-
-def kolmogorov_residual(bet: Bet, state: ScoreState, lam: Intensities) -> float:
-    """theta + lam_home*delta_home + lam_away*delta_away.
-
-    The forward equation makes this identically zero for European bets;
-    what remains is finite-difference noise, bounded by 1e-6 everywhere on
-    the supported parameter range.
-    """
-    if not bet.european:
-        raise NonEuropeanBetError("the forward-equation residual is defined for European bets")
-    if state.clock >= 1.0:
-        raise ValueError("residual requires clock < 1")
-    g = greeks(bet, state, lam)
-    return g.theta + lam.home * g.delta_home + lam.away * g.delta_away
+    # 0.0 - x keeps a frozen game's theta at +0.0 rather than -0.0.
+    return Greeks(d1, d2, 0.0 - (lam.home * d1 + lam.away * d2))
 
 
 def intensity_sensitivity(

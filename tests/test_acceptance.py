@@ -46,10 +46,9 @@ from inplay.io import (
     write_events_csv,
     write_quotes_csv,
 )
-from inplay.oracle import enumerate_price, mc_price
+from inplay.oracle import enumerate_price, kolmogorov_residual, mc_price
 from inplay.pricing import (
     greeks,
-    kolmogorov_residual,
     intensity_sensitivity,
     price_closed_form,
     price_european,

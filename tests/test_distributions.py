@@ -4,12 +4,16 @@ High-precision expected values were computed with an arbitrary-precision
 evaluator (mpmath, 40 digits) and frozen here.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from inplay.distributions import (
+    _log_bessel_series,
     _poisson_pmf_direct,
     _poisson_pmf_log,
     bessel_i,
@@ -183,3 +187,42 @@ class TestSkellam:
         vec = skellam_pmf_range(-10, 10, mean1, mean2)
         for i, k in enumerate(range(-10, 11)):
             assert vec[i] == pytest.approx(skellam_pmf(k, mean1, mean2), rel=1e-11, abs=1e-300)
+
+
+def skellam_by_series(ks: np.ndarray, mean1: float, mean2: float) -> np.ndarray:
+    """The log-space ascending-series route for every k, with no ive."""
+    log_half = 0.5 * (math.log(mean1) + math.log(mean2))
+    log_bessel = _log_bessel_series(np.abs(ks), log_half)
+    return np.exp(-(mean1 + mean2) + 0.5 * ks * math.log(mean1 / mean2) + log_bessel)
+
+
+class TestSkellamTable:
+    PAIRS = [(20.0, 1e-4), (1e-4, 20.0), (10.0, 10.0), (1e-3, 2e-3)]
+
+    @pytest.mark.parametrize("mean1,mean2", PAIRS)
+    def test_scaled_bessel_route_matches_scalar_and_series(self, mean1, mean2):
+        ks = np.arange(-60, 61)
+        table = skellam_pmf_range(-60, 60, mean1, mean2)
+        series = skellam_by_series(ks, mean1, mean2)
+        assert np.abs(table - series).max() <= 1e-12
+        for k, p in zip(ks, table):
+            assert abs(p - skellam_pmf(int(k), mean1, mean2)) <= 1e-12
+
+    @pytest.mark.parametrize("mean1,mean2", PAIRS)
+    def test_full_range_sums_to_one(self, mean1, mean2):
+        j = cap_for_tail(mean1 + mean2, 1e-13, 25)
+        assert skellam_pmf_range(-j, j, mean1, mean2).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_underflowing_orders_fall_back_to_the_series(self):
+        # z = 2 sqrt(20 * 1e-10) ~ 9e-5: ive(nu, z) underflows to 0 from
+        # order 54 on, while P[D = 60] ~ 2.5e-13 is far from negligible.
+        mean1, mean2 = 20.0, 1e-10
+        ks = np.arange(-80, 81)
+        z = 2.0 * math.sqrt(mean1 * mean2)
+        assert (ive(np.abs(ks), z) == 0.0).sum() > 0
+        table = skellam_pmf_range(-80, 80, mean1, mean2)
+        assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
+        series = skellam_by_series(ks, mean1, mean2)
+        assert np.abs(table - series).max() <= 1e-12
+        assert table[60 + 80] == pytest.approx(series[60 + 80], rel=1e-12)
+        assert table[60 + 80] > 1e-14

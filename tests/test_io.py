@@ -86,6 +86,45 @@ class TestParseQuotes:
         with pytest.raises(QuotesParseError, match=":3"):
             parse_quotes_csv(f)
 
+    def test_repeated_unknown_selection_raises_at_its_first_line(self, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal\n"
+            "g1,600,MATCH_ODDS,HOME,2.5,2.54\n"
+            "g1,600,MATCH_ODDS,NOBODY,2.5,2.54\n"
+            "g1,601,MATCH_ODDS,HOME,2.5,2.54\n"
+            "g1,601,MATCH_ODDS,NOBODY,2.5,2.54\n"
+        )
+        with pytest.raises(QuotesParseError, match=r":3: unknown selection"):
+            parse_quotes_csv(f)
+
+    def test_each_token_parsed_once_per_file(self, tmp_path, monkeypatch):
+        import inplay.io as io_module
+
+        parsed = []
+        real = io_module._bet_from_market_selection
+
+        def counting(market, selection):
+            parsed.append((market, selection))
+            return real(market, selection)
+
+        monkeypatch.setattr(io_module, "_bet_from_market_selection", counting)
+        f = tmp_path / "q.csv"
+        f.write_text(QUOTES_EXAMPLE + "g1,660,MATCH_ODDS,HOME,2.4,2.44\n")
+        first = parse_quotes_csv(f)
+        assert sorted(parsed) == sorted(
+            [("MATCH_ODDS", "HOME"), ("MATCH_ODDS", "DRAW"), ("TOTAL_PARITY", "ODD"),
+             ("UNDER", "2_5")]
+        )
+        # The memo belongs to one call: a second file parses its tokens afresh
+        # and gives the same bets.
+        g = tmp_path / "g.csv"
+        g.write_text(QUOTES_EXAMPLE)
+        parsed.clear()
+        second = parse_quotes_csv(g)
+        assert len(parsed) == 4
+        assert [q.bet for q in second[0].quotes] == [q.bet for q in first[0].quotes]
+
     def test_sub_unit_decimal_rejected_and_logged(self, tmp_path, caplog):
         f = tmp_path / "q.csv"
         f.write_text(

@@ -28,13 +28,13 @@ from inplay.contracts import (
 )
 from inplay.distributions import poisson_pmf_vector
 from inplay.hedging import next_goal_delta_matrix, solve_replication_weights
-from inplay.oracle import enumerate_price
+from inplay import pricing
+from inplay.oracle import enumerate_price, kolmogorov_residual, theta_fd
 from inplay.synthetic import calibration_catalogue
 from inplay.pricing import (
     EuropeanBoard,
     greeks,
     intensity_sensitivity,
-    kolmogorov_residual,
     price,
     price_closed_form,
     price_european,
@@ -336,6 +336,87 @@ class TestKolmogorov:
     def test_rejects_non_european(self):
         with pytest.raises(NonEuropeanBetError):
             kolmogorov_residual(NEXT_GOAL_HOME, ScoreState(0, 0, 0.0), Intensities(1, 1))
+
+
+# Criterion 4's grid (test_acceptance): intensities x scores x clocks.
+THETA_LAMBDAS = [0.1, 0.5, 1.0, 2.0, 5.0]
+THETA_SCORES = [(h, a) for h in range(5) for a in range(5)]
+THETA_CLOCKS = [0.0, 0.25, 0.5, 0.9]
+HT_FT_CLOCKS = [0.0, 0.3, 0.5 - 1e-5, 0.5, 0.5 + 1e-5, 0.8, 1.0 - 1e-5]
+
+
+class TestAnalyticTheta:
+    def test_matches_finite_difference_on_criterion_4_grid(self):
+        worst = 0.0
+        for l1 in THETA_LAMBDAS:
+            for l2 in THETA_LAMBDAS:
+                lam = Intensities(l1, l2)
+                for h, a in THETA_SCORES:
+                    for tau in THETA_CLOCKS:
+                        state = ScoreState(h, a, tau)
+                        for bet in EURO_BETS:
+                            diff = greeks(bet, state, lam).theta - theta_fd(bet, state, lam)
+                            worst = max(worst, abs(diff))
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("ht", list(Outcome))
+    @pytest.mark.parametrize("ft", list(Outcome))
+    def test_ht_ft_matches_finite_difference_across_half_time(self, ht, ft):
+        bet = Bet.ht_ft(ht, ft)
+        for lam in (Intensities(1.3, 0.7), Intensities(2.5, 0.4)):
+            for tau in HT_FT_CLOCKS:
+                # After half time the half-time score is fixed; (1, 1) is
+                # reachable from each of these.
+                ht_scores = [None] if tau < 0.5 else [(1, 0), (1, 1), (0, 1)]
+                for ht_score in ht_scores:
+                    state = ScoreState(1, 1, tau)
+                    g = greeks(bet, state, lam, 0.5, ht_score)
+                    fd = theta_fd(bet, state, lam, 0.5, ht_score)
+                    assert abs(g.theta - fd) <= 1e-6, (tau, ht_score)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.4, 0.999, 1.0])
+    def test_next_goal_theta_is_closed_form(self, tau):
+        lam = Intensities(1.4, 0.6)
+        decay = math.exp(-lam.total * (1.0 - tau))
+        state = ScoreState(2, 1, tau)
+        assert greeks(NEXT_GOAL_HOME, state, lam).theta == pytest.approx(
+            -lam.home * decay, abs=1e-14
+        )
+        assert greeks(NEXT_GOAL_AWAY, state, lam).theta == pytest.approx(
+            -lam.away * decay, abs=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "bet", [MATCH_ODDS_HOME, Bet.over(2.5), NEXT_GOAL_HOME, Bet.ht_ft(Outcome.DRAW, Outcome.DRAW)]
+    )
+    def test_zero_intensities_give_exactly_zero(self, bet):
+        g = greeks(bet, ScoreState(1, 1, 0.3), Intensities(0.0, 0.0))
+        assert g.theta == 0.0
+        assert math.copysign(1.0, g.theta) == 1.0
+
+    @pytest.mark.parametrize(
+        "bet,state,ht_score,calls",
+        [
+            (MATCH_ODDS_HOME, ScoreState(0, 0, 0.3), None, 3),
+            (Bet.over(2.5), ScoreState(1, 0, 0.7), None, 3),
+            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(0, 0, 0.3), None, 3),
+            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(1, 0, 0.7), (1, 0), 3),
+            (NEXT_GOAL_HOME, ScoreState(0, 0, 0.3), None, 1),
+            (NEXT_GOAL_AWAY, ScoreState(0, 0, 0.3), None, 1),
+        ],
+    )
+    def test_greeks_never_reprice_the_clock(self, monkeypatch, bet, state, ht_score, calls):
+        seen = []
+        real_price = pricing.price
+
+        def counting_price(bet, state, *args, **kwargs):
+            seen.append(state)
+            return real_price(bet, state, *args, **kwargs)
+
+        monkeypatch.setattr(pricing, "price", counting_price)
+        greeks(bet, state, Intensities(1.3, 0.7), 0.5, ht_score)
+        assert len(seen) == calls
+        assert all(s.clock == state.clock for s in seen)
 
 
 class TestIntensitySensitivity:
