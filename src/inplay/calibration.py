@@ -157,7 +157,8 @@ def objective(lam: Intensities, snapshot: QuoteSnapshot) -> float:
     if not quotes:
         raise ValueError("no usable quotes in snapshot")
     r, _, _ = _Residuals(quotes, snapshot.state)(lam)
-    return float(math.sqrt(np.mean(r * r)))
+    # fsum is exactly rounded, so the value cannot depend on the quote order.
+    return math.sqrt(math.fsum(r * r) / len(r))
 
 
 def _check_identifiable(quotes: list[Quote], jacobian: np.ndarray) -> None:

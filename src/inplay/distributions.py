@@ -1,4 +1,16 @@
-"""Numerically stable elementary distributions used by the pricers.
+"""Poisson and Skellam distributions used by the pricers, on numpy alone.
+
+Each quantity has one route:
+
+* the Poisson pmf is exp(n log m - log n! - m), with log n! read from a
+  table of ``math.lgamma`` values that grows on demand;
+* a Poisson tail sums the side away from the mode as positive pmf terms, so
+  both tails keep relative accuracy, and returns the side holding the mode
+  as 1 minus that sum;
+* the Skellam law of N1 - N2 is exp(-(m1+m2)) (m1/m2)^(k/2) I_|k|(z) with
+  z = 2 sqrt(m1 m2).  The Bessel values come in log space from Miller's
+  backward recurrence for the ratios I_k/I_(k-1), normalised by
+  e^-z (I_0 + 2 sum_k I_k) = 1, so nothing underflows.
 
 Everything here is a pure function of scalars (or small integer ranges) and is
 safe to call concurrently.  Probabilities are clamped to [0, 1] after
@@ -12,24 +24,18 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, ive, logsumexp
 
 __all__ = [
     "poisson_pmf",
     "poisson_tail",
     "poisson_pmf_vector",
     "cap_for_tail",
-    "bessel_i",
     "skellam_pmf",
     "skellam_pmf_range",
 ]
 
-# Ascending-series truncation for the modified Bessel function.
-_BESSEL_REL_TOL = 1e-16
-_BESSEL_MAX_TERMS = 10_000
-
-# Switch between the direct factorial evaluation and log-space.
-_DIRECT_LIMIT = 30
+# log n! for n = 0 .. len - 1; replaced by a longer table when a cap outgrows it.
+_log_factorial_table = np.zeros(1)
 
 
 def _check_mean(mean: float, name: str = "mean") -> float:
@@ -40,23 +46,31 @@ def _check_mean(mean: float, name: str = "mean") -> float:
 
 
 def _clamp01(x: float) -> float:
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return 1.0
-    return x
+    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _poisson_pmf_direct(n: int, mean: float) -> float:
-    """exp(-m) m^n / n!, for small n and mean only."""
-    return math.exp(-mean) * mean**n / math.factorial(n)
+def _log_factorials(top: int) -> np.ndarray:
+    """log n! for n = 0 .. top.
+
+    The table is replaced by one reference assignment and each call slices
+    the table it read, so concurrent callers need no lock.
+    """
+    global _log_factorial_table
+    table = _log_factorial_table
+    if len(table) <= top:
+        table = np.array([math.lgamma(n + 1.0) for n in range(2 * top + 1)])
+        _log_factorial_table = table
+    return table[: top + 1]
 
 
-def _poisson_pmf_log(n: int, mean: float) -> float:
-    """Log-space evaluation, stable for large n or mean."""
-    if mean == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mean) - math.lgamma(n + 1) - mean)
+def _pmf(n, log_n_factorial, mean: float):
+    """exp(n log m - log n! - m) for a positive mean: the one Poisson pmf."""
+    return np.exp(n * math.log(mean) - log_n_factorial - mean)
+
+
+def _pmf_range(lo: int, hi: int, mean: float) -> np.ndarray:
+    """The pmf at n = lo .. hi, for 0 <= lo and a positive mean."""
+    return _pmf(np.arange(lo, hi + 1), _log_factorials(hi)[lo:], mean)
 
 
 def poisson_pmf(n: int, mean: float) -> float:
@@ -71,37 +85,37 @@ def poisson_pmf(n: int, mean: float) -> float:
         return 0.0
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
-    if n <= _DIRECT_LIMIT and mean <= _DIRECT_LIMIT:
-        p = _poisson_pmf_direct(n, mean)
-    else:
-        p = _poisson_pmf_log(n, mean)
-    return _clamp01(p)
+    # math.lgamma gives the table's value without growing it to n.
+    return _clamp01(float(_pmf(n, math.lgamma(n + 1.0), mean)))
 
 
-def poisson_tail(n: int, mean: float) -> float:
-    """P[N > n] for N Poisson with the given mean.
+@lru_cache(maxsize=4096)
+def _poisson_sides(n: int, mean: float) -> tuple[float, float]:
+    """(P[N <= n], P[N > n]): the side away from the mode floor(mean) is a
+    sum of pmf terms, the side holding it is 1 minus that sum.
 
-    Evaluated through the regularised lower incomplete gamma function, which
-    keeps full relative accuracy in both tails (unlike 1 - sum of pmf terms).
+    Cached because ``greeks`` prices three scores at one clock, and every
+    pricer asks for the same tail at the same truncation cap.
     """
     mean = _check_mean(mean)
     n = int(n)
     if n < 0:
-        return 1.0
+        return 0.0, 1.0
     if mean == 0.0:
-        return 0.0
-    return _clamp01(float(gammainc(n + 1, mean)))
+        return 1.0, 0.0
+    # Either sum is at most about 0.63, so 1 minus it needs no clamping.
+    if n < int(mean):
+        below = float(_pmf_range(0, n, mean).sum())
+        return below, 1.0 - below
+    # Term ratios m/k fall below 1 past the mode; 40 + 10 sqrt(m) terms leave
+    # a remainder far below 1e-16 of the sum.
+    above = float(_pmf_range(n + 1, n + 40 + int(10.0 * math.sqrt(mean)), mean).sum())
+    return 1.0 - above, above
 
 
-def _poisson_cdf(n: int, mean: float) -> float:
-    """P[N <= n]; complementary route to poisson_tail."""
-    mean = _check_mean(mean)
-    n = int(n)
-    if n < 0:
-        return 0.0
-    if mean == 0.0:
-        return 1.0
-    return _clamp01(float(gammaincc(n + 1, mean)))
+def poisson_tail(n: int, mean: float) -> float:
+    """P[N > n] for N Poisson with the given mean, to full relative accuracy."""
+    return _poisson_sides(n, mean)[1]
 
 
 @lru_cache(maxsize=4096)
@@ -114,9 +128,7 @@ def poisson_pmf_vector(mean: float, cap: int) -> np.ndarray:
         out = np.zeros(cap + 1)
         out[0] = 1.0
     else:
-        k = np.arange(cap + 1)
-        out = np.exp(k * math.log(mean) - gammaln(k + 1) - mean)
-        np.clip(out, 0.0, 1.0, out=out)
+        out = np.minimum(_pmf_range(0, cap, mean), 1.0)
     out.flags.writeable = False
     return out
 
@@ -124,91 +136,46 @@ def poisson_pmf_vector(mean: float, cap: int) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def cap_for_tail(mean: float, tol: float = 1e-13, floor: int = 25) -> int:
     """Smallest n with poisson_tail(n, mean) < tol, never below the floor."""
-    mean = _check_mean(mean)
-    n = int(floor)
-    while poisson_tail(n, mean) >= tol:
-        n += 1
-    return n
+    floor = int(floor)
+    if poisson_tail(floor, mean) < tol:
+        return floor
+    # The Chernoff bound P[N >= m + x] <= exp(-x^2 / (2 (m + x/3))) puts the
+    # mass past `top` below tol * e^-40, so suffix sums of the pmf up to `top`
+    # are the tails P[N > n] for n = floor .. top - 1.
+    log_ratio = 40.0 - math.log(tol)
+    x = log_ratio / 3.0 + math.sqrt(log_ratio**2 / 9.0 + 2.0 * log_ratio * mean)
+    top = max(floor + 1, math.ceil(mean + x))
+    tails = np.cumsum(_pmf_range(floor + 1, top, mean)[::-1])[::-1]
+    return floor + int(np.argmax(tails < tol))
 
 
-def bessel_i(order: int, z: float) -> float:
-    """Modified Bessel function of the first kind, integer order >= 0.
+def _log_scaled_bessel(top: int, z: float) -> np.ndarray:
+    """log(I_k(z) e^-z) for k = 0 .. top and z > 0.
 
-    Ascending series sum_m (z/2)^(2m+order) / (m! (m+order)!), accumulated
-    until a term falls below 1e-16 of the partial sum.
+    The ratios r_k = I_k/I_(k-1) follow r_k = 1/(2k/z + r_(k+1)), run down
+    from zero at an order where the backward error has died out; summed
+    logs give log(I_k/I_0), and e^-z (I_0 + 2 sum_(k>=1) I_k) = 1 fixes
+    I_0 e^-z.
     """
-    order = int(order)
-    if order < 0:
-        raise ValueError("order must be a nonnegative integer")
-    z = float(z)
-    if not math.isfinite(z) or z < 0.0:
-        raise ValueError(f"z must be finite and nonnegative, got {z!r}")
-    if z == 0.0:
-        return 1.0 if order == 0 else 0.0
-
-    half = z / 2.0
-    # Leading term (z/2)^order / order!, in log space to dodge pow overflow.
-    term = math.exp(order * math.log(half) - math.lgamma(order + 1))
-    total = term
-    q = half * half
-    for m in range(1, _BESSEL_MAX_TERMS + 1):
-        term *= q / (m * (m + order))
-        total += term
-        if term < _BESSEL_REL_TOL * total:
-            return total
-    raise ValueError(f"Bessel series did not converge for order={order}, z={z}")
-
-
-def skellam_pmf(k: int, mean1: float, mean2: float) -> float:
-    """P[N1 - N2 = k] for independent Poisson N1, N2.
-
-    Closed form exp(-(m1+m2)) (m1/m2)^(k/2) I_|k|(2 sqrt(m1 m2)).  A zero
-    mean on either side degenerates to a shifted one-sided Poisson pmf (the
-    limit of the closed form, which itself divides by the vanishing mean).
-    """
-    mean1 = _check_mean(mean1, "mean1")
-    mean2 = _check_mean(mean2, "mean2")
-    k = int(k)
-    if mean1 == 0.0 and mean2 == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if mean2 == 0.0:
-        return poisson_pmf(k, mean1)
-    if mean1 == 0.0:
-        return poisson_pmf(-k, mean2)
-
-    z = 2.0 * math.sqrt(mean1 * mean2)
-    bess = bessel_i(abs(k), z)
-    if bess <= 0.0:
-        return 0.0
-    log_p = -(mean1 + mean2) + 0.5 * k * (math.log(mean1) - math.log(mean2)) + math.log(bess)
-    return _clamp01(math.exp(log_p))
-
-
-def _log_bessel_series(orders: np.ndarray, log_half: float) -> np.ndarray:
-    """log I_nu(z) for each order nu, with log(z/2) given, by the ascending
-    series folded into a logsumexp over its terms (no overflow anywhere)."""
-    n_terms = 40
-    while True:
-        m = np.arange(n_terms)[:, None]
-        nu = orders[None, :]
-        log_terms = (2 * m + nu) * log_half - gammaln(m + 1) - gammaln(m + nu + 1)
-        log_bessel = logsumexp(log_terms, axis=0)
-        # Converged once the last term is negligible against the total.
-        if np.all(log_terms[-1, :] < log_bessel - 40.0):
-            return log_bessel
-        n_terms *= 2
-        if n_terms > _BESSEL_MAX_TERMS:
-            raise ValueError("Bessel series did not converge in range evaluation")
+    denominators = []
+    r = 0.0
+    for b in (np.arange(top + 8 + int(9.0 * math.sqrt(z)), 0, -1) * (2.0 / z)).tolist():
+        d = b + r  # b = 2k/z; inf only for subnormal z, and then r_k = 0
+        denominators.append(d)
+        r = 1.0 / d
+    denominators.append(1.0)  # order 0
+    log_ratios = -np.cumsum(np.log(denominators[::-1]))  # log(I_k/I_0), k >= 0
+    return log_ratios[: top + 1] - math.log(2.0 * float(np.exp(log_ratios).sum()) - 1.0)
 
 
 def skellam_pmf_range(k_lo: int, k_hi: int, mean1: float, mean2: float) -> np.ndarray:
-    """Vectorised skellam_pmf for k = k_lo .. k_hi inclusive.
+    """P[N1 - N2 = k] for k = k_lo .. k_hi inclusive, N1 and N2 independent
+    Poisson.
 
-    Works in log space so large intensity ratios cannot overflow:
-    log p = z - (m1+m2) + (k/2) log(m1/m2) + log ive(|k|, z), with the
-    exponentially scaled Bessel function ive(nu, z) = I_nu(z) e^-z.  Orders
-    where ive underflows to 0 (high order, small z) take the log-space
-    ascending series instead.
+    log p = (z - (m1+m2)) + (k/2) log(m1/m2) + log(I_|k|(z) e^-z), so large
+    intensity ratios cannot overflow.  A zero mean on either side
+    degenerates to a shifted one-sided Poisson pmf (the limit of the closed
+    form, which itself divides by the vanishing mean).
     """
     mean1 = _check_mean(mean1, "mean1")
     mean2 = _check_mean(mean2, "mean2")
@@ -219,22 +186,17 @@ def skellam_pmf_range(k_lo: int, k_hi: int, mean1: float, mean2: float) -> np.nd
 
     if mean1 == 0.0 and mean2 == 0.0:
         return (ks == 0).astype(float)
-    if mean2 == 0.0:
-        return np.array([poisson_pmf(int(k), mean1) for k in ks])
-    if mean1 == 0.0:
-        return np.array([poisson_pmf(int(-k), mean2) for k in ks])
+    if mean1 == 0.0 or mean2 == 0.0:
+        n = ks if mean2 == 0.0 else -ks
+        pmf = _pmf_range(0, max(int(n.max()), 0), mean1 + mean2)
+        return np.where(n >= 0, np.minimum(pmf, 1.0)[np.maximum(n, 0)], 0.0)
 
-    z = 2.0 * math.sqrt(mean1 * mean2)
-    orders = np.abs(ks)
-    scaled = ive(orders, z)
-    # log I_nu(z) - z: the scaled Bessel function where it did not underflow
-    # to 0 (ive flushes to 0 below ~1e-305 rather than going subnormal).
-    ok = scaled > 0.0
-    log_scaled = np.empty(len(ks))
-    log_scaled[ok] = np.log(scaled[ok])
-    if not ok.all():
-        log_half = 0.5 * (math.log(mean1) + math.log(mean2))  # log(z/2)
-        log_scaled[~ok] = _log_bessel_series(orders[~ok], log_half) - z
+    z = 2.0 * math.sqrt(mean1) * math.sqrt(mean2)  # no underflow to 0
+    log_scaled = _log_scaled_bessel(max(-k_lo, k_hi), z)[np.abs(ks)]
+    log_p = (z - (mean1 + mean2)) + ks * (0.5 * math.log(mean1 / mean2)) + log_scaled
+    return np.minimum(np.exp(log_p), 1.0)
 
-    log_p = (z - (mean1 + mean2)) + 0.5 * ks * math.log(mean1 / mean2) + log_scaled
-    return np.clip(np.exp(log_p), 0.0, 1.0)
+
+def skellam_pmf(k: int, mean1: float, mean2: float) -> float:
+    """P[N1 - N2 = k]: the one entry k of :func:`skellam_pmf_range`."""
+    return float(skellam_pmf_range(k, k, mean1, mean2)[0])

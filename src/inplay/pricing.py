@@ -39,7 +39,8 @@ from .contracts import (
     format_bet,
 )
 from .distributions import (
-    _poisson_cdf,
+    _clamp01,
+    _poisson_sides,
     cap_for_tail,
     poisson_pmf,
     poisson_pmf_vector,
@@ -85,10 +86,6 @@ class Greeks:
     delta_home: float
     delta_away: float
     theta: float
-
-
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
 def _horizons(state: ScoreState, lam: Intensities) -> tuple[float, float]:
@@ -278,7 +275,7 @@ def price_closed_form(bet: Bet, state: ScoreState, lam: Intensities) -> PriceRes
         need = int(bet.line - 0.5) - current_total  # remaining goals allowed under the line
         if k is BetKind.OVER:
             return PriceResult(poisson_tail(need, l_tot), 0.0)
-        return PriceResult(_poisson_cdf(need, l_tot), 0.0)
+        return PriceResult(_poisson_sides(need, l_tot)[0], 0.0)
 
     if k in (BetKind.ODD, BetKind.EVEN):
         p_even_remaining = 0.5 * (1.0 + math.exp(-2.0 * l_tot))

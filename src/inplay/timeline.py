@@ -58,11 +58,6 @@ class MatchTimeline:
     def clock_of(self, timestamp_s: float) -> float:
         return min(max(timestamp_s / (self.match_length_min * 60.0), 0.0), 1.0)
 
-    def score_before(self, timestamp_s: float) -> tuple[int, int]:
-        h = sum(1 for e in self.events if e.timestamp_s < timestamp_s and e.team is Team.HOME)
-        a = sum(1 for e in self.events if e.timestamp_s < timestamp_s and e.team is Team.AWAY)
-        return h, a
-
     def ht_score(self) -> tuple[int, int]:
         """Score at the end of the first half."""
         half_s = self.half_length_min * 60.0

@@ -322,17 +322,34 @@ def test_console_entry_point_smoke():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
+    # No scipy module at all: the package runs on numpy alone.
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, inplay.cli; print('scipy.optimize' in sys.modules)",
+            "import sys, inplay.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+    # A None entry in sys.modules makes any `import scipy` raise ImportError.
+    blocked = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; sys.modules['scipy'] = None; from inplay.cli import main; "
+            "sys.exit(main(['price', '--bet', 'MATCH_ODDS_HOME', '--score', '0:0', "
+            "'--minute', '0', '--lambda-home', '1.3', '--lambda-away', '0.7']))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert 0.0 < json.loads(blocked.stdout)["value"] < 1.0
 
 
 def test_bad_subcommand_is_usage_error():

@@ -1,7 +1,9 @@
 """Tests for the Poisson / Bessel / Skellam primitives.
 
 High-precision expected values were computed with an arbitrary-precision
-evaluator (mpmath, 40 digits) and frozen here.
+evaluator (mpmath, 40 digits) and frozen here.  ``scipy.special`` is a
+test-only reference: the incomplete gamma function for the Poisson tails,
+``ive`` and a log-space ascending series for the Bessel values.
 """
 
 import math
@@ -10,13 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ive
+from scipy.special import gammainc, gammaincc, gammaln, ive, logsumexp
 
+from inplay import Bet, Intensities, ScoreState, price
 from inplay.distributions import (
-    _log_bessel_series,
-    _poisson_pmf_direct,
-    _poisson_pmf_log,
-    bessel_i,
+    _log_scaled_bessel,
+    _poisson_sides,
     cap_for_tail,
     poisson_pmf,
     poisson_pmf_vector,
@@ -48,16 +49,6 @@ class TestPoissonPmf:
     def test_bad_mean_rejected(self, bad):
         with pytest.raises(ValueError):
             poisson_pmf(1, bad)
-
-    @given(
-        n=st.integers(min_value=0, max_value=60),
-        mean=st.floats(min_value=0.01, max_value=25.0),
-    )
-    def test_log_and_direct_paths_agree(self, n, mean):
-        direct = _poisson_pmf_direct(n, mean)
-        via_log = _poisson_pmf_log(n, mean)
-        if direct > 0.0:
-            assert abs(direct - via_log) / direct < 1e-12
 
     @given(mean=st.floats(min_value=0.05, max_value=20.0))
     def test_unimodal_with_mode_at_floor_mean(self, mean):
@@ -99,6 +90,19 @@ class TestPoissonTail:
         total = sum(poisson_pmf(n, mean) for n in range(cap + 1)) + poisson_tail(cap, mean)
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_both_sides_match_the_incomplete_gamma_function(self):
+        # P[N > n] = P(n+1, m) and P[N <= n] = Q(n+1, m), regularised.
+        for mean in np.geomspace(1e-6, 60.0, 60):
+            for n in range(201):
+                below, above = _poisson_sides(n, mean)
+                ref_above = gammainc(n + 1, mean)
+                ref_below = gammaincc(n + 1, mean)
+                if ref_above > 1e-300:
+                    assert above == pytest.approx(ref_above, rel=1e-12), (n, mean)
+                    assert poisson_tail(n, mean) == above
+                if ref_below > 1e-300:
+                    assert below == pytest.approx(ref_below, rel=1e-12), (n, mean)
+
 
 class TestPmfVectorAndCaps:
     @pytest.mark.parametrize("mean", MEANS)
@@ -113,22 +117,34 @@ class TestPmfVectorAndCaps:
         assert cap == 25 or poisson_tail(cap - 1, 2.0) >= 1e-13
         assert cap_for_tail(0.0) == 25
 
+    @pytest.mark.parametrize("floor", [4, 25])
+    @pytest.mark.parametrize("tol", [1e-13, 1e-14])
+    def test_cap_equals_the_incomplete_gamma_search(self, floor, tol):
+        for mean in np.geomspace(1e-6, 60.0, 100):
+            n = floor
+            while gammainc(n + 1, mean) >= tol:
+                n += 1
+            assert cap_for_tail(float(mean), tol, floor) == n, mean
+
+
+def scaled_bessel(order: int, z: float) -> float:
+    """I_order(z) e^-z from the production table."""
+    return math.exp(_log_scaled_bessel(order, z)[order])
+
 
 class TestBessel:
-    def test_series_leading_term(self):
-        assert bessel_i(0, 0.0) == 1.0
-
-    def test_zero_at_origin_for_positive_order(self):
-        assert bessel_i(1, 0.0) == 0.0
-
     def test_frozen_value(self):
-        assert bessel_i(0, 2.0) == pytest.approx(2.2795853023360673, rel=1e-15)
+        assert scaled_bessel(0, 2.0) * math.exp(2.0) == pytest.approx(
+            2.2795853023360673, rel=1e-15
+        )
 
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i(0, -1.0)
-        with pytest.raises(ValueError):
-            bessel_i(-1, 1.0)
+    def test_table_matches_ive(self):
+        orders = np.arange(81)
+        for z in np.geomspace(1e-10, 100.0, 80):
+            table = np.exp(_log_scaled_bessel(80, z))
+            ref = ive(orders, z)
+            ok = ref > 1e-290
+            assert np.all(np.abs(table[ok] / ref[ok] - 1.0) <= 1e-12), z
 
     @given(
         order=st.integers(min_value=0, max_value=12),
@@ -136,11 +152,11 @@ class TestBessel:
     )
     @settings(max_examples=60)
     def test_recurrence_identity(self, order, z):
-        # I_{v-1}(z) - I_{v+1}(z) = (2v/z) I_v(z)
+        # I_{v-1}(z) - I_{v+1}(z) = (2v/z) I_v(z), here all scaled by e^-z
         if z < 1e-6 or order == 0:
             return
-        lhs = bessel_i(order - 1, z) - bessel_i(order + 1, z)
-        rhs = 2 * order / z * bessel_i(order, z)
+        lhs = scaled_bessel(order - 1, z) - scaled_bessel(order + 1, z)
+        rhs = 2 * order / z * scaled_bessel(order, z)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-280)
 
 
@@ -189,10 +205,26 @@ class TestSkellam:
             assert vec[i] == pytest.approx(skellam_pmf(k, mean1, mean2), rel=1e-11, abs=1e-300)
 
 
+def log_bessel_series(orders: np.ndarray, log_half: float) -> np.ndarray:
+    """log I_nu(z) for each order nu, with log(z/2) given, by the ascending
+    series sum_m (z/2)^(2m+nu) / (m! (m+nu)!) folded into a logsumexp."""
+    n_terms = 40
+    while True:
+        m = np.arange(n_terms)[:, None]
+        nu = orders[None, :]
+        log_terms = (2 * m + nu) * log_half - gammaln(m + 1) - gammaln(m + nu + 1)
+        log_bessel = logsumexp(log_terms, axis=0)
+        # Converged once the last term is negligible against the total.
+        if np.all(log_terms[-1, :] < log_bessel - 40.0):
+            return log_bessel
+        n_terms *= 2
+        assert n_terms <= 10_000, "ascending series did not converge"
+
+
 def skellam_by_series(ks: np.ndarray, mean1: float, mean2: float) -> np.ndarray:
-    """The log-space ascending-series route for every k, with no ive."""
+    """The log-space ascending-series reference for every k."""
     log_half = 0.5 * (math.log(mean1) + math.log(mean2))
-    log_bessel = _log_bessel_series(np.abs(ks), log_half)
+    log_bessel = log_bessel_series(np.abs(ks), log_half)
     return np.exp(-(mean1 + mean2) + 0.5 * ks * math.log(mean1 / mean2) + log_bessel)
 
 
@@ -213,9 +245,9 @@ class TestSkellamTable:
         j = cap_for_tail(mean1 + mean2, 1e-13, 25)
         assert skellam_pmf_range(-j, j, mean1, mean2).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_underflowing_orders_fall_back_to_the_series(self):
+    def test_orders_where_ive_underflows_match_the_series(self):
         # z = 2 sqrt(20 * 1e-10) ~ 9e-5: ive(nu, z) underflows to 0 from
-        # order 54 on, while P[D = 60] ~ 2.5e-13 is far from negligible.
+        # order 54 on, while P[D = 60] ~ 2.9e-13 is far from negligible.
         mean1, mean2 = 20.0, 1e-10
         ks = np.arange(-80, 81)
         z = 2.0 * math.sqrt(mean1 * mean2)
@@ -226,3 +258,18 @@ class TestSkellamTable:
         assert np.abs(table - series).max() <= 1e-12
         assert table[60 + 80] == pytest.approx(series[60 + 80], rel=1e-12)
         assert table[60 + 80] > 1e-14
+
+
+class TestSkellamUnderflowRegression:
+    # 40-digit mpmath value of P[N1 - N2 = 60] for means (20, 1e-10); the
+    # scalar Bessel series this replaced raised instead, because its leading
+    # term (z/2)^60 / 60! underflows to 0.  The table over orders +-80 is
+    # checked by TestSkellamTable.test_orders_where_ive_underflows_match_the_series.
+    EXPECTED = 2.8558490756574356e-13
+
+    def test_scalar_pmf(self):
+        assert skellam_pmf(60, 20.0, 1e-10) == pytest.approx(self.EXPECTED, rel=1e-10)
+
+    def test_winning_margin_price(self):
+        got = price(Bet.winning_margin(60), ScoreState(0, 0, 0.0), Intensities(20.0, 1e-10))
+        assert got.value == pytest.approx(self.EXPECTED, rel=1e-10)
