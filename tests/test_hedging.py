@@ -1,5 +1,6 @@
 """Tests for replication weights and the hedge replay ledger."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -17,6 +18,7 @@ from inplay.contracts import (
     MATCH_ODDS_HOME,
     NEXT_GOAL_AWAY,
     NEXT_GOAL_HOME,
+    Quote,
     ScoreState,
     Team,
 )
@@ -211,6 +213,118 @@ class TestReplay:
         assert rep.terminal_error < 0.05
         for g in rep.goals:
             assert abs((g.target_post - g.target_pre) - (g.portfolio_post - g.portfolio_pre)) < 1e-6
+
+
+def _with(tl, snapshots):
+    return dataclasses.replace(tl, snapshots=tuple(snapshots))
+
+
+def _without(tl, keep):
+    """The timeline with only the snapshots ``keep(snapshot)`` accepts."""
+    return _with(tl, (s for s in tl.snapshots if keep(s)))
+
+
+def _dropping_quote(snap, bet):
+    return dataclasses.replace(snap, quotes=tuple(q for q in snap.quotes if q.bet != bet))
+
+
+def _step_at(rep, timestamp_s):
+    (step,) = [s for s in rep.steps if s.timestamp_s == timestamp_s]
+    return step
+
+
+class TestLedgerBranches:
+    """Ledger rules that model-consistent timelines never exercise."""
+
+    BETS = [MATCH_ODDS_HOME, *HEDGES]
+
+    def test_missing_quote_gives_a_stale_step_that_carries_everything(self):
+        tl = make_model_timeline(LAM, goals=[], step_s=300.0, bets=self.BETS)
+        snaps = list(tl.snapshots)
+        snaps[4] = _dropping_quote(snaps[4], NEXT_GOAL_AWAY)
+        rep = replay_hedge(_with(tl, snaps), MATCH_ODDS_HOME, HEDGES, LAM)
+        before, stale, after = rep.steps[3:6]
+        assert stale.flag == "stale" and not before.flag and not after.flag
+        assert stale.timestamp_s == snaps[4].timestamp_s
+        assert (stale.psi1, stale.psi2, stale.cash) == (before.psi1, before.psi2, before.cash)
+        assert (stale.target_value, stale.z1, stale.z2) == (
+            before.target_value, before.z1, before.z2,
+        )
+        mark = before.cash + before.psi1 * before.z1 + before.psi2 * before.z2
+        assert stale.portfolio_value == mark
+        # the next usable snapshot marks the carried position at its own mids
+        assert after.portfolio_value == stale.cash + stale.psi1 * after.z1 + stale.psi2 * after.z2
+
+    def test_two_goals_without_a_snapshot_close_the_first_on_stale_marks(self):
+        tl = make_model_timeline(
+            LAM, goals=[(1210.0, Team.HOME), (1250.0, Team.AWAY)], step_s=300.0, bets=self.BETS
+        )
+        rep = replay_hedge(
+            _without(tl, lambda s: not 1210.0 <= s.timestamp_s <= 1250.0),
+            MATCH_ODDS_HOME,
+            HEDGES,
+            LAM,
+        )
+        last, first_after = _step_at(rep, 1200.0), _step_at(rep, 1500.0)
+        g1, g2 = rep.goals
+        assert (g1.timestamp_s, g1.team, g2.timestamp_s, g2.team) == (
+            1210.0, Team.HOME, 1250.0, Team.AWAY,
+        )
+        assert g1.target_pre == g1.target_post == last.target_value
+        assert g1.portfolio_pre == last.cash + last.psi1 * last.z1 + last.psi2 * last.z2
+        # the home goal pays the home Next Goal holding into cash
+        assert g1.portfolio_post == last.cash + last.psi1
+        assert (g2.target_pre, g2.portfolio_pre) == (g1.target_post, g1.portfolio_post)
+        assert (g2.target_post, g2.portfolio_post) == (
+            first_after.target_value, first_after.portfolio_value,
+        )
+        assert first_after.psi1 != 0.0  # re-established after the settlements
+
+    def test_goal_before_the_first_usable_snapshot_is_skipped(self):
+        tl = make_model_timeline(
+            LAM, goals=[(600.0, Team.HOME), (2000.0, Team.AWAY)], step_s=300.0, bets=self.BETS
+        )
+        rep = replay_hedge(
+            _without(tl, lambda s: s.timestamp_s >= 900.0), MATCH_ODDS_HOME, HEDGES, LAM
+        )
+        assert rep.steps[0].timestamp_s == 900.0
+        assert rep.steps[0].portfolio_value == rep.steps[0].target_value
+        assert [(g.timestamp_s, g.team) for g in rep.goals] == [(2000.0, Team.AWAY)]
+
+    def test_next_goal_target_ends_the_replay_at_its_settlement(self):
+        tl = make_model_timeline(
+            LAM, goals=[(1800.0, Team.HOME), (3000.0, Team.AWAY)], step_s=300.0, bets=self.BETS
+        )
+        rep = replay_hedge(tl, NEXT_GOAL_AWAY, HEDGES, LAM)
+        last = rep.steps[-1]
+        assert last.flag == "target settled"
+        assert (last.timestamp_s, last.clock, last.target_value) == (1800.0, 1800.0 / 5400.0, 0.0)
+        assert [s for s in rep.steps if s.timestamp_s > 1800.0] == []
+        (goal,) = rep.goals
+        assert (goal.timestamp_s, goal.team, goal.target_post) == (1800.0, Team.HOME, 0.0)
+        assert goal.portfolio_post == last.portfolio_value
+        assert rep.terminal_error <= 1e-12
+
+    def test_first_snapshot_without_a_quote_is_an_error(self):
+        tl = make_model_timeline(LAM, goals=[], step_s=600.0, bets=self.BETS)
+        snaps = list(tl.snapshots)
+        snaps[0] = _dropping_quote(snaps[0], MATCH_ODDS_HOME)
+        with pytest.raises(ValueError, match="first snapshot must quote"):
+            replay_hedge(_with(tl, snaps), MATCH_ODDS_HOME, HEDGES, LAM)
+
+    def test_a_bet_quoted_twice_uses_its_first_two_sided_quote(self):
+        tl = make_model_timeline(LAM, goals=[], step_s=600.0, bets=self.BETS)
+        snaps = list(tl.snapshots)
+        one_sided = Quote(MATCH_ODDS_HOME, back_decimal=2.0, value_buy=0.5)
+        first, second = Quote.from_values(MATCH_ODDS_HOME, 0.41, 0.02), Quote.from_values(
+            MATCH_ODDS_HOME, 0.47, 0.02
+        )
+        snaps[2] = dataclasses.replace(
+            snaps[2], quotes=(one_sided, first, *snaps[2].quotes, second)
+        )
+        rep = replay_hedge(_with(tl, snaps), MATCH_ODDS_HOME, HEDGES, LAM)
+        assert rep.steps[2].target_value == first.value_mid
+        assert rep.steps[2].target_value != snaps[2].quotes[2].value_mid
 
 
 REPLAY_TIMELINE = make_model_timeline(
