@@ -95,19 +95,6 @@ def next_goal_delta_matrix(z1: float, z2: float) -> np.ndarray:
     return np.array([[1.0 - z1, -z2], [-z1, 1.0 - z2]])
 
 
-def _solve_2x2(matrix: np.ndarray, rhs: tuple[float, float]) -> tuple[float, float]:
-    m00, m01 = float(matrix[0, 0]), float(matrix[0, 1])
-    m10, m11 = float(matrix[1, 0]), float(matrix[1, 1])
-    det = m00 * m11 - m01 * m10
-    if abs(det) <= _DET_TOL:
-        raise SingularHedgeError(
-            "hedging instruments are linearly dependent: "
-            f"|det| = {abs(det):.3e} <= {_DET_TOL}"
-        )
-    d1, d2 = rhs
-    return (d1 * m11 - m01 * d2) / det, (m00 * d2 - d1 * m10) / det
-
-
 def solve_replication_weights(
     target: Greeks | tuple[float, float],
     instrument_deltas: np.ndarray,
@@ -121,10 +108,17 @@ def solve_replication_weights(
     at the rebalance instant.
     """
     if isinstance(target, Greeks):
-        rhs = (target.delta_home, target.delta_away)
+        d1, d2 = target.delta_home, target.delta_away
     else:
-        rhs = (float(target[0]), float(target[1]))
-    psi1, psi2 = _solve_2x2(np.asarray(instrument_deltas, dtype=float), rhs)
+        d1, d2 = float(target[0]), float(target[1])
+    (m00, m01), (m10, m11) = np.asarray(instrument_deltas, dtype=float).tolist()
+    det = m00 * m11 - m01 * m10
+    if abs(det) <= _DET_TOL:
+        raise SingularHedgeError(
+            "hedging instruments are linearly dependent: "
+            f"|det| = {abs(det):.3e} <= {_DET_TOL}"
+        )
+    psi1, psi2 = (d1 * m11 - m01 * d2) / det, (m00 * d2 - d1 * m10) / det
     cash = target_value - psi1 * instrument_values[0] - psi2 * instrument_values[1]
     return ReplicationWeights(psi1, psi2, cash)
 
@@ -151,10 +145,12 @@ class _LambdaSource:
         return self._values[idx] if idx >= 0 else None
 
 
-def _mid_of(snapshot, bet: Bet) -> float | None:
-    for q in snapshot.quotes:
-        if q.bet == bet and q.two_sided:
-            return q.value_mid
+def _next_goal_payout(bet: Bet, scorer: Team) -> float | None:
+    """What a Next Goal bet pays when ``scorer`` scores; None for other bets."""
+    if bet.kind is BetKind.NEXT_GOAL_HOME:
+        return 1.0 if scorer is Team.HOME else 0.0
+    if bet.kind is BetKind.NEXT_GOAL_AWAY:
+        return 1.0 if scorer is Team.AWAY else 0.0
     return None
 
 
@@ -166,32 +162,47 @@ def replay_hedge(
 ) -> HedgeReport:
     """Replay a dynamic hedge of ``target`` across the timeline.
 
-    At every snapshot the portfolio is marked from quoted mids and
-    rebalanced to the weights solving the 2x2 jump-matching system, with
-    deltas computed from the model at the supplied intensities.  Next Goal
-    instruments settle at each goal (winner pays 1, loser 0, payout booked
-    to cash) and are re-established at the next snapshot.  Steps where the
-    solve is singular, quotes are missing, or no calibration stamped at or
-    before the step exists yet are flagged and the position is carried
-    unchanged; a step never uses intensities stamped after it.
+    At every snapshot the portfolio is marked from quoted mids (a bet's
+    first two-sided quote) and rebalanced to the weights solving the 2x2
+    jump-matching system, with deltas computed from the model at the
+    supplied intensities.  Next Goal instruments settle at each goal (winner
+    pays 1, loser 0, payout booked to cash) and are re-established at the
+    next snapshot.  Steps where the solve is singular, quotes are missing,
+    or no calibration stamped at or before the step exists yet are flagged
+    and the position is carried unchanged; a step never uses intensities
+    stamped after it.  Goals before the first usable snapshot are skipped.
+    A goal's record closes on the marks of the next usable snapshot, or on
+    the last marks when another goal or the end of the timeline comes first.
 
     A Next Goal *target* settles at the first goal; the replay ends there,
     with the realized payout as the final target value (post-goal quotes
     refer to a fresh contract, not the one being replicated).
     """
     lam_at = _LambdaSource(lam_source)
+    bets = (target, *instruments)
     half_clock = timeline.half_clock
-    needs_ht = [b.kind is BetKind.HT_FT for b in (target, *instruments)]
-    ht_score = timeline.ht_score() if any(needs_ht) else None
+    ht_score = timeline.ht_score() if any(b.kind is BetKind.HT_FT for b in bets) else None
 
     steps: list[HedgeStep] = []
     goals: list[GoalRecord] = []
-    psi1 = psi2 = 0.0
+    psi = [0.0, 0.0]
     cash = 0.0
-    initialized = False
-    last_x: float | None = None
+    last_x: float | None = None  # target mid at the last usable snapshot
     last_z = (0.0, 0.0)
-    pending: tuple[float, Team, float, float] | None = None
+    pending: tuple[float, Team, float, float] | None = None  # goal awaiting its marks
+
+    def mark(z: tuple[float, float]) -> float:
+        return cash + psi[0] * z[0] + psi[1] * z[1]
+
+    def close_goal(x_post: float, v_post: float) -> None:
+        nonlocal pending
+        if pending is not None:
+            t, team, x_pre, v_pre = pending
+            goals.append(GoalRecord(t, team, x_pre, x_post, v_pre, v_post))
+            pending = None
+
+    def add_step(t, clock, x, value, z, flag) -> None:
+        steps.append(HedgeStep(t, clock, x, value, psi[0], psi[1], cash, z[0], z[1], flag))
 
     def greeks_of(bet: Bet, state, lam) -> Greeks:
         ht = ht_score if bet.kind is BetKind.HT_FT and state.clock >= half_clock else None
@@ -199,149 +210,77 @@ def replay_hedge(
 
     for kind, record in timeline.records():
         if kind == "goal":
-            ev: GoalEvent = record
-            if not initialized:
+            if last_x is None:
                 continue
-            if pending is not None:
-                # No snapshot between two goals: close the earlier record
-                # against the stale marks and keep going.
-                t0, team0, x_pre0, v_pre0 = pending
-                v_now = cash + psi1 * last_z[0] + psi2 * last_z[1]
-                goals.append(GoalRecord(t0, team0, x_pre0, last_x, v_pre0, v_now))
-                pending = None
-            x_pre = last_x
-            v_pre = cash + psi1 * last_z[0] + psi2 * last_z[1]
-            for idx, inst in enumerate(instruments):
-                if inst.kind is BetKind.NEXT_GOAL_HOME:
-                    payout = 1.0 if ev.team is Team.HOME else 0.0
-                elif inst.kind is BetKind.NEXT_GOAL_AWAY:
-                    payout = 1.0 if ev.team is Team.AWAY else 0.0
-                else:
-                    continue
-                if idx == 0:
-                    cash += psi1 * payout
-                    psi1 = 0.0
-                else:
-                    cash += psi2 * payout
-                    psi2 = 0.0
-            if target.kind in (BetKind.NEXT_GOAL_HOME, BetKind.NEXT_GOAL_AWAY):
+            ev: GoalEvent = record
+            v_pre = mark(last_z)
+            close_goal(last_x, v_pre)
+            for i, inst in enumerate(instruments):
+                payout = _next_goal_payout(inst, ev.team)
+                if payout is not None:
+                    cash += psi[i] * payout
+                    psi[i] = 0.0
+            pending = (ev.timestamp_s, ev.team, last_x, v_pre)
+            x_post = _next_goal_payout(target, ev.team)
+            if x_post is not None:
                 # The replicated contract itself pays out and stops existing.
-                won = (target.kind is BetKind.NEXT_GOAL_HOME) == (ev.team is Team.HOME)
-                x_post = 1.0 if won else 0.0
-                v_post = cash + psi1 * last_z[0] + psi2 * last_z[1]
-                goals.append(
-                    GoalRecord(ev.timestamp_s, ev.team, x_pre, x_post, v_pre, v_post)
-                )
-                steps.append(
-                    HedgeStep(
-                        ev.timestamp_s,
-                        timeline.clock_of(ev.timestamp_s),
-                        x_post,
-                        v_post,
-                        psi1,
-                        psi2,
-                        cash,
-                        last_z[0],
-                        last_z[1],
-                        flag="target settled",
-                    )
-                )
+                v_post = mark(last_z)
+                close_goal(x_post, v_post)
+                t = ev.timestamp_s
+                add_step(t, timeline.clock_of(t), x_post, v_post, last_z, "target settled")
                 break
-            pending = (ev.timestamp_s, ev.team, x_pre, v_pre)
             continue
 
         snap = record
-        x = _mid_of(snap, target)
-        z1 = _mid_of(snap, instruments[0])
-        z2 = _mid_of(snap, instruments[1])
-        if x is None or z1 is None or z2 is None:
-            if not initialized:
-                raise ValueError(
-                    "first snapshot must quote the target and both instruments"
-                )
-            steps.append(
-                HedgeStep(
-                    snap.timestamp_s,
-                    snap.state.clock,
-                    last_x,
-                    cash + psi1 * last_z[0] + psi2 * last_z[1],
-                    psi1,
-                    psi2,
-                    cash,
-                    last_z[0],
-                    last_z[1],
-                    flag="stale",
-                )
-            )
+        # Built back to front, so a bet's first two-sided quote wins.
+        quotes = {q.bet: q for q in reversed(snap.quotes) if q.two_sided}
+        qx, q1, q2 = map(quotes.get, bets)
+        if qx is None or q1 is None or q2 is None:
+            if last_x is None:
+                raise ValueError("first snapshot must quote the target and both instruments")
+            add_step(snap.timestamp_s, snap.state.clock, last_x, mark(last_z), last_z, "stale")
             continue
 
-        if not initialized:
+        x, z = qx.value_mid, (q1.value_mid, q2.value_mid)
+        if last_x is None:
             cash = x  # fund the replication at the target's initial value
-            initialized = True
-        value = cash + psi1 * z1 + psi2 * z2
-
-        if pending is not None:
-            t0, team0, x_pre0, v_pre0 = pending
-            goals.append(GoalRecord(t0, team0, x_pre0, x, v_pre0, value))
-            pending = None
+        value = mark(z)
+        close_goal(x, value)
 
         lam = lam_at.at(snap.timestamp_s)
         flag = ""
         if lam is None:
             flag = "no intensity"
         else:
+            tg, g1, g2 = (greeks_of(b, snap.state, lam) for b in bets)
+            deltas = np.array([[g1.delta_home, g2.delta_home], [g1.delta_away, g2.delta_away]])
             try:
-                tg = greeks_of(target, snap.state, lam)
-                g1 = greeks_of(instruments[0], snap.state, lam)
-                g2 = greeks_of(instruments[1], snap.state, lam)
-                matrix = np.array(
-                    [[g1.delta_home, g2.delta_home], [g1.delta_away, g2.delta_away]]
-                )
-                new1, new2 = _solve_2x2(matrix, (tg.delta_home, tg.delta_away))
-                psi1, psi2 = new1, new2
-                cash = value - psi1 * z1 - psi2 * z2
+                w = solve_replication_weights(tg, deltas, value, z)
             except SingularHedgeError:
                 flag = "singular"
-
-        steps.append(
-            HedgeStep(
-                snap.timestamp_s,
-                snap.state.clock,
-                x,
-                value,
-                psi1,
-                psi2,
-                cash,
-                z1,
-                z2,
-                flag=flag,
-            )
-        )
-        last_x = x
-        last_z = (z1, z2)
+            else:
+                psi = [w.psi1, w.psi2]
+                cash = w.cash
+        add_step(snap.timestamp_s, snap.state.clock, x, value, z, flag)
+        last_x, last_z = x, z
 
     if not steps:
         raise ValueError("timeline contains no usable snapshots")
-    if pending is not None:
-        t0, team0, x_pre0, v_pre0 = pending
-        v_now = cash + psi1 * last_z[0] + psi2 * last_z[1]
-        goals.append(GoalRecord(t0, team0, x_pre0, last_x, v_pre0, v_now))
+    close_goal(last_x, mark(last_z))
 
-    terminal_error = abs(steps[-1].portfolio_value - steps[-1].target_value)
-    correlation: float | None = None
-    if len(goals) >= 2:
-        try:
-            correlation, _ = jump_scatter_stats(
-                HedgeReport(target, instruments, tuple(steps), tuple(goals), 0.0, None)
-            )
-        except ValueError:
-            correlation = None
+    steps_t, goals_t = tuple(steps), tuple(goals)
+    try:
+        correlation, _ = jump_scatter_stats(
+            HedgeReport(target, instruments, steps_t, goals_t, 0.0, None)
+        )
+    except ValueError:  # fewer than two goals, or no jump variance
+        correlation = None
     return HedgeReport(
         target=target,
         instruments=instruments,
-        steps=tuple(steps),
-        goals=tuple(goals),
-        terminal_error=terminal_error,
+        steps=steps_t,
+        goals=goals_t,
+        terminal_error=abs(steps[-1].portfolio_value - steps[-1].target_value),
         jump_correlation=correlation,
     )
 

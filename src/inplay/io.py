@@ -161,13 +161,16 @@ def parse_quotes_csv(
 
 
 def _decimal(cell: str, side: str, path: Path, lineno: int) -> float | None:
-    """An odds cell as a float; empty means that side is absent."""
+    """An odds cell as a finite float; empty means that side is absent."""
     if cell == "":
         return None
     try:
-        return float(cell)
+        x = float(cell)
+        if math.isfinite(x):
+            return x
     except ValueError:
-        raise QuotesParseError(f"{path}:{lineno}: bad {side} decimal {cell!r}") from None
+        pass
+    raise QuotesParseError(f"{path}:{lineno}: bad {side} decimal {cell!r}")
 
 
 def _parse_quotes(
@@ -194,11 +197,15 @@ def _parse_quotes(
             if not row:
                 continue
             if len(row) != len(header):
-                raise QuotesParseError(f"{path}:{lineno}: expected {len(header)} cells")
+                raise QuotesParseError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                )
             match_id, ts_s, market, selection, back_s, lay_s = row[:6]
             match_ids.add(match_id)
             try:
                 ts = float(ts_s)
+                if not math.isfinite(ts):
+                    raise ValueError
             except ValueError:
                 raise QuotesParseError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
             bet = bets.get((market, selection))
@@ -258,8 +265,17 @@ def parse_events_csv(path) -> list[GoalEvent]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(EVENTS_HEADER):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(EVENTS_HEADER)} cells, got {len(row)}"
+                )
             _, ts_s, team_s, event_s = row
-            ts = float(ts_s)
+            try:
+                ts = float(ts_s)
+                if not math.isfinite(ts):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
             if ts < last:
                 raise ValueError(f"{path}:{lineno}: timestamps must not decrease")
             last = ts
@@ -345,26 +361,26 @@ def load_timeline(
     )
 
 
-def write_quotes_csv(
-    timeline: MatchTimeline, path, include_scores: bool = True
-) -> None:
+def write_quotes_csv(timeline: MatchTimeline, path) -> None:
+    """Write every snapshot's quotes, with the score columns."""
     with _open_write(path) as fh:
         w = _writer(fh)
-        w.writerow(QUOTES_HEADER + (SCORE_COLUMNS if include_scores else []))
+        w.writerow(QUOTES_HEADER + SCORE_COLUMNS)
         for snap in timeline.snapshots:
             for q in snap.quotes:
                 market, selection = _market_selection(q.bet)
-                row = [
-                    timeline.match_id,
-                    _fmt_ts(snap.timestamp_s),
-                    market,
-                    selection,
-                    fmt_float(q.back_decimal) if q.back_decimal is not None else "",
-                    fmt_float(q.lay_decimal) if q.lay_decimal is not None else "",
-                ]
-                if include_scores:
-                    row += [str(snap.state.home_goals), str(snap.state.away_goals)]
-                w.writerow(row)
+                w.writerow(
+                    [
+                        timeline.match_id,
+                        _fmt_ts(snap.timestamp_s),
+                        market,
+                        selection,
+                        fmt_float(q.back_decimal) if q.back_decimal is not None else "",
+                        fmt_float(q.lay_decimal) if q.lay_decimal is not None else "",
+                        str(snap.state.home_goals),
+                        str(snap.state.away_goals),
+                    ]
+                )
 
 
 def write_events_csv(events: list[GoalEvent], path, match_id: str = "match") -> None:
@@ -399,27 +415,36 @@ def write_intensity_series_csv(series: IntensitySeries, path) -> None:
 
 
 def parse_intensity_series_csv(path) -> IntensitySeries:
+    """Parse a series CSV; a malformed file raises ValueError naming its line."""
     points: list[SeriesPoint] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header")
         if header != SERIES_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            ts = float(row[0])
-            if row[1] == "":
-                points.append(SeriesPoint(ts, None))
-                continue
-            result = CalibrationResult(
-                intensities=Intensities(float(row[1]), float(row[2])),
-                residual=float(row[3]),
-                stderr_home=float(row[4]),
-                stderr_away=float(row[5]),
-                iterations=0,
-                converged=row[6] == "true",
-            )
+            if len(row) != len(SERIES_HEADER):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(SERIES_HEADER)} cells, got {len(row)}"
+                )
+            try:
+                ts = float(row[0])
+                result = None
+                if row[1] != "":
+                    result = CalibrationResult(
+                        intensities=Intensities(float(row[1]), float(row[2])),
+                        residual=float(row[3]),
+                        stderr_home=float(row[4]),
+                        stderr_away=float(row[5]),
+                        iterations=0,
+                        converged=row[6] == "true",
+                    )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             points.append(SeriesPoint(ts, result))
     return IntensitySeries(tuple(points))
 

@@ -160,7 +160,7 @@ def mc_price(
     lam: Intensities,
     n: int,
     seed: int,
-    half_clock: float = 0.5,
+    half_clock: float = DEFAULT_HALF_CLOCK,
     ht_score: tuple[int, int] | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate and standard error of a bet value."""

@@ -24,7 +24,7 @@ from .contracts import (
     ScoreState,
     Team,
 )
-from .timeline import GoalEvent, MatchTimeline
+from .timeline import DEFAULT_HALF_MINUTES, DEFAULT_MATCH_MINUTES, GoalEvent, MatchTimeline
 
 __all__ = [
     "calibration_catalogue",
@@ -60,7 +60,7 @@ def make_snapshot(
     spread: float = DEFAULT_SPREAD,
     noise: float = 0.0,
     rng: np.random.Generator | None = None,
-    half_clock: float = 0.5,
+    half_clock: float = pricing.DEFAULT_HALF_CLOCK,
     ht_score: tuple[int, int] | None = None,
 ) -> QuoteSnapshot:
     """Snapshot with mids at model values, optionally perturbed.
@@ -88,8 +88,8 @@ def make_model_timeline(
     step_s: float = 60.0,
     bets: list[Bet] | None = None,
     spread: float = DEFAULT_SPREAD,
-    match_length_min: float = 90.0,
-    half_length_min: float = 45.0,
+    match_length_min: float = DEFAULT_MATCH_MINUTES,
+    half_length_min: float = DEFAULT_HALF_MINUTES,
     match_id: str = "synthetic",
     end_s: float | None = None,
 ) -> MatchTimeline:

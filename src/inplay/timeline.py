@@ -40,7 +40,6 @@ class MatchTimeline:
     snapshots: tuple[QuoteSnapshot, ...]
     match_length_min: float = DEFAULT_MATCH_MINUTES
     half_length_min: float = DEFAULT_HALF_MINUTES
-    kickoff_s: float = 0.0
 
     def __post_init__(self) -> None:
         length_s = self.match_length_min * 60.0

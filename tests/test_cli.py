@@ -1,6 +1,7 @@
 """Exit-code contract and output checks for the command line interface."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -293,6 +294,29 @@ class TestReport:
         write_intensity_series_csv(IntensitySeries(points), series_path)
         code = main(["report", "--series", str(series_path), "--out", str(tmp_path / "r.json")])
         assert code == 3
+
+    SERIES = (
+        "timestamp_s,lambda_home,lambda_away,residual,stderr_home,stderr_away,converged\n"
+        "0,1.3,0.7,0.25,0.01,0.02,true\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            (SERIES + "60,1.3\n", ":3: expected 7 cells"),
+            (SERIES + "60,1.3,0.x,0.25,0.01,0.02,true\n", ":3: .*'0.x'"),
+        ],
+    )
+    def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):
+        series_path = tmp_path / "series.csv"
+        series_path.write_text(text)
+        code = main(["report", "--series", str(series_path), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert re.search(message, err)
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_console_entry_point_smoke():

@@ -37,6 +37,8 @@ g1,600,TOTAL_PARITY,ODD,1.9,2.0
 g1,660,UNDER,2_5,1.8,1.85
 """
 
+SERIES_LINE = "timestamp_s,lambda_home,lambda_away,residual,stderr_home,stderr_away,converged\n"
+
 EVENTS_EXAMPLE = """match_id,timestamp_s,team,event
 g1,540,HOME,GOAL
 g1,1675,away,GOAL
@@ -137,6 +139,26 @@ class TestParseQuotes:
         assert "rejected" in caplog.text
         assert len(snaps[0].quotes) == 1
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("g1,600,MATCH_ODDS,HOME,nan,2.54", r":3: bad back decimal 'nan'"),
+            ("g1,600,MATCH_ODDS,HOME,2.5,inf", r":3: bad lay decimal 'inf'"),
+            ("g1,600,MATCH_ODDS,HOME,2.5,abc", r":3: bad lay decimal 'abc'"),
+            ("g1,inf,MATCH_ODDS,HOME,2.5,2.54", r":3: bad timestamp 'inf'"),
+            ("g1,nan,MATCH_ODDS,HOME,2.5,2.54", r":3: bad timestamp 'nan'"),
+            ("g1,600,MATCH_ODDS,HOME,2.5", r":3: expected 6 cells, got 5"),
+        ],
+    )
+    def test_malformed_cell_names_its_line(self, tmp_path, row, message):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal\n"
+            f"g1,600,MATCH_ODDS,DRAW,3.1,3.2\n{row}\n"
+        )
+        with pytest.raises(QuotesParseError, match=message):
+            parse_quotes_csv(f)
+
     def test_mixed_match_ids_rejected(self, tmp_path):
         f = tmp_path / "q.csv"
         f.write_text(
@@ -162,6 +184,22 @@ class TestParseEvents:
         f = tmp_path / "e.csv"
         f.write_text("match_id,timestamp_s,team,event\ng1,10,HOME,CORNER\n")
         with pytest.raises(ValueError, match="unknown event"):
+            parse_events_csv(f)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("g1,abc,HOME,GOAL", r":3: bad timestamp 'abc'"),
+            ("g1,inf,HOME,GOAL", r":3: bad timestamp 'inf'"),
+            ("g1,nan,HOME,GOAL", r":3: bad timestamp 'nan'"),
+            ("g1,100,HOME", r":3: expected 4 cells, got 3"),
+            ("g1,100,HOME,GOAL,x", r":3: expected 4 cells, got 5"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        f = tmp_path / "e.csv"
+        f.write_text(f"match_id,timestamp_s,team,event\ng1,10,HOME,GOAL\n{row}\n")
+        with pytest.raises(ValueError, match=message):
             parse_events_csv(f)
 
     def test_non_monotone_timestamps(self, tmp_path):
@@ -261,6 +299,22 @@ class TestRoundTrips:
         f2 = tmp_path / "s2.csv"
         write_intensity_series_csv(back, f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02\n", r":2: expected 7 cells, got 6"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,true\n60,1.3,x,0,0,0,true\n", r":3: .*'x'"),
+            (SERIES_LINE + "\nzero,,,,,,\n", r":3: .*'zero'"),
+            (SERIES_LINE + "0,nan,0.7,0.25,0.01,0.02,true\n", r":2: home intensity must be finite"),
+        ],
+    )
+    def test_malformed_series_names_its_line(self, tmp_path, text, message):
+        f = tmp_path / "s.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            parse_intensity_series_csv(f)
 
     def test_series_golden_bytes(self, tmp_path):
         series = IntensitySeries(
