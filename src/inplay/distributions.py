@@ -94,8 +94,8 @@ def _poisson_sides(n: int, mean: float) -> tuple[float, float]:
     """(P[N <= n], P[N > n]): the side away from the mode floor(mean) is a
     sum of pmf terms, the side holding it is 1 minus that sum.
 
-    Cached because ``greeks`` prices three scores at one clock, and every
-    pricer asks for the same tail at the same truncation cap.
+    Cached because ``cap_for_tail`` asks for the tail at its floor, and a
+    pricer's truncation bound then asks for the same (n, mean).
     """
     mean = _check_mean(mean)
     n = int(n)

@@ -45,6 +45,7 @@ from .timeline import (
     DEFAULT_MATCH_MINUTES,
     GoalEvent,
     MatchTimeline,
+    clock_of,
 )
 
 __all__ = [
@@ -244,7 +245,7 @@ def _parse_quotes(
     for (ts, score) in sorted(groups, key=lambda k: (k[0],)):
         state = None
         if score is not None:
-            clock = min(max(ts / (match_length_min * 60.0), 0.0), 1.0)
+            clock = clock_of(ts, match_length_min)
             state = ScoreState(score[0], score[1], clock)
         snapshots.append(QuoteSnapshot(ts, state, tuple(groups[(ts, score)])))
     return match_ids.pop(), snapshots
@@ -318,7 +319,7 @@ def build_timeline(
         for team in same_ts:
             running[0 if team is Team.HOME else 1] += 1
             acceptable.append(tuple(running))
-        clock = min(max(ts / (match_length_min * 60.0), 0.0), 1.0)
+        clock = clock_of(ts, match_length_min)
         if snap.state is None:
             state = ScoreState(acceptable[-1][0], acceptable[-1][1], clock)
             filled.append(QuoteSnapshot(ts, state, snap.quotes))

@@ -11,12 +11,13 @@ Two independent pricing routes are deliberately kept for every European bet:
 They must agree to 1e-10; the test suite enforces this on a dense grid.
 :class:`EuropeanBoard` runs the double-sum route for many bets at one score
 state at once, returning every value together with its exact intensity
-sensitivities; calibration solves against it.  :func:`greeks` re-prices
-only at the two bumped scores: the forward equation makes theta the
-intensity-weighted sum of the goal-jump deltas, so the clock is never
-bumped (the finite-difference theta that checks this lives in
-``inplay.oracle``).  All functions are pure and thread-safe; a board caches
-its payoff masks and belongs to one caller.
+sensitivities; calibration solves against it.  :func:`greeks` never
+re-prices: a goal shifts a remaining-goals pmf by one step, so each
+goal-jump delta is a shifted-pmf contraction of the bet's value grid, and
+the forward equation makes theta the intensity-weighted sum of the deltas
+(the finite-difference theta that checks this lives in ``inplay.oracle``).
+All functions are pure and thread-safe; a board caches its payoff masks
+and belongs to one caller.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .contracts import (
     ScoreState,
     Team,
     format_bet,
+    payoff,
 )
 from .distributions import (
     _clamp01,
@@ -93,10 +95,8 @@ def _horizons(state: ScoreState, lam: Intensities) -> tuple[float, float]:
     return lam.home * h, lam.away * h
 
 
-def _payoff_grid(bet: Bet, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Indicator payoff on the grid of absolute final scores n1 x n2."""
-    h = n1[:, None]
-    a = n2[None, :]
+def _payoff_grid(bet: Bet, h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Indicator payoff on absolute final scores: home h (column) x away a (row)."""
     k = bet.kind
     if k is BetKind.MATCH_ODDS_HOME:
         grid = h > a
@@ -121,16 +121,81 @@ def _payoff_grid(bet: Bet, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return grid.astype(float)
 
 
-def _remaining_goal_pmfs(
-    state: ScoreState, lam: Intensities
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Truncated pmfs of the home and away goals still to come, plus an
-    upper bound on the joint mass the truncation omits."""
-    l1, l2 = _horizons(state, lam)
-    c1 = cap_for_tail(l1, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    c2 = cap_for_tail(l2, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    bound = poisson_tail(c1, l1) + poisson_tail(c2, l2)
-    return poisson_pmf_vector(l1, c1), poisson_pmf_vector(l2, c2), bound
+def _remaining_goal_pmfs(m1: float, m2: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Poisson pmfs with means m1 and m2, each cut at the smallest cap
+    (floor 25) whose omitted tail is below TRUNCATION_TOL, plus the
+    (cap, mean) pairs whose tails bound the joint mass the cuts omit."""
+    c1 = cap_for_tail(m1, TRUNCATION_TOL, TRUNCATION_FLOOR)
+    c2 = cap_for_tail(m2, TRUNCATION_TOL, TRUNCATION_FLOOR)
+    return poisson_pmf_vector(m1, c1), poisson_pmf_vector(m2, c2), ((c1, m1), (c2, m2))
+
+
+def _omitted_mass(tails: tuple) -> float:
+    return sum((poisson_tail(c, m) for c, m in tails), 0.0)
+
+
+def _value_grid(
+    bet: Bet,
+    state: ScoreState,
+    lam: Intensities,
+    half_clock: float = DEFAULT_HALF_CLOCK,
+    ht_score: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """(p1, weights, p2, tails) with value p1 @ weights @ p2 for a European
+    or HT/FT bet: p1 and p2 are the truncated pmfs of the home and away goals
+    still to come in this stage (the first half, for HT/FT before half time),
+    weights[i, j] is the bet's value once i and j of them have come, and
+    ``tails`` lists the (cap, mean) pairs bounding the omitted mass.  A goal
+    scored now shifts p1 or p2 by one step and leaves the weights alone.
+    """
+    if bet.kind is not BetKind.HT_FT:
+        p1, p2, tails = _remaining_goal_pmfs(*_horizons(state, lam))
+        h = state.home_goals + np.arange(len(p1))[:, None]
+        a = state.away_goals + np.arange(len(p2))[None, :]
+        return p1, _payoff_grid(bet, h, a), p2, tails
+
+    if not (0.0 < half_clock < 1.0):
+        raise ValueError("half_clock must lie strictly inside (0, 1)")
+    if state.clock >= half_clock:
+        if ht_score is None:
+            raise ValueError("half-time score required once clock >= half_clock")
+        grid = _value_grid(_MATCH_ODDS_FOR[bet.full_time], state, lam)
+        if payoff(_MATCH_ODDS_FOR[bet.half_time], *ht_score):
+            return grid
+        # Half-time leg lost: worth exactly 0, with nothing omitted.
+        return grid[0], np.zeros_like(grid[1]), grid[2], ()
+
+    h1 = half_clock - state.clock
+    p1, p2, tails = _remaining_goal_pmfs(lam.home * h1, lam.away * h1)
+    hh = state.home_goals + np.arange(len(p1))[:, None]  # half-time scores
+    aa = state.away_goals + np.arange(len(p2))[None, :]
+    # Full-time outcome probability depends on the half-time score only
+    # through the goal difference d: tabulate over the reachable d range.
+    b1, b2 = _horizons(state.at_clock(half_clock), lam)
+    j = cap_for_tail(b1 + b2, TRUNCATION_TOL, TRUNCATION_FLOOR)
+    d_min = int(hh[0, 0] - aa[0, -1])
+    d_max = int(hh[-1, 0] - aa[0, 0])
+    lo = min(-j, -d_max)
+    hi = max(j, -d_min)
+    sk = _skellam_table(lo, hi, b1, b2)
+    suffix = np.concatenate([np.cumsum(sk[::-1])[::-1], [0.0]])  # suffix[i] = sum sk[i:]
+    ds = np.arange(d_min, d_max + 1)
+    idx = -ds - lo  # position of remaining-diff -d in the table
+    if bet.full_time is Outcome.HOME:
+        ft_by_d = suffix[idx + 1]  # P[D > -d]
+    elif bet.full_time is Outcome.DRAW:
+        ft_by_d = sk[idx]
+    else:
+        ft_by_d = 1.0 - suffix[idx] - poisson_tail(j, b1 + b2)  # P[D < -d]
+        np.clip(ft_by_d, 0.0, 1.0, out=ft_by_d)
+    ft_grid = ft_by_d[(hh - aa) - d_min]
+    ht_grid = _payoff_grid(_MATCH_ODDS_FOR[bet.half_time], hh, aa)
+    return p1, ht_grid * ft_grid, p2, tails + ((j, b1 + b2),)
+
+
+def _priced(grid: tuple) -> PriceResult:
+    p1, weights, p2, tails = grid
+    return PriceResult(_clamp01(float(p1 @ weights @ p2)), _omitted_mass(tails))
 
 
 def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult:
@@ -144,12 +209,7 @@ def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult
         raise NonEuropeanBetError(
             f"{format_bet(bet)} is path dependent; use price_next_goal/price_ht_ft"
         )
-    p1, p2, bound = _remaining_goal_pmfs(state, lam)
-    n1 = state.home_goals + np.arange(len(p1))
-    n2 = state.away_goals + np.arange(len(p2))
-    grid = _payoff_grid(bet, n1, n2)
-    value = float(p1 @ grid @ p2)
-    return PriceResult(_clamp01(value), bound)
+    return _priced(_value_grid(bet, state, lam))
 
 
 @dataclass(frozen=True)
@@ -189,16 +249,15 @@ class EuropeanBoard:
 
     def _masks_for(self, c1: int, c2: int) -> np.ndarray:
         if self._caps != (c1, c2):
-            n1 = self.state.home_goals + np.arange(c1 + 1)
-            n2 = self.state.away_goals + np.arange(c2 + 1)
-            self._masks = np.array([_payoff_grid(b, n1, n2) for b in self.bets]).reshape(
-                len(self.bets), c1 + 1, c2 + 1
-            )
+            h = self.state.home_goals + np.arange(c1 + 1)[:, None]
+            a = self.state.away_goals + np.arange(c2 + 1)[None, :]
+            masks = [_payoff_grid(b, h, a) for b in self.bets]
+            self._masks = np.array(masks).reshape(len(self.bets), c1 + 1, c2 + 1)
             self._caps = (c1, c2)
         return self._masks
 
     def evaluate(self, lam: Intensities) -> BoardValues:
-        p1, p2, bound = _remaining_goal_pmfs(self.state, lam)
+        p1, p2, tails = _remaining_goal_pmfs(*_horizons(self.state, lam))
         masks = self._masks_for(len(p1) - 1, len(p2) - 1)
         by_home = masks @ p2  # (bets, home goals): away goals summed out
         by_away = p1 @ masks  # (bets, away goals): home goals summed out
@@ -208,7 +267,7 @@ class EuropeanBoard:
         jacobian[:, 0] = by_home @ _pmf_derivative(p1)
         jacobian[:, 1] = by_away @ _pmf_derivative(p2)
         jacobian *= horizon
-        return BoardValues(values, jacobian, bound)
+        return BoardValues(values, jacobian, _omitted_mass(tails))
 
 
 def _pmf_derivative(p: np.ndarray) -> np.ndarray:
@@ -308,14 +367,6 @@ def price_next_goal(team: Team, state: ScoreState, lam: Intensities) -> PriceRes
     return PriceResult(_clamp01(value), 0.0)
 
 
-def _outcome_of(home: int, away: int) -> Outcome:
-    if home > away:
-        return Outcome.HOME
-    if home < away:
-        return Outcome.AWAY
-    return Outcome.DRAW
-
-
 _MATCH_ODDS_FOR = {
     Outcome.HOME: Bet(BetKind.MATCH_ODDS_HOME),
     Outcome.DRAW: Bet(BetKind.MATCH_ODDS_DRAW),
@@ -338,63 +389,7 @@ def price_ht_ft(
     worthless (half-time leg lost) or equal to the matching full-time match
     odds bet.  The half-time score must be supplied once clock >= half_clock.
     """
-    if not (0.0 < half_clock < 1.0):
-        raise ValueError("half_clock must lie strictly inside (0, 1)")
-
-    if state.clock >= half_clock:
-        if ht_score is None:
-            raise ValueError("half-time score required once clock >= half_clock")
-        if _outcome_of(*ht_score) is not ht:
-            return PriceResult(0.0, 0.0)
-        return price_european(_MATCH_ODDS_FOR[ft], state, lam)
-
-    h1 = half_clock - state.clock
-    h2 = 1.0 - half_clock
-    a1, a2 = lam.home * h1, lam.away * h1
-
-    c1 = cap_for_tail(a1, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    c2 = cap_for_tail(a2, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    p1 = poisson_pmf_vector(a1, c1)
-    p2 = poisson_pmf_vector(a2, c2)
-    k1 = state.home_goals + np.arange(c1 + 1)
-    k2 = state.away_goals + np.arange(c2 + 1)
-    hh = k1[:, None]
-    aa = k2[None, :]
-    if ht is Outcome.HOME:
-        ht_grid = hh > aa
-    elif ht is Outcome.AWAY:
-        ht_grid = hh < aa
-    else:
-        ht_grid = hh == aa
-
-    # Full-time outcome probability depends on the half-time score only
-    # through the goal difference d: tabulate over the reachable d range.
-    b1, b2 = lam.home * h2, lam.away * h2
-    j = cap_for_tail(b1 + b2, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    d_min = int(k1[0] - k2[-1])
-    d_max = int(k1[-1] - k2[0])
-    lo = min(-j, -d_max)
-    hi = max(j, -d_min)
-    sk = _skellam_table(lo, hi, b1, b2)
-    suffix = np.concatenate([np.cumsum(sk[::-1])[::-1], [0.0]])  # suffix[i] = sum sk[i:]
-    ds = np.arange(d_min, d_max + 1)
-    idx = -ds - lo  # position of remaining-diff -d in the table
-    if ft is Outcome.HOME:
-        ft_by_d = suffix[idx + 1]  # P[D > -d]
-    elif ft is Outcome.DRAW:
-        ft_by_d = sk[idx]
-    else:
-        ft_by_d = 1.0 - suffix[idx] - poisson_tail(j, b1 + b2)  # P[D < -d]
-        np.clip(ft_by_d, 0.0, 1.0, out=ft_by_d)
-    ft_grid = ft_by_d[(hh - aa) - d_min]
-
-    value = float(p1 @ (ht_grid * ft_grid) @ p2)
-    bound = (
-        poisson_tail(c1, a1)
-        + poisson_tail(c2, a2)
-        + poisson_tail(j, b1 + b2)
-    )
-    return PriceResult(_clamp01(value), bound)
+    return _priced(_value_grid(Bet.ht_ft(ht, ft), state, lam, half_clock, ht_score))
 
 
 def price(
@@ -426,24 +421,23 @@ def greeks(
 
     Deltas are the value changes if home/away scored right now.  For Next
     Goal bets that change is the settlement jump (payout minus current
-    value); for everything else it is a re-pricing at the bumped score.
+    value); for everything else it is a shifted-pmf contraction of the
+    value grid: (p(k-1) - p(k)) in place of the scoring team's pmf p(k).
     Every catalogue bet is a function of (score, clock) alone between goals
     (HT/FT on either side of half time, with the half-time score held), so
     the forward equation gives theta = -(lam_home*delta_home +
     lam_away*delta_away) exactly; for Next Goal that is
-    -lam_team*exp(-(lam_home+lam_away)(1-clock)).  No clock re-pricing is
-    needed; ``inplay.oracle.theta_fd`` is the independent check.
+    -lam_team*exp(-(lam_home+lam_away)(1-clock)).  Nothing is re-priced;
+    ``inplay.oracle.theta_fd`` is the independent check.
     """
-    base = price(bet, state, lam, half_clock, ht_score).value
-
-    if bet.kind is BetKind.NEXT_GOAL_HOME:
-        d1, d2 = 1.0 - base, -base
-    elif bet.kind is BetKind.NEXT_GOAL_AWAY:
-        d1, d2 = -base, 1.0 - base
+    if bet.kind in (BetKind.NEXT_GOAL_HOME, BetKind.NEXT_GOAL_AWAY):
+        base = price(bet, state, lam).value
+        home = bet.kind is BetKind.NEXT_GOAL_HOME
+        d1, d2 = (1.0 - base, -base) if home else (-base, 1.0 - base)
     else:
-        up_home = price(bet, state.with_goal(Team.HOME), lam, half_clock, ht_score).value
-        up_away = price(bet, state.with_goal(Team.AWAY), lam, half_clock, ht_score).value
-        d1, d2 = up_home - base, up_away - base
+        p1, weights, p2, _ = _value_grid(bet, state, lam, half_clock, ht_score)
+        d1 = float(_pmf_derivative(p1) @ weights @ p2)
+        d2 = float(p1 @ weights @ _pmf_derivative(p2))
 
     # 0.0 - x keeps a frozen game's theta at +0.0 rather than -0.0.
     return Greeks(d1, d2, 0.0 - (lam.home * d1 + lam.away * d2))

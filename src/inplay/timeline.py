@@ -24,6 +24,11 @@ DEFAULT_MATCH_MINUTES = 90.0
 DEFAULT_HALF_MINUTES = 45.0
 
 
+def clock_of(timestamp_s: float, match_length_min: float) -> float:
+    """Playing-time seconds as the clock tau in [0, 1]."""
+    return min(max(timestamp_s / (match_length_min * 60.0), 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class GoalEvent:
     timestamp_s: float
@@ -55,7 +60,7 @@ class MatchTimeline:
         return self.half_length_min / self.match_length_min
 
     def clock_of(self, timestamp_s: float) -> float:
-        return min(max(timestamp_s / (self.match_length_min * 60.0), 0.0), 1.0)
+        return clock_of(timestamp_s, self.match_length_min)
 
     def ht_score(self) -> tuple[int, int]:
         """Score at the end of the first half."""

@@ -12,6 +12,7 @@ import pytest
 
 from inplay.contracts import (
     Bet,
+    BetKind,
     EVEN_TOTAL,
     Intensities,
     MATCH_ODDS_AWAY,
@@ -269,6 +270,33 @@ class TestHalfTimeFullTime:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+# Grid deltas against the bumped-score prices: every calibration bet, the
+# parity and extreme margin/total bets, and HT/FT before half time (no
+# half-time score) and after it with the half-time leg won and lost.
+_HT_WON = {Outcome.HOME: (1, 0), Outcome.DRAW: (0, 0), Outcome.AWAY: (0, 1)}
+_HT_LOST = {Outcome.HOME: (0, 0), Outcome.DRAW: (0, 1), Outcome.AWAY: (1, 0)}
+DELTA_CASES = [
+    (bet, None)
+    for bet in calibration_catalogue()
+    + [ODD_TOTAL, EVEN_TOTAL, Bet.winning_margin(7), Bet.winning_margin(-7)]
+    + [Bet.over(20.5), Bet.under(20.5)]
+] + [
+    (Bet.ht_ft(ht, ft), ht_score)
+    for ht in Outcome
+    for ft in Outcome
+    for ht_score in (None, _HT_WON[ht], _HT_LOST[ht])
+]
+DELTA_LAMBDAS = [
+    Intensities(1.3, 0.7),
+    Intensities(0.0, 2.5),
+    Intensities(0.05, 4.0),
+    Intensities(20.0, 20.0),
+    Intensities(20.0, 0.1),
+]
+DELTA_SCORES = [(0, 0), (1, 2), (3, 1), (15, 0)]
+DELTA_CLOCKS = [0.0, 0.3, 0.5 - 1e-5, 0.5, 0.8, 1.0 - 1e-12, 1.0]
+
+
 class TestGreeks:
     def test_goal_kills_under_half_line(self):
         lam = Intensities(1.0, 1.0)
@@ -284,19 +312,39 @@ class TestGreeks:
         g = greeks(Bet.correct_score(0, 0), ScoreState(0, 0, 0.2), lam)
         assert g.delta_home == pytest.approx(-base, rel=1e-12)
 
-    def test_deltas_match_enumeration_oracle(self):
-        lam = Intensities(1.2, 0.8)
-        state = ScoreState(0, 0, 0.3)
-        g = greeks(MATCH_ODDS_HOME, state, lam)
-        cap = 60
+    @pytest.mark.parametrize(
+        "bet,ht_score", DELTA_CASES, ids=[f"{b}-{s}" for b, s in DELTA_CASES]
+    )
+    def test_deltas_match_enumeration_oracle(self, bet, ht_score):
+        # A delta is the value change at the bumped score: checked against the
+        # extended-precision enumeration on one state, then against `price`
+        # at the bumped and current scores to 1e-12 over the whole grid.
+        if bet.european:
+            lam = Intensities(1.2, 0.8)
+            state = ScoreState(0, 0, 0.3)
+            g = greeks(bet, state, lam)
+            cap = 60
 
-        def value(s):
-            return enumerate_price(payoff_grid(MATCH_ODDS_HOME, s, cap), s, lam, cap)
+            def value(s):
+                return enumerate_price(payoff_grid(bet, s, cap), s, lam, cap)
 
-        d1 = value(state.with_goal(Team.HOME)) - value(state)
-        d2 = value(state.with_goal(Team.AWAY)) - value(state)
-        assert g.delta_home == pytest.approx(d1, abs=1e-10)
-        assert g.delta_away == pytest.approx(d2, abs=1e-10)
+            d1 = value(state.with_goal(Team.HOME)) - value(state)
+            d2 = value(state.with_goal(Team.AWAY)) - value(state)
+            assert g.delta_home == pytest.approx(d1, abs=1e-10)
+            assert g.delta_away == pytest.approx(d2, abs=1e-10)
+
+        clocks = DELTA_CLOCKS
+        if bet.kind is BetKind.HT_FT:
+            clocks = [tau for tau in DELTA_CLOCKS if (tau < 0.5) == (ht_score is None)]
+        for lam in DELTA_LAMBDAS:
+            for h, a in DELTA_SCORES:
+                for tau in clocks:
+                    state = ScoreState(h, a, tau)
+                    g = greeks(bet, state, lam, 0.5, ht_score)
+                    base = price(bet, state, lam, 0.5, ht_score).value
+                    for team, delta in ((Team.HOME, g.delta_home), (Team.AWAY, g.delta_away)):
+                        up = price(bet, state.with_goal(team), lam, 0.5, ht_score).value
+                        assert abs(delta - (up - base)) <= 1e-12, (lam, state, team)
 
     def test_next_goal_deltas_are_settlements(self):
         lam = Intensities(1.0, 1.0)
@@ -397,10 +445,10 @@ class TestAnalyticTheta:
     @pytest.mark.parametrize(
         "bet,state,ht_score,calls",
         [
-            (MATCH_ODDS_HOME, ScoreState(0, 0, 0.3), None, 3),
-            (Bet.over(2.5), ScoreState(1, 0, 0.7), None, 3),
-            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(0, 0, 0.3), None, 3),
-            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(1, 0, 0.7), (1, 0), 3),
+            (MATCH_ODDS_HOME, ScoreState(0, 0, 0.3), None, 0),
+            (Bet.over(2.5), ScoreState(1, 0, 0.7), None, 0),
+            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(0, 0, 0.3), None, 0),
+            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(1, 0, 0.7), (1, 0), 0),
             (NEXT_GOAL_HOME, ScoreState(0, 0, 0.3), None, 1),
             (NEXT_GOAL_AWAY, ScoreState(0, 0, 0.3), None, 1),
         ],
