@@ -16,15 +16,19 @@ matrix at the fit, so they inherit the bid-ask spreads' scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import Intensities, Quote, ScoreState
+from .contracts import Bet, Intensities, Quote, ScoreState
 from . import pricing
 
 __all__ = [
+    "QuoteTable",
+    "QuoteRows",
     "QuoteSnapshot",
+    "quote_columns",
     "CalibrationResult",
     "SeriesPoint",
     "IntensitySeries",
@@ -58,13 +62,113 @@ class IdentifiabilityError(ValueError):
     """Snapshot cannot pin down two intensities."""
 
 
+class QuoteTable:
+    """Quote rows as columns.
+
+    ``bets`` holds the distinct bets and ``bet_ix`` indexes it, one entry
+    per row.  The decimals and the buy and sell values are NaN where a side
+    is absent; ``mid``, ``spread``, ``two_sided`` and ``european`` are
+    derived per row with the same arithmetic as :class:`Quote`.  Values
+    default to ``1 / decimal``, the arithmetic of ``value_from_decimal``.
+    """
+
+    def __init__(self, bets, bet_ix, back, lay, buy=None, sell=None):
+        self.bets: tuple[Bet, ...] = tuple(bets)
+        self.bet_ix = np.asarray(bet_ix, dtype=np.intp)
+        self.back = np.asarray(back, dtype=float)
+        self.lay = np.asarray(lay, dtype=float)
+        self.buy = 1.0 / self.back if buy is None else np.asarray(buy, dtype=float)
+        self.sell = 1.0 / self.lay if sell is None else np.asarray(sell, dtype=float)
+        self.two_sided = ~(np.isnan(self.buy) | np.isnan(self.sell))
+        self.mid = 0.5 * (self.buy + self.sell)
+        self.spread = np.abs(self.buy - self.sell)
+        self.european = np.array([b.european for b in self.bets], dtype=bool)[self.bet_ix]
+
+    @classmethod
+    def from_quotes(cls, quotes) -> QuoteTable:
+        """The rows of a sequence of :class:`Quote` objects, in order."""
+        index: dict[Bet, int] = {}
+        ix, back, lay, buy, sell = [], [], [], [], []
+        for q in quotes:
+            ix.append(index.setdefault(q.bet, len(index)))
+            for col, v in zip(
+                (back, lay, buy, sell), (q.back_decimal, q.lay_decimal, q.value_buy, q.value_sell)
+            ):
+                col.append(math.nan if v is None else v)
+        return cls(tuple(index), ix, back, lay, buy, sell)
+
+    def quote(self, i: int) -> Quote:
+        """Row ``i`` as a :class:`Quote`."""
+        cells = (self.back[i], self.lay[i], self.buy[i], self.sell[i])
+        back, lay, buy, sell = (None if math.isnan(c) else float(c) for c in cells)
+        return Quote(self.bets[self.bet_ix[i]], back, lay, buy, sell)
+
+
+class QuoteRows(Sequence):
+    """Rows ``start:stop`` of a :class:`QuoteTable`: one snapshot's quotes.
+
+    Its length costs nothing; indexing or iterating builds the
+    :class:`Quote` objects on demand.
+    """
+
+    __slots__ = ("table", "start", "stop")
+
+    def __init__(self, table: QuoteTable, start: int, stop: int):
+        self.table, self.start, self.stop = table, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i):
+        rows = range(self.start, self.stop)[i]
+        if isinstance(rows, range):
+            return tuple(map(self.table.quote, rows))
+        return self.table.quote(rows)
+
+    def __iter__(self):
+        return map(self.table.quote, range(self.start, self.stop))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, QuoteRows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class QuoteSnapshot:
-    """All quotes observed at one timestamp, with the score in effect."""
+    """All quotes observed at one timestamp, with the score in effect.
+
+    ``quotes`` is a tuple of :class:`Quote` for a snapshot built by hand,
+    or a :class:`QuoteRows` view for one read from a quotes file.
+    """
 
     timestamp_s: float
     state: ScoreState
-    quotes: tuple[Quote, ...]
+    quotes: Sequence[Quote]
+
+
+def quote_columns(
+    snapshots: Sequence[QuoteSnapshot],
+) -> tuple[QuoteTable, np.ndarray, np.ndarray]:
+    """The snapshots' quotes as one table, with each snapshot's start and stop rows.
+
+    Snapshots read from one quotes file already share a table; any others
+    are converted with :meth:`QuoteTable.from_quotes`.
+    """
+    views = [s.quotes for s in snapshots]
+    if views and isinstance(views[0], QuoteRows):
+        table = views[0].table
+        if all(isinstance(v, QuoteRows) and v.table is table for v in views):
+            return table, np.array([v.start for v in views]), np.array([v.stop for v in views])
+    lengths = [len(v) for v in views]
+    stops = np.cumsum(lengths, dtype=np.intp)
+    return QuoteTable.from_quotes([q for v in views for q in v]), stops - lengths, stops
 
 
 @dataclass(frozen=True)
@@ -114,6 +218,26 @@ class IntensitySeries:
         return [p for p in self.points if p.result is not None]
 
 
+def _usable_rows(snapshot: QuoteSnapshot) -> tuple[QuoteTable, np.ndarray]:
+    """The snapshot's table and the rows of its usable quotes in it."""
+    t, (start,), (stop,) = quote_columns([snapshot])
+    mid = t.mid[start:stop]
+    keep = (
+        t.two_sided[start:stop]
+        & t.european[start:stop]
+        & (MID_FILTER[0] < mid)
+        & (mid < MID_FILTER[1])
+    )
+    usable = start + np.flatnonzero(keep)
+    flat = usable[t.spread[usable] == 0.0]
+    if flat.size:
+        bet = t.bets[t.bet_ix[flat[0]]]
+        raise ValueError(
+            f"zero spread on quote for {bet} in the snapshot at {snapshot.timestamp_s:.15g}s"
+        )
+    return t, usable
+
+
 def usable_quotes(snapshot: QuoteSnapshot) -> list[Quote]:
     """Two-sided European quotes inside the mid filter; zero spread is an error.
 
@@ -121,26 +245,17 @@ def usable_quotes(snapshot: QuoteSnapshot) -> list[Quote]:
     European bets only, and the solve leans on the European identity
     dV/dlam_i = (1-tau) delta_i.
     """
-    out = []
-    for q in snapshot.quotes:
-        if not q.two_sided or not q.bet.european:
-            continue
-        mid = q.value_mid
-        if not (MID_FILTER[0] < mid < MID_FILTER[1]):
-            continue
-        if q.spread == 0.0:
-            raise ValueError(f"zero spread on quote for {q.bet}")
-        out.append(q)
-    return out
+    table, rows = _usable_rows(snapshot)
+    return [table.quote(i) for i in rows]
 
 
 class _Residuals:
-    """Mid-versus-model residuals of a quote list in half-spread units."""
+    """Mid-versus-model residuals of some table rows in half-spread units."""
 
-    def __init__(self, quotes: list[Quote], state: ScoreState):
-        self.board = pricing.EuropeanBoard([q.bet for q in quotes], state)
-        self.mids = np.array([q.value_mid for q in quotes])
-        self.half = np.array([0.5 * q.spread for q in quotes])
+    def __init__(self, table: QuoteTable, rows: np.ndarray, state: ScoreState):
+        self.board = pricing.EuropeanBoard([table.bets[i] for i in table.bet_ix[rows]], state)
+        self.mids = table.mid[rows]
+        self.half = 0.5 * table.spread[rows]
 
     def __call__(
         self, lam: Intensities
@@ -153,24 +268,24 @@ class _Residuals:
 
 def objective(lam: Intensities, snapshot: QuoteSnapshot) -> float:
     """Root mean square of spread-weighted mid-versus-model differences."""
-    quotes = usable_quotes(snapshot)
-    if not quotes:
+    table, rows = _usable_rows(snapshot)
+    if not len(rows):
         raise ValueError("no usable quotes in snapshot")
-    r, _, _ = _Residuals(quotes, snapshot.state)(lam)
+    r, _, _ = _Residuals(table, rows, snapshot.state)(lam)
     # fsum is exactly rounded, so the value cannot depend on the quote order.
     return math.sqrt(math.fsum(r * r) / len(r))
 
 
-def _check_identifiable(quotes: list[Quote], jacobian: np.ndarray) -> None:
+def _check_identifiable(bet_ix: np.ndarray, jacobian: np.ndarray) -> None:
     """Raise unless two quotes have non-parallel intensity sensitivities.
 
-    ``jacobian`` holds one (dV/dlam_home, dV/dlam_away) row per quote; two
-    rows are parallel when their cross product is below 1e-9 of the
-    product of their norms.
+    ``bet_ix`` holds each quote's bet index and ``jacobian`` one
+    (dV/dlam_home, dV/dlam_away) row per quote; two rows are parallel when
+    their cross product is below 1e-9 of the product of their norms.
     """
-    if len(quotes) < 2:
+    if len(bet_ix) < 2:
         raise IdentifiabilityError("need at least two usable quotes")
-    if len({q.bet for q in quotes}) < 2:
+    if len(set(bet_ix.tolist())) < 2:
         raise IdentifiabilityError("need at least two distinct bet variants")
     a, b = jacobian[:, 0], jacobian[:, 1]
     cross = np.abs(np.multiply.outer(a, b) - np.multiply.outer(b, a))
@@ -194,11 +309,11 @@ def calibrate_snapshot(
     pass, or that ends held on :data:`LAMBDA_BOX`, still returns its best
     point, flagged ``converged=False``.
     """
-    quotes = usable_quotes(snapshot)
+    table, rows = _usable_rows(snapshot)
     lam0 = init if init is not None else COLD_START
     if lam0.home <= 0.0 or lam0.away <= 0.0:
         lam0 = COLD_START
-    residuals = _Residuals(quotes, snapshot.state)
+    residuals = _Residuals(table, rows, snapshot.state)
 
     def at(u: np.ndarray) -> Intensities:
         return Intensities(math.exp(u[0]), math.exp(u[1]))
@@ -206,7 +321,7 @@ def calibrate_snapshot(
     lo, hi = math.log(LAMBDA_BOX[0]), math.log(LAMBDA_BOX[1])
     u = np.clip([math.log(lam0.home), math.log(lam0.away)], lo, hi)
     r, jac, fit = residuals(at(u))
-    _check_identifiable(quotes, fit.jacobian)
+    _check_identifiable(table.bet_ix[rows], fit.jacobian)
     cost = float(r @ r)
     evaluations = 1
     damping = _DAMPING_START
@@ -225,7 +340,7 @@ def calibrate_snapshot(
         # the residual the Jacobian can still explain is at rounding level.
         explained = ju @ np.linalg.lstsq(ju, r, rcond=None)[0]
         if (
-            float(np.max(np.abs(grad))) / len(quotes) < _GRAD_TOL
+            float(np.max(np.abs(grad))) / len(rows) < _GRAD_TOL
             or float(explained @ explained) <= _EXPLAINED_TOL * cost
         ):
             converged = not held.any()
@@ -258,7 +373,7 @@ def calibrate_snapshot(
         stderr_home = stderr_away = math.inf
     return CalibrationResult(
         intensities=at(u),
-        residual=math.sqrt(cost / len(quotes)),
+        residual=math.sqrt(cost / len(rows)),
         stderr_home=stderr_home,
         stderr_away=stderr_away,
         iterations=evaluations,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pricing
-from .calibration import IntensitySeries
+from .calibration import IntensitySeries, QuoteTable, quote_columns
 from .contracts import Bet, BetKind, Intensities, Team
 from .pricing import Greeks
 from .timeline import GoalEvent, MatchTimeline
@@ -154,6 +154,21 @@ def _next_goal_payout(bet: Bet, scorer: Team) -> float | None:
     return None
 
 
+def _first_mids(
+    table: QuoteTable, starts: np.ndarray, stops: np.ndarray, bet: Bet
+) -> np.ndarray:
+    """Per snapshot, the mid of the bet's first two-sided quote; NaN where none is."""
+    out = np.full(len(starts), np.nan)
+    if bet not in table.bets:
+        return out
+    rows = np.flatnonzero(table.two_sided & (table.bet_ix == table.bets.index(bet)))
+    # The first such row at or after each snapshot's start, if before its stop.
+    first = np.append(rows, len(table.mid))[np.searchsorted(rows, starts)]
+    found = first < stops
+    out[found] = table.mid[first[found]]
+    return out
+
+
 def replay_hedge(
     timeline: MatchTimeline,
     target: Bet,
@@ -180,6 +195,10 @@ def replay_hedge(
     """
     lam_at = _LambdaSource(lam_source)
     bets = (target, *instruments)
+    table, starts, stops = quote_columns(timeline.snapshots)
+    mids = np.column_stack([_first_mids(table, starts, stops, b) for b in bets])
+    quoted = (~np.isnan(mids).any(axis=1)).tolist()
+    mids = mids.tolist()
     half_clock = timeline.half_clock
     ht_score = timeline.ht_score() if any(b.kind is BetKind.HT_FT for b in bets) else None
 
@@ -208,6 +227,7 @@ def replay_hedge(
         ht = ht_score if bet.kind is BetKind.HT_FT and state.clock >= half_clock else None
         return pricing.greeks(bet, state, lam, half_clock, ht)
 
+    k = -1  # index of the current snapshot
     for kind, record in timeline.records():
         if kind == "goal":
             if last_x is None:
@@ -232,16 +252,15 @@ def replay_hedge(
             continue
 
         snap = record
-        # Built back to front, so a bet's first two-sided quote wins.
-        quotes = {q.bet: q for q in reversed(snap.quotes) if q.two_sided}
-        qx, q1, q2 = map(quotes.get, bets)
-        if qx is None or q1 is None or q2 is None:
+        k += 1
+        if not quoted[k]:
             if last_x is None:
                 raise ValueError("first snapshot must quote the target and both instruments")
             add_step(snap.timestamp_s, snap.state.clock, last_x, mark(last_z), last_z, "stale")
             continue
 
-        x, z = qx.value_mid, (q1.value_mid, q2.value_mid)
+        x, z1, z2 = mids[k]
+        z = (z1, z2)
         if last_x is None:
             cash = x  # fund the replication at the target's initial value
         value = mark(z)

@@ -9,6 +9,8 @@ lay_decimal`` with two optional trailing columns ``home_goals,away_goals``.
 An empty odds cell means that side is absent.  The bet token is
 ``market_selection`` joined with an underscore, or the bare selection where
 that fails to parse (so parity bets can live under a TOTAL_PARITY market).
+Accepted rows are parsed into one :class:`~inplay.calibration.QuoteTable`,
+and each snapshot's quotes are a view of its rows.
 
 Events CSV columns: ``match_id,timestamp_s,team,event`` with team HOME or
 AWAY (case-insensitive) and event GOAL.
@@ -20,19 +22,23 @@ import csv
 import json
 import logging
 import math
+from itertools import accumulate, chain
 from pathlib import Path
+
+import numpy as np
 
 from .calibration import (
     CalibrationResult,
     IntensitySeries,
+    QuoteRows,
     QuoteSnapshot,
+    QuoteTable,
     SeriesPoint,
 )
 from .contracts import (
     Bet,
     BetKind,
     Intensities,
-    Quote,
     ScoreState,
     Team,
     format_bet,
@@ -153,7 +159,8 @@ def parse_quotes_csv(
     """Parse a quotes CSV into timestamp-grouped snapshots.
 
     Rows with a decimal below 1 are rejected and logged; an unknown bet
-    token is an error carrying the line number.  Snapshots only get a score
+    token, a timestamp outside the match and a negative score are errors
+    carrying the line number.  Snapshots only get a score
     state here if the optional score columns are present; otherwise use
     :func:`build_timeline` to reconstruct scores from events.
     """
@@ -161,10 +168,10 @@ def parse_quotes_csv(
     return snapshots
 
 
-def _decimal(cell: str, side: str, path: Path, lineno: int) -> float | None:
-    """An odds cell as a finite float; empty means that side is absent."""
+def _decimal(cell: str, side: str, path: Path, lineno: int) -> float:
+    """An odds cell as a finite float; empty means that side is absent (NaN)."""
     if cell == "":
-        return None
+        return math.nan
     try:
         x = float(cell)
         if math.isfinite(x):
@@ -178,10 +185,16 @@ def _parse_quotes(
     path, match_length_min: float = DEFAULT_MATCH_MINUTES
 ) -> tuple[str, list[QuoteSnapshot]]:
     path = Path(path)
-    groups: dict[tuple, list[Quote]] = {}
+    length_s = match_length_min * 60.0
+    # Accepted rows as columns; a snapshot's rows are listed under its key.
+    bet_ix: list[int] = []
+    backs: list[float] = []
+    lays: list[float] = []
+    groups: dict[tuple, list[int]] = {}
     match_ids: set[str] = set()
     # A board repeats the same few tokens on every row: parse each once.
-    bets: dict[tuple[str, str], Bet] = {}
+    tokens: dict[tuple[str, str], int] = {}
+    bets: dict[Bet, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -194,6 +207,9 @@ def _parse_quotes(
                 f"{path}: unexpected header {header!r}; want {QUOTES_HEADER} "
                 f"optionally followed by {SCORE_COLUMNS}"
             )
+        # Rows of one snapshot share their timestamp and score cells, so those
+        # are parsed, checked and looked up only when they change.
+        ts_cell = score_cells = rows = score = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -203,51 +219,69 @@ def _parse_quotes(
                 )
             match_id, ts_s, market, selection, back_s, lay_s = row[:6]
             match_ids.add(match_id)
-            try:
-                ts = float(ts_s)
-                if not math.isfinite(ts):
-                    raise ValueError
-            except ValueError:
-                raise QuotesParseError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
-            bet = bets.get((market, selection))
-            if bet is None:
+            if ts_s != ts_cell:
+                try:
+                    ts = float(ts_s)
+                    if not math.isfinite(ts):
+                        raise ValueError
+                except ValueError:
+                    raise QuotesParseError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
+                if not 0.0 <= ts <= length_s:
+                    raise QuotesParseError(
+                        f"{path}:{lineno}: timestamp {ts_s!r} is outside the match "
+                        f"(0 to {length_s:g} s)"
+                    )
+                ts_cell, rows = ts_s, None
+            ix = tokens.get((market, selection))
+            if ix is None:
                 try:
                     bet = _bet_from_market_selection(market, selection)
                 except ValueError:
                     raise QuotesParseError(
                         f"{path}:{lineno}: unknown selection {market!r}/{selection!r}"
                     ) from None
-                bets[(market, selection)] = bet
+                ix = tokens[(market, selection)] = bets.setdefault(bet, len(bets))
             back = _decimal(back_s, "back", path, lineno)
             lay = _decimal(lay_s, "lay", path, lineno)
-            if (back is not None and back < 1.0) or (lay is not None and lay < 1.0):
+            if back < 1.0 or lay < 1.0:
                 log.warning("%s:%d: decimal odds below 1, row rejected", path, lineno)
                 continue
-            if back is None and lay is None:
+            if back_s == "" and lay_s == "":
                 log.warning("%s:%d: no odds on either side, row rejected", path, lineno)
                 continue
-            if has_scores:
+            if has_scores and row[6:] != score_cells:
                 try:
                     score = (int(row[6]), int(row[7]))
+                    if score[0] < 0 or score[1] < 0:
+                        raise ValueError
                 except ValueError:
                     raise QuotesParseError(f"{path}:{lineno}: bad score cells") from None
-                key = (ts, score)
-            else:
-                key = (ts, None)
-            groups.setdefault(key, []).append(Quote.from_decimals(bet, back, lay))
+                score_cells, rows = row[6:], None
+            if rows is None:
+                rows = groups.setdefault((ts, score), [])
+            rows.append(len(bet_ix))
+            bet_ix.append(ix)
+            backs.append(back)
+            lays.append(lay)
 
     if not groups:
         raise QuotesParseError(f"{path}: no snapshots")
     if len(match_ids) > 1:
         raise QuotesParseError(f"{path}: multiple match ids {sorted(match_ids)}")
 
+    keys = sorted(groups, key=lambda k: k[0])
+    order = np.fromiter(chain.from_iterable(groups[k] for k in keys), np.intp, len(bet_ix))
+    table = QuoteTable(
+        tuple(bets), np.array(bet_ix)[order], np.array(backs)[order], np.array(lays)[order]
+    )
     snapshots = []
-    for (ts, score) in sorted(groups, key=lambda k: (k[0],)):
+    stop = 0
+    for ts, score in keys:
+        start, stop = stop, stop + len(groups[(ts, score)])
         state = None
         if score is not None:
-            clock = clock_of(ts, match_length_min)
-            state = ScoreState(score[0], score[1], clock)
-        snapshots.append(QuoteSnapshot(ts, state, tuple(groups[(ts, score)])))
+            state = ScoreState(score[0], score[1], clock_of(ts, match_length_min))
+        snapshots.append(QuoteSnapshot(ts, state, QuoteRows(table, start, stop)))
     return match_ids.pop(), snapshots
 
 
@@ -304,21 +338,19 @@ def build_timeline(
     and "all goals at this second counted", otherwise a warning names the
     timestamp and the reconstructed score wins for downstream pricing.
     """
+    times = [ev.timestamp_s for ev in events]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("goal events must be ordered by timestamp")
+    # Home goals among the first k events, for k = 0 .. len(events).
+    home = [0, *accumulate(int(ev.team is Team.HOME) for ev in events)]
+    stamps = [snap.timestamp_s for snap in snapshots]
+    before = np.searchsorted(times, stamps, side="left").tolist()
+    through = np.searchsorted(times, stamps, side="right").tolist()
     filled: list[QuoteSnapshot] = []
-    for snap in snapshots:
+    for snap, lo, hi in zip(snapshots, before, through):
         ts = snap.timestamp_s
-        before = [0, 0]
-        same_ts: list[Team] = []
-        for ev in events:
-            if ev.timestamp_s < ts:
-                before[0 if ev.team is Team.HOME else 1] += 1
-            elif ev.timestamp_s == ts:
-                same_ts.append(ev.team)
-        acceptable = [tuple(before)]
-        running = list(before)
-        for team in same_ts:
-            running[0 if team is Team.HOME else 1] += 1
-            acceptable.append(tuple(running))
+        # Acceptable scores: no goal at this second counted, then one more each.
+        acceptable = [(home[k], k - home[k]) for k in range(lo, hi + 1)]
         clock = clock_of(ts, match_length_min)
         if snap.state is None:
             state = ScoreState(acceptable[-1][0], acceptable[-1][1], clock)

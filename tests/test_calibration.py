@@ -77,8 +77,10 @@ class TestObjective:
 
     def test_zero_spread_is_an_error(self):
         q = Quote(MATCH_ODDS_HOME, value_buy=0.5, value_sell=0.5)
-        snap = QuoteSnapshot(0.0, STATE, (q,))
-        with pytest.raises(ValueError, match="zero spread"):
+        snap = QuoteSnapshot(1080.0, STATE, (q,))
+        with pytest.raises(
+            ValueError, match="zero spread on quote for MATCH_ODDS_HOME in the snapshot at 1080s"
+        ):
             objective(LAM_TRUE, snap)
 
 

@@ -176,7 +176,23 @@ class TestCalibrate:
             ]
         )
         assert code == 2
-        assert "zero spread" in capsys.readouterr().err
+        assert "zero spread on quote for MATCH_ODDS_HOME in the snapshot at 0s" in (
+            capsys.readouterr().err
+        )
+
+    def test_quote_outside_the_match_is_data_error(self, fixture_files, tmp_path, capsys):
+        quotes, events = fixture_files
+        lines = quotes.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[1] = "-30"
+        lines[1] = ",".join(cells)
+        quotes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            ["calibrate", "--quotes", str(quotes), "--events", str(events),
+             "--out", str(tmp_path / "out.csv")]
+        )
+        assert code == 2
+        assert f"{quotes}:2: timestamp '-30' is outside the match" in capsys.readouterr().err
 
 
 class TestHedgeReplay:

@@ -1,16 +1,30 @@
 """Tests for CSV parsing, serialisation round-trips and timeline assembly."""
 
+import dataclasses
 import logging
 
+import numpy as np
 import pytest
 
 from inplay.calibration import (
     CalibrationResult,
     IntensitySeries,
+    QuoteSnapshot,
     SeriesPoint,
     usable_quotes,
 )
-from inplay.contracts import Bet, Intensities, MATCH_ODDS_HOME, ScoreState, Team
+from inplay.contracts import (
+    MATCH_ODDS_AWAY,
+    MATCH_ODDS_DRAW,
+    MATCH_ODDS_HOME,
+    NEXT_GOAL_AWAY,
+    NEXT_GOAL_HOME,
+    Bet,
+    Intensities,
+    Quote,
+    ScoreState,
+    Team,
+)
 from inplay.io import (
     load_timeline,
     QuotesParseError,
@@ -148,6 +162,8 @@ class TestParseQuotes:
             ("g1,inf,MATCH_ODDS,HOME,2.5,2.54", r":3: bad timestamp 'inf'"),
             ("g1,nan,MATCH_ODDS,HOME,2.5,2.54", r":3: bad timestamp 'nan'"),
             ("g1,600,MATCH_ODDS,HOME,2.5", r":3: expected 6 cells, got 5"),
+            ("g1,-30,MATCH_ODDS,HOME,2.5,2.54", r":3: timestamp '-30' is outside the match"),
+            ("g1,9000,MATCH_ODDS,HOME,2.5,2.54", r":3: timestamp '9000' is outside the match"),
         ],
     )
     def test_malformed_cell_names_its_line(self, tmp_path, row, message):
@@ -158,6 +174,46 @@ class TestParseQuotes:
         )
         with pytest.raises(QuotesParseError, match=message):
             parse_quotes_csv(f)
+
+    @pytest.mark.parametrize("cells", ["-1,0", "0,-2", "1,x", "1.0,0"])
+    def test_bad_score_cells_name_their_line(self, tmp_path, cells):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal,home_goals,away_goals\n"
+            "g1,600,MATCH_ODDS,HOME,2.5,2.54,0,0\n"
+            f"g1,601,MATCH_ODDS,HOME,2.5,2.54,{cells}\n"
+        )
+        with pytest.raises(QuotesParseError, match=r"q\.csv:3: bad score cells"):
+            parse_quotes_csv(f)
+
+    def test_match_length_bounds_the_timestamps(self, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal\n"
+            "g1,0,MATCH_ODDS,HOME,2.5,2.54\n"
+            "g1,600,MATCH_ODDS,HOME,2.5,2.54\n"
+        )
+        assert [s.timestamp_s for s in parse_quotes_csv(f, match_length_min=10)] == [0.0, 600.0]
+        with pytest.raises(QuotesParseError, match=r":3: timestamp '600' is outside the match"):
+            parse_quotes_csv(f, match_length_min=9.99)
+
+    def test_rows_group_by_timestamp_and_score_in_file_order(self, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal,home_goals,away_goals\n"
+            "g1,660,UNDER,2_5,1.8,1.85,0,0\n"
+            "g1,600,MATCH_ODDS,HOME,2.5,2.54,0,0\n"
+            "g1,660,UNDER,3_5,1.3,1.35,1,0\n"
+            "g1,600.0,MATCH_ODDS,DRAW,3.1,3.2,0,0\n"
+            "g1,660,MATCH_ODDS,HOME,2.1,2.14,0,0\n"
+        )
+        snaps = parse_quotes_csv(f)
+        assert [(s.timestamp_s, s.state.home_goals) for s in snaps] == [
+            (600.0, 0), (660.0, 0), (660.0, 1)
+        ]
+        assert [[str(q.bet) for q in s.quotes] for s in snaps] == [
+            ["MATCH_ODDS_HOME", "MATCH_ODDS_DRAW"], ["UNDER_2_5", "MATCH_ODDS_HOME"], ["UNDER_3_5"]
+        ]
 
     def test_mixed_match_ids_rejected(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -357,3 +413,117 @@ class TestRoundTrips:
         assert (tmp_path / "out" / "summary.json").exists()
         assert summary["goals"] == 2
         assert summary["jump_correlation"] == pytest.approx(1.0, abs=1e-9)
+
+
+def _decimal_as_written(x):
+    return None if x is None else float(fmt_float(x))
+
+
+class TestQuoteColumns:
+    """A loaded timeline's columns against the Quote route on the same rows."""
+
+    BETS = [MATCH_ODDS_HOME, Bet.under(2.5), NEXT_GOAL_HOME, NEXT_GOAL_AWAY]
+
+    @pytest.fixture()
+    def source(self):
+        """A model timeline with a pre/post-goal pair at 600 s, a one-sided
+        quote, a bet quoted twice in one snapshot and a sub-unit row."""
+        tl = make_model_timeline(
+            Intensities(1.3, 0.7), goals=[(600.0, Team.HOME)], step_s=300.0, bets=self.BETS,
+            end_s=1200.0,
+        )
+        snaps = list(tl.snapshots)
+        one_sided = Quote.from_decimals(MATCH_ODDS_DRAW, 3.1, None)
+        twice = Quote.from_decimals(MATCH_ODDS_HOME, 2.0, 2.1)
+        sub_unit = Quote(MATCH_ODDS_AWAY, back_decimal=0.9, lay_decimal=1.2)
+        snaps[1] = QuoteSnapshot(
+            snaps[1].timestamp_s, snaps[1].state, (one_sided, *snaps[1].quotes, twice, sub_unit)
+        )
+        return dataclasses.replace(tl, snapshots=tuple(snaps)), sub_unit
+
+    @staticmethod
+    def _assert_rows_match(view, expected):
+        """Each row of a loaded view equals the Quote route on the written decimals."""
+        assert len(view) == len(expected)
+        table = view.table
+        for i, src in enumerate(expected):
+            want = Quote.from_decimals(
+                src.bet, _decimal_as_written(src.back_decimal), _decimal_as_written(src.lay_decimal)
+            )
+            got = view[i]
+            assert got == want
+            row = view.start + i
+            assert table.bets[table.bet_ix[row]] == want.bet
+            assert bool(table.two_sided[row]) == want.two_sided
+            for col, value in (
+                (table.buy, want.value_buy),
+                (table.sell, want.value_sell),
+                (table.mid, want.value_mid),
+                (table.spread, want.spread),
+            ):
+                assert (np.isnan(col[row]) and value is None) or col[row] == value
+            if src.value_buy is not None and src.value_sell is not None:
+                assert got.value_mid == pytest.approx(src.value_mid, rel=1e-8)
+        assert view == tuple(view[i] for i in range(len(view)))
+
+    def test_round_trip_matches_the_quote_route(self, source, tmp_path, caplog):
+        tl, sub_unit = source
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        write_quotes_csv(tl, quotes)
+        write_events_csv(list(tl.events), events, match_id=tl.match_id)
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            loaded = load_timeline(quotes, events)
+        assert "decimal odds below 1, row rejected" in caplog.text
+        assert [s.timestamp_s for s in loaded.snapshots] == [s.timestamp_s for s in tl.snapshots]
+        assert loaded.snapshots[2].timestamp_s == loaded.snapshots[3].timestamp_s == 600.0
+        for got, src in zip(loaded.snapshots, tl.snapshots):
+            assert got.state == src.state
+            self._assert_rows_match(got.quotes, [q for q in src.quotes if q is not sub_unit])
+        written = len(quotes.read_text().splitlines()) - 1
+        assert sum(len(s.quotes) for s in loaded.snapshots) == written - 1
+
+    def test_file_without_score_columns(self, source, tmp_path):
+        tl, sub_unit = source
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        write_quotes_csv(tl, quotes)
+        lines = quotes.read_text().splitlines()
+        quotes.write_text("".join(",".join(line.split(",")[:6]) + "\n" for line in lines))
+        write_events_csv(list(tl.events), events, match_id=tl.match_id)
+        loaded = load_timeline(quotes, events)
+        # Without scores the pre- and post-goal rows at 600 s form one
+        # snapshot, in the post-goal state.
+        groups: dict[float, list] = {}
+        for snap in tl.snapshots:
+            groups.setdefault(snap.timestamp_s, []).append(snap)
+        assert [s.timestamp_s for s in loaded.snapshots] == list(groups)
+        for got, group in zip(loaded.snapshots, groups.values()):
+            assert got.state == group[-1].state
+            expected = [q for s in group for q in s.quotes if q is not sub_unit]
+            self._assert_rows_match(got.quotes, expected)
+
+    def test_load_and_replay_build_no_quote(self, tmp_path, monkeypatch):
+        from inplay.hedging import replay_hedge
+
+        lam = Intensities(1.3, 0.7)
+        tl = make_model_timeline(
+            lam, goals=[(300.0, Team.AWAY)], step_s=1.0, end_s=600.0,
+            bets=[MATCH_ODDS_HOME, NEXT_GOAL_HOME, NEXT_GOAL_AWAY],
+        )
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        write_quotes_csv(tl, quotes)
+        write_events_csv(list(tl.events), events, match_id=tl.match_id)
+        built = []
+        real_init = Quote.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Quote, "__init__", counting_init)
+        loaded = load_timeline(quotes, events)
+        rep = replay_hedge(loaded, MATCH_ODDS_HOME, (NEXT_GOAL_HOME, NEXT_GOAL_AWAY), lam)
+        assert sum(len(s.quotes) for s in loaded.snapshots) == 3 * len(tl.snapshots)
+        assert built == []
+        assert len(rep.steps) == len(tl.snapshots) and not any(s.flag for s in rep.steps)
+        assert loaded.snapshots[0].quotes[-1].bet == NEXT_GOAL_AWAY
+        assert len(built) == 1
