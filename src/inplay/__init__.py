@@ -18,11 +18,13 @@ The package exposes:
 Monte Carlo, extended-precision enumeration, finite-difference theta and
 the forward-equation residual built on it) used by the test suite; the
 production pricers never call into it.
+
+The package root re-exports only the names of the README quick start and
+the demos; everything else is imported from its module.
 """
 
 from .contracts import (
     Bet,
-    BetKind,
     EVEN_TOTAL,
     Intensities,
     MATCH_ODDS_AWAY,
@@ -30,107 +32,45 @@ from .contracts import (
     MATCH_ODDS_HOME,
     NEXT_GOAL_AWAY,
     NEXT_GOAL_HOME,
-    NonEuropeanBetError,
     ODD_TOTAL,
     Outcome,
-    Quote,
     ScoreState,
     Team,
-    format_bet,
-    parse_bet,
-    payoff,
-    value_from_decimal,
-    value_from_fractional,
 )
-from .pricing import (
-    Greeks,
-    PriceResult,
-    greeks,
-    intensity_sensitivity,
-    price,
-    price_closed_form,
-    price_european,
-    price_ht_ft,
-    price_next_goal,
-    static_replication,
-)
-from .calibration import (
-    CalibrationResult,
-    IdentifiabilityError,
-    IntensitySeries,
-    QuoteSnapshot,
-    SeriesPoint,
-    calibrate_series,
-    calibrate_snapshot,
-    estimate_drift_vol,
-    objective,
-)
+from .pricing import greeks, intensity_sensitivity, price, price_european
+from .calibration import calibrate_snapshot, estimate_drift_vol
 from .hedging import (
-    GoalRecord,
-    HedgeReport,
-    HedgeStep,
-    ReplicationWeights,
     SingularHedgeError,
     jump_scatter_stats,
-    next_goal_delta_matrix,
     replay_hedge,
     solve_replication_weights,
 )
 from .oracle import kolmogorov_residual
-from .timeline import GoalEvent, MatchTimeline
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bet",
-    "BetKind",
-    "CalibrationResult",
     "EVEN_TOTAL",
-    "GoalEvent",
-    "GoalRecord",
-    "Greeks",
-    "HedgeReport",
-    "HedgeStep",
-    "IdentifiabilityError",
     "Intensities",
-    "IntensitySeries",
     "MATCH_ODDS_AWAY",
     "MATCH_ODDS_DRAW",
     "MATCH_ODDS_HOME",
-    "MatchTimeline",
     "NEXT_GOAL_AWAY",
     "NEXT_GOAL_HOME",
-    "NonEuropeanBetError",
     "ODD_TOTAL",
     "Outcome",
-    "PriceResult",
-    "Quote",
-    "QuoteSnapshot",
-    "ReplicationWeights",
     "ScoreState",
-    "SeriesPoint",
     "SingularHedgeError",
     "Team",
-    "calibrate_series",
     "calibrate_snapshot",
     "estimate_drift_vol",
-    "format_bet",
     "greeks",
     "intensity_sensitivity",
     "jump_scatter_stats",
     "kolmogorov_residual",
-    "next_goal_delta_matrix",
-    "objective",
-    "parse_bet",
-    "payoff",
     "price",
-    "price_closed_form",
     "price_european",
-    "price_ht_ft",
-    "price_next_goal",
     "replay_hedge",
     "solve_replication_weights",
-    "static_replication",
-    "value_from_decimal",
-    "value_from_fractional",
 ]

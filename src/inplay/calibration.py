@@ -33,7 +33,6 @@ __all__ = [
     "SeriesPoint",
     "IntensitySeries",
     "IdentifiabilityError",
-    "usable_quotes",
     "objective",
     "calibrate_snapshot",
     "calibrate_series",
@@ -128,17 +127,6 @@ class QuoteRows(Sequence):
     def __iter__(self):
         return map(self.table.quote, range(self.start, self.stop))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, QuoteRows)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 @dataclass(frozen=True)
 class QuoteSnapshot:
@@ -219,7 +207,10 @@ class IntensitySeries:
 
 
 def _usable_rows(snapshot: QuoteSnapshot) -> tuple[QuoteTable, np.ndarray]:
-    """The snapshot's table and the rows of its usable quotes in it."""
+    """The snapshot's table and the rows of its two-sided European quotes
+    inside the mid filter; a zero spread among them is an error.  The board
+    prices European bets only, and the solve leans on their identity
+    dV/dlam_i = (1-tau) delta_i."""
     t, (start,), (stop,) = quote_columns([snapshot])
     mid = t.mid[start:stop]
     keep = (
@@ -236,17 +227,6 @@ def _usable_rows(snapshot: QuoteSnapshot) -> tuple[QuoteTable, np.ndarray]:
             f"zero spread on quote for {bet} in the snapshot at {snapshot.timestamp_s:.15g}s"
         )
     return t, usable
-
-
-def usable_quotes(snapshot: QuoteSnapshot) -> list[Quote]:
-    """Two-sided European quotes inside the mid filter; zero spread is an error.
-
-    Path-dependent bets are left out of the residual: the board prices
-    European bets only, and the solve leans on the European identity
-    dV/dlam_i = (1-tau) delta_i.
-    """
-    table, rows = _usable_rows(snapshot)
-    return [table.quote(i) for i in rows]
 
 
 class _Residuals:
@@ -395,8 +375,8 @@ def calibrate_series(
     """
     if not snapshots:
         raise ValueError("empty timeline")
-    if step_s <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step_s < math.inf:
+        raise ValueError("step must be positive and finite")
     ts = [s.timestamp_s for s in snapshots]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("snapshots must be ordered by timestamp")
@@ -432,11 +412,7 @@ def estimate_drift_vol(
     Uses increments between consecutive valid points; pairs touching a gap
     are skipped.  Needs at least 10 valid points.
     """
-    valid = [
-        p
-        for p in series.points
-        if p.result is not None and p.result.intensities.total > 0.0
-    ]
+    valid = [p for p in series.valid() if p.result.intensities.total > 0.0]
     if len(valid) < 10:
         raise ValueError("need at least 10 valid series points")
     unit = match_length_min * 60.0

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import hedging, io, oracle, pricing
@@ -82,6 +83,15 @@ def _build_parser() -> _Parser:
     r.add_argument("--out", required=True)
     r.add_argument("--match-length", type=float, default=DEFAULT_MATCH_MINUTES)
     return parser
+
+
+def _check_lengths(args) -> None:
+    """Match length positive and finite, half strictly inside it, where given."""
+    match = getattr(args, "match_length", DEFAULT_MATCH_MINUTES)
+    if not 0.0 < match < math.inf:
+        raise UsageError("--match-length must be positive and finite")
+    if not 0.0 < getattr(args, "half_length", match / 2) < match:
+        raise UsageError("--half-length must lie strictly between 0 and --match-length")
 
 
 def _parse_score(text: str) -> tuple[int, int]:
@@ -201,6 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        _check_lengths(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

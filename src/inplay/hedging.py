@@ -9,6 +9,7 @@ settlement payouts, never through injected cash.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from . import pricing
 from .calibration import IntensitySeries, QuoteTable, quote_columns
 from .contracts import Bet, BetKind, Intensities, Team
 from .pricing import Greeks
-from .timeline import GoalEvent, MatchTimeline
+from .timeline import GoalEvent, MatchTimeline, clock_of
 
 __all__ = [
     "SingularHedgeError",
@@ -123,28 +124,6 @@ def solve_replication_weights(
     return ReplicationWeights(psi1, psi2, cash)
 
 
-class _LambdaSource:
-    def __init__(self, source: Intensities | IntensitySeries):
-        if isinstance(source, Intensities):
-            self._fixed = source
-            self._times: list[float] = []
-            self._values: list[Intensities] = []
-        else:
-            self._fixed = None
-            valid = [p for p in source.points if p.result is not None]
-            if not valid:
-                raise ValueError("intensity series has no valid points")
-            self._times = [p.timestamp_s for p in valid]
-            self._values = [p.result.intensities for p in valid]
-
-    def at(self, timestamp_s: float) -> Intensities | None:
-        """The latest intensities stamped at or before the timestamp, if any."""
-        if self._fixed is not None:
-            return self._fixed
-        idx = bisect_right(self._times, timestamp_s) - 1
-        return self._values[idx] if idx >= 0 else None
-
-
 def _next_goal_payout(bet: Bet, scorer: Team) -> float | None:
     """What a Next Goal bet pays when ``scorer`` scores; None for other bets."""
     if bet.kind is BetKind.NEXT_GOAL_HOME:
@@ -193,7 +172,14 @@ def replay_hedge(
     with the realized payout as the final target value (post-goal quotes
     refer to a fresh contract, not the one being replicated).
     """
-    lam_at = _LambdaSource(lam_source)
+    if isinstance(lam_source, Intensities):
+        lam_times, lam_values = [-math.inf], [lam_source]
+    else:
+        valid = lam_source.valid()
+        if not valid:
+            raise ValueError("intensity series has no valid points")
+        lam_times = [p.timestamp_s for p in valid]
+        lam_values = [p.result.intensities for p in valid]
     bets = (target, *instruments)
     table, starts, stops = quote_columns(timeline.snapshots)
     mids = np.column_stack([_first_mids(table, starts, stops, b) for b in bets])
@@ -223,10 +209,6 @@ def replay_hedge(
     def add_step(t, clock, x, value, z, flag) -> None:
         steps.append(HedgeStep(t, clock, x, value, psi[0], psi[1], cash, z[0], z[1], flag))
 
-    def greeks_of(bet: Bet, state, lam) -> Greeks:
-        ht = ht_score if bet.kind is BetKind.HT_FT and state.clock >= half_clock else None
-        return pricing.greeks(bet, state, lam, half_clock, ht)
-
     k = -1  # index of the current snapshot
     for kind, record in timeline.records():
         if kind == "goal":
@@ -247,7 +229,8 @@ def replay_hedge(
                 v_post = mark(last_z)
                 close_goal(x_post, v_post)
                 t = ev.timestamp_s
-                add_step(t, timeline.clock_of(t), x_post, v_post, last_z, "target settled")
+                clock = clock_of(t, timeline.match_length_min)
+                add_step(t, clock, x_post, v_post, last_z, "target settled")
                 break
             continue
 
@@ -266,12 +249,14 @@ def replay_hedge(
         value = mark(z)
         close_goal(x, value)
 
-        lam = lam_at.at(snap.timestamp_s)
+        # The latest intensities stamped at or before the snapshot, if any.
+        at = bisect_right(lam_times, snap.timestamp_s) - 1
         flag = ""
-        if lam is None:
+        if at < 0:
             flag = "no intensity"
         else:
-            tg, g1, g2 = (greeks_of(b, snap.state, lam) for b in bets)
+            lam = lam_values[at]
+            tg, g1, g2 = (pricing.greeks(b, snap.state, lam, half_clock, ht_score) for b in bets)
             deltas = np.array([[g1.delta_home, g2.delta_home], [g1.delta_away, g2.delta_away]])
             try:
                 w = solve_replication_weights(tg, deltas, value, z)

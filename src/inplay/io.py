@@ -37,7 +37,6 @@ from .calibration import (
 )
 from .contracts import (
     Bet,
-    BetKind,
     Intensities,
     ScoreState,
     Team,
@@ -131,22 +130,16 @@ def _bet_from_market_selection(market: str, selection: str) -> Bet:
         return parse_bet(selection)
 
 
+# Market column of each bet token's prefix; parity bets go under TOTAL_PARITY.
+_MARKETS = ("MATCH_ODDS", "CORRECT_SCORE", "OVER", "UNDER", "WINNING_MARGIN", "NEXT_GOAL", "HT_FT")
+
+
 def _market_selection(bet: Bet) -> tuple[str, str]:
     token = format_bet(bet)
-    k = bet.kind
-    if k in (BetKind.MATCH_ODDS_HOME, BetKind.MATCH_ODDS_AWAY, BetKind.MATCH_ODDS_DRAW):
-        return "MATCH_ODDS", token[len("MATCH_ODDS_"):]
-    if k is BetKind.CORRECT_SCORE:
-        return "CORRECT_SCORE", token[len("CORRECT_SCORE_"):]
-    if k in (BetKind.OVER, BetKind.UNDER):
-        return k.value, token[len(k.value) + 1 :]
-    if k in (BetKind.ODD, BetKind.EVEN):
-        return "TOTAL_PARITY", token
-    if k is BetKind.WINNING_MARGIN:
-        return "WINNING_MARGIN", token[len("WINNING_MARGIN_"):]
-    if k in (BetKind.NEXT_GOAL_HOME, BetKind.NEXT_GOAL_AWAY):
-        return "NEXT_GOAL", token[len("NEXT_GOAL_"):]
-    return "HT_FT", token[len("HT_FT_"):]
+    for market in _MARKETS:
+        if token.startswith(market + "_"):
+            return market, token[len(market) + 1 :]
+    return "TOTAL_PARITY", token
 
 
 class QuotesParseError(ValueError):

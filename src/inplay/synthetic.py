@@ -137,7 +137,7 @@ def make_model_timeline(
                 bets=bets,
                 spread=spread,
                 half_clock=half_clock,
-                ht_score=ht if clock >= half_clock else None,
+                ht_score=ht,
             )
 
         snapshots.append(snap_at(score[0], score[1]))

@@ -59,9 +59,6 @@ class MatchTimeline:
     def half_clock(self) -> float:
         return self.half_length_min / self.match_length_min
 
-    def clock_of(self, timestamp_s: float) -> float:
-        return clock_of(timestamp_s, self.match_length_min)
-
     def ht_score(self) -> tuple[int, int]:
         """Score at the end of the first half."""
         half_s = self.half_length_min * 60.0

@@ -15,8 +15,8 @@ from inplay.calibration import (
     calibrate_series,
     calibrate_snapshot,
     estimate_drift_vol,
+    _usable_rows,
     objective,
-    usable_quotes,
 )
 from inplay.contracts import (
     Bet,
@@ -71,7 +71,7 @@ class TestObjective:
     def test_settled_quotes_are_filtered(self):
         locked = Quote.from_values(Bet.under(0.5), 0.9999, 0.02)
         snap = QuoteSnapshot(0.0, STATE, (locked,))
-        assert usable_quotes(snap) == []
+        assert len(_usable_rows(snap)[1]) == 0
         with pytest.raises(ValueError, match="no usable quotes"):
             objective(LAM_TRUE, snap)
 
@@ -208,6 +208,12 @@ class TestCalibrateSeries:
     def test_empty_timeline_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             calibrate_series([], step_s=60.0)
+
+    @pytest.mark.parametrize("step_s", [0.0, -60.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step_s):
+        snaps = [model_snapshot(ts=0.0, state=STATE.at_clock(0.0))]
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            calibrate_series(snaps, step_s=step_s)
 
 
 def series_from_totals(totals, step_s=60.0):

@@ -335,6 +335,60 @@ class TestReport:
         assert not (tmp_path / "r.json").exists()
 
 
+@pytest.fixture(scope="module")
+def argvs(tmp_path_factory):
+    """A valid command line for each subcommand that takes a match length."""
+    from inplay.calibration import CalibrationResult, IntensitySeries, SeriesPoint
+
+    d = tmp_path_factory.mktemp("argvs")
+    tl = make_model_timeline(LAM, goals=[(1200.0, Team.AWAY)], step_s=600.0)
+    quotes, events, series = d / "quotes.csv", d / "events.csv", d / "series.csv"
+    write_quotes_csv(tl, quotes)
+    write_events_csv(list(tl.events), events, match_id=tl.match_id)
+    fit = CalibrationResult(LAM, 0.0, 0.0, 0.0, 1, True)
+    points = tuple(SeriesPoint(60.0 * i, fit) for i in range(12))
+    write_intensity_series_csv(IntensitySeries(points), series)
+    files = ["--quotes", str(quotes), "--events", str(events)]
+    lam = ["--lambda-home", "1.3", "--lambda-away", "0.7"]
+    return {
+        "price": ["price", "--bet", "MATCH_ODDS_HOME", "--score", "0:0", "--minute", "0", *lam],
+        "calibrate": ["calibrate", *files, "--out", str(d / "series_out.csv")],
+        "hedge-replay": [
+            "hedge-replay", *files, "--target", "MATCH_ODDS_HOME", *lam,
+            "--out-dir", str(d / "hedge"),
+        ],
+        "report": ["report", "--series", str(series), "--out", str(d / "report.json")],
+    }
+
+
+class TestLengths:
+    COMMANDS = ["price", "calibrate", "hedge-replay", "report"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_lengths_run(self, argvs, capsys, command):
+        assert main(argvs[command]) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("length", ["0", "-90", "nan", "inf"])
+    def test_match_length_must_be_positive_and_finite(self, argvs, capsys, command, length):
+        assert main(argvs[command] + ["--match-length", length]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --match-length must be positive and finite")
+
+    @pytest.mark.parametrize("command", COMMANDS[:3])
+    @pytest.mark.parametrize("length", ["0", "-10", "90", "120", "nan"])
+    def test_half_length_must_lie_inside_the_match(self, argvs, capsys, command, length):
+        assert main(argvs[command] + ["--half-length", length]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --half-length must lie strictly between")
+
+    @pytest.mark.parametrize("step", ["0", "inf", "nan"])
+    def test_calibration_step_must_be_positive_and_finite(self, argvs, capsys, step):
+        assert main(argvs["calibrate"] + ["--step-s", step]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: step must be positive and finite")
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [

@@ -215,6 +215,20 @@ class TestReplay:
             assert abs((g.target_post - g.target_pre) - (g.portfolio_post - g.portfolio_pre)) < 1e-6
 
 
+    def test_fixed_intensities_equal_a_one_point_series_at_kickoff(self):
+        lam = Intensities(1.3, 0.7)
+        tl = make_model_timeline(
+            lam,
+            goals=[(1200.0, Team.AWAY), (3000.0, Team.HOME)],
+            step_s=300.0,
+            bets=[MATCH_ODDS_HOME, *HEDGES],
+        )
+        fit = CalibrationResult(lam, 0.0, 0.0, 0.0, 1, True)
+        series = IntensitySeries((SeriesPoint(0.0, fit),))
+        fixed = replay_hedge(tl, MATCH_ODDS_HOME, HEDGES, lam)
+        assert fixed.steps == replay_hedge(tl, MATCH_ODDS_HOME, HEDGES, series).steps
+
+
 def _with(tl, snapshots):
     return dataclasses.replace(tl, snapshots=tuple(snapshots))
 

@@ -11,7 +11,7 @@ from inplay.calibration import (
     IntensitySeries,
     QuoteSnapshot,
     SeriesPoint,
-    usable_quotes,
+    _usable_rows,
 )
 from inplay.contracts import (
     MATCH_ODDS_AWAY,
@@ -80,8 +80,8 @@ class TestParseQuotes:
         draw = [q for q in snap.quotes if q.bet.kind.value == "MATCH_ODDS_DRAW"]
         assert len(draw) == 1 and not draw[0].two_sided
         filled = build_timeline([snap], [])
-        usable = usable_quotes(filled.snapshots[0])
-        assert all(q.bet != draw[0].bet for q in usable)
+        table, rows = _usable_rows(filled.snapshots[0])
+        assert all(table.bets[table.bet_ix[i]] != draw[0].bet for i in rows)
 
     def test_empty_file_is_an_error(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -464,7 +464,7 @@ class TestQuoteColumns:
                 assert (np.isnan(col[row]) and value is None) or col[row] == value
             if src.value_buy is not None and src.value_sell is not None:
                 assert got.value_mid == pytest.approx(src.value_mid, rel=1e-8)
-        assert view == tuple(view[i] for i in range(len(view)))
+        assert tuple(view) == tuple(view[i] for i in range(len(view)))
 
     def test_round_trip_matches_the_quote_route(self, source, tmp_path, caplog):
         tl, sub_unit = source

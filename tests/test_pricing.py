@@ -269,6 +269,19 @@ class TestHalfTimeFullTime:
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "bet", [Bet.ht_ft(ht, ft) for ht in Outcome for ft in Outcome] + [Bet.under(2.5)]
+    )
+    @pytest.mark.parametrize("clock", [0.0, 0.3, 0.5 - 1e-5])
+    def test_half_time_score_is_ignored_before_half_time(self, bet, clock):
+        # The hedge replay passes the match's half-time score to every bet at
+        # every clock; before half time it must change nothing.
+        state = ScoreState(1, 0, clock)
+        for route in (price, greeks):
+            assert route(bet, state, self.LAM, 0.5, None) == route(
+                bet, state, self.LAM, 0.5, (3, 1)
+            )
+
 
 # Grid deltas against the bumped-score prices: every calibration bet, the
 # parity and extreme margin/total bets, and HT/FT before half time (no
