@@ -196,12 +196,6 @@ class IntensitySeries:
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("series timestamps must be strictly increasing")
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
     def valid(self) -> list[SeriesPoint]:
         return [p for p in self.points if p.result is not None]
 

@@ -1,4 +1,9 @@
-"""Bet contract catalogue, payoff functions and odds conversions.
+"""Bet contract catalogue, payoff table and odds conversions.
+
+``_PAYOFFS`` is the one per-kind table of European payoffs.  The double-sum
+pricer, board masks, HT/FT legs and Monte Carlo all read it through
+:func:`payoff_grid`; ``pricing.price_closed_form`` never does, and so
+cross-checks it.
 
 All types are immutable value objects, freely shareable across threads.
 Canonical text tokens (``MATCH_ODDS_HOME``, ``UNDER_2_5``,
@@ -137,6 +142,38 @@ NEXT_GOAL_HOME = Bet(BetKind.NEXT_GOAL_HOME)
 NEXT_GOAL_AWAY = Bet(BetKind.NEXT_GOAL_AWAY)
 
 
+# The HT/FT legs: the match odds bet each half-time or full-time outcome is.
+MATCH_ODDS_FOR = {
+    Outcome.HOME: MATCH_ODDS_HOME,
+    Outcome.DRAW: MATCH_ODDS_DRAW,
+    Outcome.AWAY: MATCH_ODDS_AWAY,
+}
+
+# The one table of European payoffs: each kind's rule on final scores h, a.
+_PAYOFFS = {
+    BetKind.MATCH_ODDS_HOME: lambda bet, h, a: h > a,
+    BetKind.MATCH_ODDS_AWAY: lambda bet, h, a: h < a,
+    BetKind.MATCH_ODDS_DRAW: lambda bet, h, a: h == a,
+    BetKind.CORRECT_SCORE: lambda bet, h, a: (h == bet.score[0]) & (a == bet.score[1]),
+    BetKind.OVER: lambda bet, h, a: h + a > bet.line,
+    BetKind.UNDER: lambda bet, h, a: h + a <= bet.line,
+    BetKind.ODD: lambda bet, h, a: (h + a) % 2 == 1,
+    BetKind.EVEN: lambda bet, h, a: (h + a) % 2 == 0,
+    BetKind.WINNING_MARGIN: lambda bet, h, a: h - a == bet.margin,
+}
+
+
+def payoff_grid(bet: Bet, home, away):
+    """Whether a European bet pays 1, elementwise on final scores given as
+    ints or broadcastable integer arrays.  Unlike :func:`payoff` it does not
+    check the scores.  Path-dependent bets raise :class:`NonEuropeanBetError`.
+    """
+    rule = _PAYOFFS.get(bet.kind)
+    if rule is None:
+        raise NonEuropeanBetError(f"{format_bet(bet)} is not a European payoff")
+    return rule(bet, home, away)
+
+
 def payoff(bet: Bet, final_home: int, final_away: int) -> int:
     """Terminal payoff of a European bet given the final score.
 
@@ -145,27 +182,7 @@ def payoff(bet: Bet, final_home: int, final_away: int) -> int:
     """
     if final_home < 0 or final_away < 0:
         raise ValueError("final scores must be nonnegative")
-    k = bet.kind
-    if k is BetKind.MATCH_ODDS_HOME:
-        return int(final_home > final_away)
-    if k is BetKind.MATCH_ODDS_AWAY:
-        return int(final_home < final_away)
-    if k is BetKind.MATCH_ODDS_DRAW:
-        return int(final_home == final_away)
-    if k is BetKind.CORRECT_SCORE:
-        return int((final_home, final_away) == bet.score)
-    total = final_home + final_away
-    if k is BetKind.OVER:
-        return int(total > bet.line)
-    if k is BetKind.UNDER:
-        return int(total <= bet.line)
-    if k is BetKind.ODD:
-        return total % 2
-    if k is BetKind.EVEN:
-        return 1 - total % 2
-    if k is BetKind.WINNING_MARGIN:
-        return int(final_home - final_away == bet.margin)
-    raise NonEuropeanBetError(f"{format_bet(bet)} is not a European payoff")
+    return int(payoff_grid(bet, final_home, final_away))
 
 
 def format_bet(bet: Bet) -> str:

@@ -278,8 +278,13 @@ def _parse_quotes(
     return match_ids.pop(), snapshots
 
 
-def parse_events_csv(path) -> list[GoalEvent]:
+def parse_events_csv(
+    path, match_length_min: float = DEFAULT_MATCH_MINUTES
+) -> list[GoalEvent]:
+    """Parse an events CSV; a malformed row, a goal outside the match or a
+    decreasing timestamp raises ValueError naming its line."""
     path = Path(path)
+    length_s = match_length_min * 60.0
     events: list[GoalEvent] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -304,6 +309,11 @@ def parse_events_csv(path) -> list[GoalEvent]:
                     raise ValueError
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
+            if not 0.0 <= ts <= length_s:
+                raise ValueError(
+                    f"{path}:{lineno}: goal at {ts_s!r} is outside the match "
+                    f"(0 to {length_s:g} s)"
+                )
             if ts < last:
                 raise ValueError(f"{path}:{lineno}: timestamps must not decrease")
             last = ts
@@ -377,7 +387,7 @@ def load_timeline(
     half_length_min: float = DEFAULT_HALF_MINUTES,
 ) -> MatchTimeline:
     match_id, snapshots = _parse_quotes(quotes_path, match_length_min)
-    events = parse_events_csv(events_path)
+    events = parse_events_csv(events_path, match_length_min)
     return build_timeline(
         snapshots,
         events,
@@ -459,8 +469,12 @@ def parse_intensity_series_csv(path) -> IntensitySeries:
                 )
             try:
                 ts = float(row[0])
+                if not math.isfinite(ts):
+                    raise ValueError(f"bad timestamp {row[0]!r}")
                 result = None
                 if row[1] != "":
+                    if row[6] not in ("true", "false"):
+                        raise ValueError(f"converged must be true or false, got {row[6]!r}")
                     result = CalibrationResult(
                         intensities=Intensities(float(row[1]), float(row[2])),
                         residual=float(row[3]),

@@ -5,6 +5,11 @@ Nothing in here is used by the production pricing paths; the point is to
 cross-check them.  Randomness is PCG64, seeded per batch of 65536 paths by
 ``SeedSequence([seed, batch_index])`` so results are reproducible and
 independent of how batches might be farmed out to workers.
+
+The Monte Carlo payoffs, HT/FT legs included, read the one payoff table,
+``contracts.payoff_grid``, on the simulated scores; what they check is the
+pricers' probability weights, not the table.  The enumeration takes its
+payoffs from the caller.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .contracts import (
+    MATCH_ODDS_FOR,
     Bet,
     BetKind,
     Intensities,
@@ -23,6 +29,7 @@ from .contracts import (
     ScoreState,
     Team,
     payoff,
+    payoff_grid,
 )
 from .distributions import cap_for_tail
 from .pricing import DEFAULT_HALF_CLOCK, greeks, price
@@ -106,13 +113,6 @@ def simulate_paths(
     return paths
 
 
-def _outcome_sign(hs: np.ndarray, aw: np.ndarray) -> np.ndarray:
-    return np.sign(hs - aw)
-
-
-_SIGN_FOR = {"HOME": 1, "DRAW": 0, "AWAY": -1}
-
-
 def _payoff_batch(
     bet: Bet,
     state: ScoreState,
@@ -132,26 +132,19 @@ def _payoff_batch(
         return (first_away < first_home).astype(float)
 
     if bet.kind is BetKind.HT_FT:
+        ht_leg = MATCH_ODDS_FOR[bet.half_time]
         if state.clock < half_clock:
             ht_h = state.home_goals + (t_home <= half_clock).sum(axis=1)
             ht_a = state.away_goals + (t_away <= half_clock).sum(axis=1)
-            ht_sign = _outcome_sign(ht_h, ht_a)
+            ht_won = payoff_grid(ht_leg, ht_h, ht_a)
         else:
             if ht_score is None:
                 raise ValueError("half-time score required once clock >= half_clock")
-            ht_sign = np.full(len(n_home), np.sign(ht_score[0] - ht_score[1]))
-        ft_sign = _outcome_sign(n_home, n_away)
-        ok = (ht_sign == _SIGN_FOR[bet.half_time.value]) & (
-            ft_sign == _SIGN_FOR[bet.full_time.value]
-        )
-        return ok.astype(float)
+            ht_won = payoff(ht_leg, *ht_score)
+        ft_won = payoff_grid(MATCH_ODDS_FOR[bet.full_time], n_home, n_away)
+        return (ht_won & ft_won).astype(float)
 
-    # European payoffs: evaluate the scalar payoff once per distinct final
-    # score rather than re-deriving grid logic from the pricers.
-    finals = n_home * 10_000 + n_away
-    uniq, inverse = np.unique(finals, return_inverse=True)
-    values = np.array([payoff(bet, int(f // 10_000), int(f % 10_000)) for f in uniq], float)
-    return values[inverse]
+    return payoff_grid(bet, n_home, n_away).astype(float)
 
 
 def mc_price(

@@ -3,19 +3,20 @@
 Two independent pricing routes are deliberately kept for every European bet:
 
 * :func:`price_european` evaluates the defining double Poisson sum over a
-  truncated grid of final scores;
+  truncated grid of final scores, weighted by ``contracts.payoff_grid``;
 * :func:`price_closed_form` evaluates per-bet reductions (Skellam sums for
   match odds and winning margins, one-dimensional Poisson tails for totals,
-  hyperbolic forms for parity, plain products for correct scores).
+  hyperbolic forms for parity, plain products for correct scores), never
+  the payoff table, which it therefore cross-checks.
 
 They must agree to 1e-10; the test suite enforces this on a dense grid.
-:class:`EuropeanBoard` runs the double-sum route for many bets at one score
-state at once, returning every value together with its exact intensity
-sensitivities; calibration solves against it.  :func:`greeks` never
-re-prices: a goal shifts a remaining-goals pmf by one step, so each
-goal-jump delta is a shifted-pmf contraction of the bet's value grid, and
-the forward equation makes theta the intensity-weighted sum of the deltas
-(the finite-difference theta that checks this lives in ``inplay.oracle``).
+``_contract`` evaluates p1 @ weights @ p2 with both goal-jump deltas: a goal
+shifts the scoring team's pmf by one step, so each delta swaps in that
+pmf's derivative.  :func:`greeks` calls it on one value grid and never
+re-prices; :class:`EuropeanBoard` calls it on a stack of payoff masks, so
+its intensity Jacobian is (1 - tau) times the same deltas, and calibration
+solves against it.  The forward equation makes theta the intensity-weighted
+sum of the deltas (``inplay.oracle`` holds the finite-difference check).
 All functions are pure and thread-safe; a board caches its payoff masks
 and belongs to one caller.
 """
@@ -30,6 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .contracts import (
+    MATCH_ODDS_FOR,
     Bet,
     BetKind,
     Intensities,
@@ -39,6 +41,7 @@ from .contracts import (
     Team,
     format_bet,
     payoff,
+    payoff_grid,
 )
 from .distributions import (
     _clamp01,
@@ -95,32 +98,6 @@ def _horizons(state: ScoreState, lam: Intensities) -> tuple[float, float]:
     return lam.home * h, lam.away * h
 
 
-def _payoff_grid(bet: Bet, h: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Indicator payoff on absolute final scores: home h (column) x away a (row)."""
-    k = bet.kind
-    if k is BetKind.MATCH_ODDS_HOME:
-        grid = h > a
-    elif k is BetKind.MATCH_ODDS_AWAY:
-        grid = h < a
-    elif k is BetKind.MATCH_ODDS_DRAW:
-        grid = h == a
-    elif k is BetKind.CORRECT_SCORE:
-        grid = (h == bet.score[0]) & (a == bet.score[1])
-    elif k is BetKind.OVER:
-        grid = (h + a) > bet.line
-    elif k is BetKind.UNDER:
-        grid = (h + a) <= bet.line
-    elif k is BetKind.ODD:
-        grid = (h + a) % 2 == 1
-    elif k is BetKind.EVEN:
-        grid = (h + a) % 2 == 0
-    elif k is BetKind.WINNING_MARGIN:
-        grid = (h - a) == bet.margin
-    else:
-        raise NonEuropeanBetError(f"{format_bet(bet)} has no terminal payoff grid")
-    return grid.astype(float)
-
-
 def _remaining_goal_pmfs(m1: float, m2: float) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Poisson pmfs with means m1 and m2, each cut at the smallest cap
     (floor 25) whose omitted tail is below TRUNCATION_TOL, plus the
@@ -152,15 +129,15 @@ def _value_grid(
         p1, p2, tails = _remaining_goal_pmfs(*_horizons(state, lam))
         h = state.home_goals + np.arange(len(p1))[:, None]
         a = state.away_goals + np.arange(len(p2))[None, :]
-        return p1, _payoff_grid(bet, h, a), p2, tails
+        return p1, payoff_grid(bet, h, a).astype(float), p2, tails
 
     if not (0.0 < half_clock < 1.0):
         raise ValueError("half_clock must lie strictly inside (0, 1)")
     if state.clock >= half_clock:
         if ht_score is None:
             raise ValueError("half-time score required once clock >= half_clock")
-        grid = _value_grid(_MATCH_ODDS_FOR[bet.full_time], state, lam)
-        if payoff(_MATCH_ODDS_FOR[bet.half_time], *ht_score):
+        grid = _value_grid(MATCH_ODDS_FOR[bet.full_time], state, lam)
+        if payoff(MATCH_ODDS_FOR[bet.half_time], *ht_score):
             return grid
         # Half-time leg lost: worth exactly 0, with nothing omitted.
         return grid[0], np.zeros_like(grid[1]), grid[2], ()
@@ -189,8 +166,8 @@ def _value_grid(
         ft_by_d = 1.0 - suffix[idx] - poisson_tail(j, b1 + b2)  # P[D < -d]
         np.clip(ft_by_d, 0.0, 1.0, out=ft_by_d)
     ft_grid = ft_by_d[(hh - aa) - d_min]
-    ht_grid = _payoff_grid(_MATCH_ODDS_FOR[bet.half_time], hh, aa)
-    return p1, ht_grid * ft_grid, p2, tails + ((j, b1 + b2),)
+    ht_won = payoff_grid(MATCH_ODDS_FOR[bet.half_time], hh, aa)
+    return p1, ht_won * ft_grid, p2, tails + ((j, b1 + b2),)
 
 
 def _priced(grid: tuple) -> PriceResult:
@@ -227,13 +204,12 @@ class BoardValues:
 class EuropeanBoard:
     """Several European bets priced together on one score-matrix grid.
 
-    Every value is the double sum of :func:`price_european`, contracted
-    against one payoff mask per bet.  The Jacobian is exact: d/dm of the
-    Poisson pmf p(k; m) is p(k-1; m) - p(k; m), so dV/dlam_i is (1 - tau)
-    times the same contraction with the one-step-shifted pmf minus the pmf,
-    which is (1 - tau) * delta_i as the forward equation requires.  Masks
-    depend on the state and on the grid caps only, so they are rebuilt only
-    when a cap changes.
+    Every value is the double sum of :func:`price_european`: one payoff mask
+    per bet from ``contracts.payoff_grid``, all contracted at once by the
+    ``_contract`` that :func:`greeks` uses.  The Jacobian is exact: the pmf
+    p(k; m) has d/dm = p(k-1; m) - p(k; m), so dV/dlam_i is (1 - tau) *
+    delta_i, as the forward equation requires.  Masks depend on the state
+    and on the grid caps only, so they are rebuilt only when a cap changes.
     """
 
     def __init__(self, bets: list[Bet] | tuple[Bet, ...], state: ScoreState):
@@ -251,23 +227,17 @@ class EuropeanBoard:
         if self._caps != (c1, c2):
             h = self.state.home_goals + np.arange(c1 + 1)[:, None]
             a = self.state.away_goals + np.arange(c2 + 1)[None, :]
-            masks = [_payoff_grid(b, h, a) for b in self.bets]
-            self._masks = np.array(masks).reshape(len(self.bets), c1 + 1, c2 + 1)
+            masks = [payoff_grid(b, h, a) for b in self.bets]
+            self._masks = np.array(masks, dtype=float).reshape(len(self.bets), c1 + 1, c2 + 1)
             self._caps = (c1, c2)
         return self._masks
 
     def evaluate(self, lam: Intensities) -> BoardValues:
         p1, p2, tails = _remaining_goal_pmfs(*_horizons(self.state, lam))
         masks = self._masks_for(len(p1) - 1, len(p2) - 1)
-        by_home = masks @ p2  # (bets, home goals): away goals summed out
-        by_away = p1 @ masks  # (bets, away goals): home goals summed out
-        values = np.clip(by_home @ p1, 0.0, 1.0)
-        horizon = 1.0 - self.state.clock
-        jacobian = np.empty((len(self.bets), 2))
-        jacobian[:, 0] = by_home @ _pmf_derivative(p1)
-        jacobian[:, 1] = by_away @ _pmf_derivative(p2)
-        jacobian *= horizon
-        return BoardValues(values, jacobian, _omitted_mass(tails))
+        values, d1, d2 = _contract(p1, masks, p2)
+        jacobian = (1.0 - self.state.clock) * np.column_stack((d1, d2))
+        return BoardValues(np.clip(values, 0.0, 1.0), jacobian, _omitted_mass(tails))
 
 
 def _pmf_derivative(p: np.ndarray) -> np.ndarray:
@@ -275,6 +245,18 @@ def _pmf_derivative(p: np.ndarray) -> np.ndarray:
     out = -p
     out[1:] += p[:-1]
     return out
+
+
+def _contract(p1: np.ndarray, weights: np.ndarray, p2: np.ndarray) -> tuple:
+    """(value, delta_home, delta_away) of p1 @ weights @ p2.
+
+    A goal shifts the scoring team's remaining-goals pmf by one step, so each
+    delta is the same contraction with that pmf's derivative in its place.
+    ``weights`` is one grid, or a stack of them for a board of bets.
+    """
+    by_home = weights @ p2  # home goals to come, away goals summed out
+    by_away = p1 @ weights  # away goals to come, home goals summed out
+    return by_home @ p1, by_home @ _pmf_derivative(p1), by_away @ _pmf_derivative(p2)
 
 
 @lru_cache(maxsize=4096)
@@ -367,13 +349,6 @@ def price_next_goal(team: Team, state: ScoreState, lam: Intensities) -> PriceRes
     return PriceResult(_clamp01(value), 0.0)
 
 
-_MATCH_ODDS_FOR = {
-    Outcome.HOME: Bet(BetKind.MATCH_ODDS_HOME),
-    Outcome.DRAW: Bet(BetKind.MATCH_ODDS_DRAW),
-    Outcome.AWAY: Bet(BetKind.MATCH_ODDS_AWAY),
-}
-
-
 def price_ht_ft(
     ht: Outcome,
     ft: Outcome,
@@ -436,8 +411,7 @@ def greeks(
         d1, d2 = (1.0 - base, -base) if home else (-base, 1.0 - base)
     else:
         p1, weights, p2, _ = _value_grid(bet, state, lam, half_clock, ht_score)
-        d1 = float(_pmf_derivative(p1) @ weights @ p2)
-        d2 = float(p1 @ weights @ _pmf_derivative(p2))
+        _, d1, d2 = map(float, _contract(p1, weights, p2))
 
     # 0.0 - x keeps a frozen game's theta at +0.0 rather than -0.0.
     return Greeks(d1, d2, 0.0 - (lam.home * d1 + lam.away * d2))

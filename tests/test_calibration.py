@@ -172,8 +172,8 @@ class TestCalibrateSeries:
     def test_flat_market_gives_flat_series(self):
         snaps = [model_snapshot(ts=60.0 * i, state=STATE.at_clock(0.01 * i)) for i in range(5)]
         series = calibrate_series(snaps, step_s=60.0)
-        assert len(series) == 5
-        for point in series:
+        assert len(series.points) == 5
+        for point in series.points:
             assert point.result is not None
             assert point.result.intensities.home == pytest.approx(LAM_TRUE.home, abs=1e-6)
 
@@ -194,7 +194,7 @@ class TestCalibrateSeries:
             model_snapshot(ts=180.0, state=STATE.at_clock(0.033)),
         ]
         series = calibrate_series(snaps, step_s=60.0)
-        assert [p.timestamp_s for p in series] == [0.0, 60.0, 120.0, 180.0]
+        assert [p.timestamp_s for p in series.points] == [0.0, 60.0, 120.0, 180.0]
         assert series.points[2].result is None
         assert len(series.valid()) == 3
 

@@ -1,6 +1,7 @@
 """Exit-code contract and output checks for the command line interface."""
 
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -194,6 +195,22 @@ class TestCalibrate:
         assert code == 2
         assert f"{quotes}:2: timestamp '-30' is outside the match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stamp", ["6000", "-5"])
+    def test_goal_outside_the_match_is_data_error(
+        self, fixture_files, tmp_path, capsys, caplog, stamp
+    ):
+        quotes, events = fixture_files
+        lines = events.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace(",1200,", f",{stamp},")
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            ["calibrate", "--quotes", str(quotes), "--events", str(events),
+             "--out", str(tmp_path / "out.csv")]
+        )
+        assert code == 2
+        assert f"{events}:2: goal at '{stamp}' is outside the match" in capsys.readouterr().err
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
 
 class TestHedgeReplay:
     def test_model_consistent_replay_summary(self, fixture_files, tmp_path, capsys):
@@ -322,6 +339,8 @@ class TestReport:
             ("", "empty file"),
             (SERIES + "60,1.3\n", ":3: expected 7 cells"),
             (SERIES + "60,1.3,0.x,0.25,0.01,0.02,true\n", ":3: .*'0.x'"),
+            (SERIES + "nan,1.3,0.7,0.25,0.01,0.02,true\n", ":3: bad timestamp 'nan'"),
+            (SERIES + "60,1.3,0.7,0.25,0.01,0.02,yes\n", ":3: converged must be .*'yes'"),
         ],
     )
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):

@@ -1,10 +1,12 @@
 """Tests for the bet catalogue, payoffs and odds conversions."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from inplay.contracts import (
+    _EUROPEAN_KINDS,
     Bet,
     EVEN_TOTAL,
     Intensities,
@@ -21,11 +23,27 @@ from inplay.contracts import (
     format_bet,
     parse_bet,
     payoff,
+    payoff_grid,
     value_from_decimal,
     value_from_fractional,
 )
+from inplay.synthetic import calibration_catalogue
 
 finals = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+# The 31-bet catalogue, parity, margins -3..3 and every total line to 20.5.
+TABLE_BETS = list(
+    dict.fromkeys(
+        [
+            *calibration_catalogue(),
+            ODD_TOTAL,
+            EVEN_TOTAL,
+            *(Bet.winning_margin(k) for k in range(-3, 4)),
+            *(Bet.over(x + 0.5) for x in range(21)),
+            *(Bet.under(x + 0.5) for x in range(21)),
+        ]
+    )
+)
 
 
 class TestOddsConversions:
@@ -67,6 +85,22 @@ class TestPayoffs:
         for bet in (NEXT_GOAL_HOME, NEXT_GOAL_AWAY, Bet.ht_ft(Outcome.HOME, Outcome.DRAW)):
             with pytest.raises(NonEuropeanBetError):
                 payoff(bet, 1, 0)
+
+    def test_table_bets_cover_every_european_kind(self):
+        assert {b.kind for b in TABLE_BETS} == _EUROPEAN_KINDS
+
+    @pytest.mark.parametrize("bet", TABLE_BETS, ids=str)
+    def test_array_form_equals_scalar_payoff(self, bet):
+        grid = payoff_grid(bet, np.arange(16)[:, None], np.arange(16)[None, :])
+        assert grid.shape == (16, 16)
+        assert grid.astype(int).tolist() == [
+            [payoff(bet, h, a) for a in range(16)] for h in range(16)
+        ]
+
+    @pytest.mark.parametrize("score", [(-1, 0), (0, -1), (-2, -3)])
+    def test_scalar_payoff_rejects_a_negative_score(self, score):
+        with pytest.raises(ValueError, match="nonnegative"):
+            payoff(MATCH_ODDS_HOME, *score)
 
     @given(final=finals)
     def test_match_odds_partition(self, final):

@@ -248,6 +248,9 @@ class TestParseEvents:
             ("g1,abc,HOME,GOAL", r":3: bad timestamp 'abc'"),
             ("g1,inf,HOME,GOAL", r":3: bad timestamp 'inf'"),
             ("g1,nan,HOME,GOAL", r":3: bad timestamp 'nan'"),
+            ("g1,-5,HOME,GOAL", r":3: goal at '-5' is outside the match \(0 to 5400 s\)"),
+            ("g1,5401,HOME,GOAL", r":3: goal at '5401' is outside the match"),
+            ("g1,6000,HOME,GOAL", r":3: goal at '6000' is outside the match"),
             ("g1,100,HOME", r":3: expected 4 cells, got 3"),
             ("g1,100,HOME,GOAL,x", r":3: expected 4 cells, got 5"),
         ],
@@ -265,6 +268,13 @@ class TestParseEvents:
         )
         with pytest.raises(ValueError, match="must not decrease"):
             parse_events_csv(f)
+
+    def test_match_length_sets_the_range(self, tmp_path):
+        f = tmp_path / "e.csv"
+        f.write_text("match_id,timestamp_s,team,event\ng1,0,HOME,GOAL\ng1,4800,AWAY,GOAL\n")
+        assert [e.timestamp_s for e in parse_events_csv(f, 80.0)] == [0.0, 4800.0]
+        with pytest.raises(ValueError, match=r":3: .*outside the match \(0 to 4200 s\)"):
+            parse_events_csv(f, 70.0)
 
 
 class TestBuildTimeline:
@@ -364,6 +374,12 @@ class TestRoundTrips:
             (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,true\n60,1.3,x,0,0,0,true\n", r":3: .*'x'"),
             (SERIES_LINE + "\nzero,,,,,,\n", r":3: .*'zero'"),
             (SERIES_LINE + "0,nan,0.7,0.25,0.01,0.02,true\n", r":2: home intensity must be finite"),
+            (SERIES_LINE + "nan,1.3,0.7,0.25,0.01,0.02,true\n", r":2: bad timestamp 'nan'"),
+            (SERIES_LINE + "0,,,,,,\ninf,,,,,,\n", r":3: bad timestamp 'inf'"),
+            (SERIES_LINE + "-inf,1.3,0.7,0.25,0.01,0.02,false\n", r":2: bad timestamp '-inf'"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,yes\n", r":2: converged must be .*'yes'"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,TRUE\n", r":2: converged must be .*'TRUE'"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,\n", r":2: converged must be .*''"),
         ],
     )
     def test_malformed_series_names_its_line(self, tmp_path, text, message):
