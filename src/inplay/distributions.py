@@ -12,10 +12,10 @@ Each quantity has one route:
   backward recurrence for the ratios I_k/I_(k-1), normalised by
   e^-z (I_0 + 2 sum_k I_k) = 1, so nothing underflows.
 
-Everything here is a pure function of scalars (or small integer ranges) and is
-safe to call concurrently.  Probabilities are clamped to [0, 1] after
-computation so 1e-16 scale rounding never leaks into downstream
-normalisation checks.
+Everything here is a pure function of scalars (or small integer ranges, or
+one array of means for the pmf matrix) and is safe to call concurrently.
+Probabilities are clamped to [0, 1] after computation so 1e-16 scale
+rounding never leaks into downstream normalisation checks.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "poisson_pmf",
     "poisson_tail",
     "poisson_pmf_vector",
+    "poisson_pmf_matrix",
     "cap_for_tail",
     "skellam_pmf",
     "skellam_pmf_range",
@@ -63,9 +64,12 @@ def _log_factorials(top: int) -> np.ndarray:
     return table[: top + 1]
 
 
-def _pmf(n, log_n_factorial, mean: float):
-    """exp(n log m - log n! - m) for a positive mean: the one Poisson pmf."""
-    return np.exp(n * math.log(mean) - log_n_factorial - mean)
+def _pmf(n, log_n_factorial, mean):
+    """exp(n log m - log n! - m) for a positive mean, or a column of them:
+    the one Poisson pmf."""
+    # A scalar mean takes math.log, far cheaper per call than np.log.
+    log_mean = np.log(mean) if isinstance(mean, np.ndarray) else math.log(mean)
+    return np.exp(n * log_mean - log_n_factorial - mean)
 
 
 def _pmf_range(lo: int, hi: int, mean: float) -> np.ndarray:
@@ -130,6 +134,22 @@ def poisson_pmf_vector(mean: float, cap: int) -> np.ndarray:
     else:
         out = np.minimum(_pmf_range(0, cap, mean), 1.0)
     out.flags.writeable = False
+    return out
+
+
+def poisson_pmf_matrix(means, cap: int) -> np.ndarray:
+    """pmf values for n = 0 .. cap, one row per mean: a (len(means), cap + 1)
+    array.  A zero mean's row is exactly e_0, with no log(0) taken."""
+    means = np.asarray(means, dtype=float)
+    if means.ndim != 1 or not (np.isfinite(means) & (means >= 0.0)).all():
+        raise ValueError("means must be a 1-d array of finite nonnegative values")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    dead = means == 0.0
+    out = _pmf(np.arange(cap + 1), _log_factorials(cap), np.where(dead, 1.0, means)[:, None])
+    np.minimum(out, 1.0, out=out)
+    out[dead] = 0.0
+    out[dead, 0] = 1.0
     return out
 
 

@@ -5,18 +5,23 @@ determinant exp(-(lam_home+lam_away)(1-tau)) and therefore never degenerates
 before the final whistle.  The replay keeps a strict self-financing ledger:
 portfolio value only ever changes through instrument price moves and
 settlement payouts, never through injected cash.
+
+Between goals, series points and half time the score and the intensities
+hold and only the clock moves, so the replay cuts its snapshots into such
+segments and takes each bet's deltas over a segment from one
+``pricing.segment_greeks`` call.  Only the ledger and its 2x2 solve run per
+snapshot, over those precomputed deltas.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pricing
-from .calibration import IntensitySeries, QuoteTable, quote_columns
+from .calibration import IntensitySeries, QuoteSnapshot, QuoteTable, quote_columns
 from .contracts import Bet, BetKind, Intensities, Team
 from .pricing import Greeks
 from .timeline import GoalEvent, MatchTimeline, clock_of
@@ -148,6 +153,43 @@ def _first_mids(
     return out
 
 
+def _segment_deltas(
+    snaps: tuple[QuoteSnapshot, ...],
+    bets: tuple[Bet, ...],
+    at: np.ndarray,
+    lam_values: list[Intensities],
+    half_clock: float,
+    ht_score: tuple[int, int] | None,
+) -> list:
+    """Per snapshot, the bets' home deltas and their away deltas (NaN before
+    the first intensities).
+
+    A segment is a run of snapshots with one score, one series point ``at``
+    and one side of half time; only the clock moves inside it, so each bet's
+    deltas over it are one ``pricing.segment_greeks`` call.
+    """
+    states = [s.state for s in snaps]
+    clocks = np.array([st.clock for st in states], dtype=float)
+    key = np.column_stack((
+        [st.home_goals for st in states],
+        [st.away_goals for st in states],
+        at,
+        clocks >= half_clock,
+    ))
+    cuts = (np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1).tolist()
+    out = np.full((len(snaps), 2, len(bets)), np.nan)  # (snapshot, team, bet)
+    for lo, hi in zip([0, *cuts], [*cuts, len(snaps)]):
+        if lo == hi or at[lo] < 0:
+            continue
+        score = (states[lo].home_goals, states[lo].away_goals)
+        for b, bet in enumerate(bets):
+            d1, d2, _ = pricing.segment_greeks(
+                bet, score, lam_values[at[lo]], clocks[lo:hi], half_clock, ht_score
+            )
+            out[lo:hi, 0, b], out[lo:hi, 1, b] = d1, d2
+    return out.tolist()
+
+
 def replay_hedge(
     timeline: MatchTimeline,
     target: Bet,
@@ -181,12 +223,19 @@ def replay_hedge(
         lam_times = [p.timestamp_s for p in valid]
         lam_values = [p.result.intensities for p in valid]
     bets = (target, *instruments)
-    table, starts, stops = quote_columns(timeline.snapshots)
+    snaps = timeline.snapshots
+    table, starts, stops = quote_columns(snaps)
     mids = np.column_stack([_first_mids(table, starts, stops, b) for b in bets])
     quoted = (~np.isnan(mids).any(axis=1)).tolist()
     mids = mids.tolist()
     half_clock = timeline.half_clock
     ht_score = timeline.ht_score() if any(b.kind is BetKind.HT_FT for b in bets) else None
+
+    # The latest intensities stamped at or before each snapshot, -1 if none.
+    times = np.array([s.timestamp_s for s in snaps], dtype=float)
+    at = np.searchsorted(lam_times, times, side="right") - 1
+    deltas = _segment_deltas(snaps, bets, at, lam_values, half_clock, ht_score)
+    at = at.tolist()
 
     steps: list[HedgeStep] = []
     goals: list[GoalRecord] = []
@@ -249,17 +298,13 @@ def replay_hedge(
         value = mark(z)
         close_goal(x, value)
 
-        # The latest intensities stamped at or before the snapshot, if any.
-        at = bisect_right(lam_times, snap.timestamp_s) - 1
         flag = ""
-        if at < 0:
+        if at[k] < 0:
             flag = "no intensity"
         else:
-            lam = lam_values[at]
-            tg, g1, g2 = (pricing.greeks(b, snap.state, lam, half_clock, ht_score) for b in bets)
-            deltas = np.array([[g1.delta_home, g2.delta_home], [g1.delta_away, g2.delta_away]])
+            (t1, a1, b1), (t2, a2, b2) = deltas[k]
             try:
-                w = solve_replication_weights(tg, deltas, value, z)
+                w = solve_replication_weights((t1, t2), ((a1, b1), (a2, b2)), value, z)
             except SingularHedgeError:
                 flag = "singular"
             else:

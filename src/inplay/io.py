@@ -472,14 +472,26 @@ def parse_intensity_series_csv(path) -> IntensitySeries:
                 if not math.isfinite(ts):
                     raise ValueError(f"bad timestamp {row[0]!r}")
                 result = None
-                if row[1] != "":
+                if row[1] == "":
+                    if any(row[2:]):
+                        raise ValueError(
+                            "a gap row must leave every cell after the timestamp empty"
+                        )
+                else:
                     if row[6] not in ("true", "false"):
                         raise ValueError(f"converged must be true or false, got {row[6]!r}")
+                    residual, *stderrs = map(float, row[3:6])
+                    if math.isnan(residual):
+                        raise ValueError("residual is NaN")
+                    # inf is what the writer emits for a singular fit; NaN is not >= 0.
+                    for name, se in zip(SERIES_HEADER[4:6], stderrs):
+                        if not se >= 0.0:
+                            raise ValueError(f"{name} must be nonnegative, got {se}")
                     result = CalibrationResult(
                         intensities=Intensities(float(row[1]), float(row[2])),
-                        residual=float(row[3]),
-                        stderr_home=float(row[4]),
-                        stderr_away=float(row[5]),
+                        residual=residual,
+                        stderr_home=stderrs[0],
+                        stderr_away=stderrs[1],
                         iterations=0,
                         converged=row[6] == "true",
                     )

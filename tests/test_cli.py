@@ -341,6 +341,8 @@ class TestReport:
             (SERIES + "60,1.3,0.x,0.25,0.01,0.02,true\n", ":3: .*'0.x'"),
             (SERIES + "nan,1.3,0.7,0.25,0.01,0.02,true\n", ":3: bad timestamp 'nan'"),
             (SERIES + "60,1.3,0.7,0.25,0.01,0.02,yes\n", ":3: converged must be .*'yes'"),
+            (SERIES + "60,,junk,x,,,maybe\n", ":3: a gap row must leave every cell"),
+            (SERIES + "60,1.3,0.7,0.25,-0.01,0.02,true\n", ":3: stderr_home must be nonnegative"),
         ],
     )
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):

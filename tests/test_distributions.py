@@ -20,6 +20,7 @@ from inplay.distributions import (
     _poisson_sides,
     cap_for_tail,
     poisson_pmf,
+    poisson_pmf_matrix,
     poisson_pmf_vector,
     poisson_tail,
     skellam_pmf,
@@ -125,6 +126,27 @@ class TestPmfVectorAndCaps:
             while gammainc(n + 1, mean) >= tol:
                 n += 1
             assert cap_for_tail(float(mean), tol, floor) == n, mean
+
+
+class TestPmfMatrix:
+    def test_rows_are_the_pmf_vectors(self):
+        means = [5.0, 2.0, 0.5, 1e-4]
+        matrix = poisson_pmf_matrix(means, 40)
+        assert matrix.shape == (4, 41)
+        for row, mean in zip(matrix, means):
+            np.testing.assert_allclose(row, poisson_pmf_vector(mean, 40), rtol=1e-13, atol=0.0)
+
+    def test_zero_mean_row_is_exactly_the_unit_vector(self, recwarn):
+        matrix = poisson_pmf_matrix([0.0, 1.3, 0.0], 25)
+        assert not recwarn.list  # no log(0)
+        unit = np.eye(1, 26)[0]
+        assert np.array_equal(matrix[0], unit) and np.array_equal(matrix[2], unit)
+        np.testing.assert_allclose(matrix[1], poisson_pmf_vector(1.3, 25), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("means", [[1.0, -0.5], [math.nan], [math.inf], [[1.0]]])
+    def test_rejects_bad_means(self, means):
+        with pytest.raises(ValueError):
+            poisson_pmf_matrix(means, 25)
 
 
 def scaled_bessel(order: int, z: float) -> float:

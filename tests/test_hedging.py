@@ -18,6 +18,7 @@ from inplay.contracts import (
     MATCH_ODDS_HOME,
     NEXT_GOAL_AWAY,
     NEXT_GOAL_HOME,
+    Outcome,
     Quote,
     ScoreState,
     Team,
@@ -381,6 +382,58 @@ def test_no_step_reads_a_calibration_stamped_after_it(minutes, gaps):
         assert (step.flag == "no intensity") == (step.timestamp_s < first)
         if step.flag:
             assert (step.psi1, step.psi2) == (0.0, 0.0)
+
+
+SEGMENT_TARGETS = (MATCH_ODDS_HOME, Bet.ht_ft(Outcome.AWAY, Outcome.HOME))
+SEGMENT_TIMELINES = [
+    make_model_timeline(
+        LAM,
+        goals=[(1500.0, Team.AWAY), (2700.0, Team.HOME), (3900.0, Team.HOME)],
+        step_s=150.0,
+        bets=[target, *HEDGES],
+    )
+    for target in SEGMENT_TARGETS
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    which=st.sampled_from([0, 1]),
+    stamps=st.lists(
+        st.one_of(st.integers(0, 5400), st.integers(0, 36).map(lambda i: 150 * i)),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ),
+    lams=st.lists(
+        st.tuples(st.floats(0.3, 3.5), st.floats(0.3, 3.5)), min_size=6, max_size=6
+    ),
+)
+def test_series_points_inside_score_segments_set_each_steps_weights(which, stamps, lams):
+    # Stamps fall between snapshots, on them and on goals, so score segments
+    # are cut by series points; each step must still hedge with the scalar
+    # greeks of its own state at the latest intensities stamped by then.
+    target, tl = SEGMENT_TARGETS[which], SEGMENT_TIMELINES[which]
+    points = tuple(
+        SeriesPoint(float(t), CalibrationResult(Intensities(*lam), 0.0, 0.0, 0.0, 1, True))
+        for t, lam in zip(sorted(stamps), lams)
+    )
+    rep = replay_hedge(tl, target, HEDGES, IntensitySeries(points))
+    assert len(rep.steps) == len(tl.snapshots)
+    for snap, step in zip(tl.snapshots, rep.steps):
+        latest = [p for p in points if p.timestamp_s <= snap.timestamp_s]
+        assert (step.flag == "no intensity") == (not latest)
+        if step.flag:
+            continue
+        lam = latest[-1].result.intensities
+        tg, g1, g2 = (
+            greeks(b, snap.state, lam, tl.half_clock, tl.ht_score()) for b in (target, *HEDGES)
+        )
+        w = solve_replication_weights(
+            tg, [[g1.delta_home, g2.delta_home], [g1.delta_away, g2.delta_away]]
+        )
+        assert abs(step.psi1 - w.psi1) <= 1e-12, snap.timestamp_s
+        assert abs(step.psi2 - w.psi2) <= 1e-12, snap.timestamp_s
 
 
 class TestJumpStats:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -366,6 +367,19 @@ class TestRoundTrips:
         write_intensity_series_csv(back, f2)
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_series_round_trip_keeps_a_singular_fits_infinite_stderr(self, tmp_path):
+        fit = CalibrationResult(Intensities(1.3, 0.7), 0.25, math.inf, math.inf, 31, False)
+        f1 = tmp_path / "s.csv"
+        write_intensity_series_csv(IntensitySeries((SeriesPoint(0.0, fit),)), f1)
+        assert f1.read_text().splitlines()[1] == "0,1.3,0.7,0.25,inf,inf,false"
+        back = parse_intensity_series_csv(f1)
+        assert (back.points[0].result.stderr_home, back.points[0].result.stderr_away) == (
+            math.inf, math.inf,
+        )
+        f2 = tmp_path / "s2.csv"
+        write_intensity_series_csv(back, f2)
+        assert f1.read_bytes() == f2.read_bytes()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -380,6 +394,14 @@ class TestRoundTrips:
             (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,yes\n", r":2: converged must be .*'yes'"),
             (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,TRUE\n", r":2: converged must be .*'TRUE'"),
             (SERIES_LINE + "0,1.3,0.7,0.25,0.01,0.02,\n", r":2: converged must be .*''"),
+            (SERIES_LINE + "0,,junk,x,,,maybe\n", r":2: a gap row must leave every cell"),
+            (SERIES_LINE + "0,,,,,,false\n", r":2: a gap row must leave every cell"),
+            (SERIES_LINE + "0,,,,,0.02,\n", r":2: a gap row must leave every cell"),
+            (SERIES_LINE + "0,1.3,0.7,nan,0.01,0.02,true\n", r":2: residual is NaN"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,nan,0.02,true\n", r":2: stderr_home .* got nan"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,0.01,NaN,true\n", r":2: stderr_away .* got nan"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,-0.01,0.02,true\n", r":2: stderr_home .* got -0.01"),
+            (SERIES_LINE + "0,1.3,0.7,0.25,0.01,-inf,true\n", r":2: stderr_away must be nonneg"),
         ],
     )
     def test_malformed_series_names_its_line(self, tmp_path, text, message):

@@ -367,6 +367,56 @@ class TestGreeks:
         assert g.delta_away == pytest.approx(-z, rel=1e-12)
 
 
+# Segments for the batched deltas: increasing clocks, so the first clock's
+# caps are the widest; HT/FT stays on one side of half time.
+PRE_HALF_CLOCKS = [0.0, 0.1, 0.3, 0.45, 0.5 - 1e-5, 0.5 - 1e-12]
+POST_HALF_CLOCKS = [0.5, 0.5 + 1e-12, 0.7, 0.9, 1.0 - 1e-6, 1.0 - 1e-12, 1.0]
+SEGMENT_LAMBDAS = [
+    Intensities(1.3, 0.7),
+    Intensities(0.0, 2.5),
+    Intensities(0.0, 0.0),
+    Intensities(20.0, 20.0),
+    Intensities(20.0, 0.1),
+]
+SEGMENT_SCORES = [(0, 0), (3, 1), (2, 5), (6, 6)]
+SEGMENT_CASES = DELTA_CASES + [(NEXT_GOAL_HOME, None), (NEXT_GOAL_AWAY, None)]
+
+
+class TestSegmentGreeks:
+    @pytest.mark.parametrize(
+        "bet,ht_score", SEGMENT_CASES, ids=[f"{b}-{s}" for b, s in SEGMENT_CASES]
+    )
+    def test_batched_deltas_equal_scalar_greeks(self, bet, ht_score):
+        segments = [PRE_HALF_CLOCKS + POST_HALF_CLOCKS, POST_HALF_CLOCKS[-3:]]
+        if bet.kind is BetKind.HT_FT:
+            side = PRE_HALF_CLOCKS if ht_score is None else POST_HALF_CLOCKS
+            segments = [side, side[-2:]]
+        for lam in SEGMENT_LAMBDAS:
+            for score in SEGMENT_SCORES:
+                for clocks in segments:
+                    d1, d2, theta = pricing.segment_greeks(bet, score, lam, clocks, 0.5, ht_score)
+                    assert d1.shape == d2.shape == theta.shape == (len(clocks),)
+                    for tau, b1, b2, th in zip(clocks, d1, d2, theta):
+                        g = greeks(bet, ScoreState(*score, tau), lam, 0.5, ht_score)
+                        where = (lam, score, tau)
+                        assert abs(b1 - g.delta_home) <= 1e-12, where
+                        assert abs(b2 - g.delta_away) <= 1e-12, where
+                        # theta = -(lam . delta), so its bound scales with lam.
+                        assert abs(th - g.theta) <= 1e-12 * max(1.0, lam.total), where
+                        if th == 0.0 or g.theta == 0.0:
+                            assert math.copysign(1.0, th) == math.copysign(1.0, g.theta) == 1.0
+
+    def test_ht_ft_clocks_must_stay_on_one_side_of_half_time(self):
+        bet = Bet.ht_ft(Outcome.HOME, Outcome.DRAW)
+        with pytest.raises(ValueError, match="one side of half time"):
+            pricing.segment_greeks(bet, (1, 0), Intensities(1.3, 0.7), [0.4, 0.5], 0.5, (1, 0))
+
+    @pytest.mark.parametrize("clocks", [[], [0.2, 1.5], [[0.2]], [-0.1, 0.3]])
+    def test_rejects_bad_clocks(self, clocks):
+        with pytest.raises(ValueError):
+            pricing.segment_greeks(MATCH_ODDS_HOME, (0, 0), Intensities(1.3, 0.7), clocks)
+
+
 class TestKolmogorov:
     @pytest.mark.parametrize("bet", EURO_BETS)
     def test_residual_small_on_interior_states(self, bet):
@@ -456,17 +506,18 @@ class TestAnalyticTheta:
         assert math.copysign(1.0, g.theta) == 1.0
 
     @pytest.mark.parametrize(
-        "bet,state,ht_score,calls",
+        "bet,state,ht_score",
         [
-            (MATCH_ODDS_HOME, ScoreState(0, 0, 0.3), None, 0),
-            (Bet.over(2.5), ScoreState(1, 0, 0.7), None, 0),
-            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(0, 0, 0.3), None, 0),
-            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(1, 0, 0.7), (1, 0), 0),
-            (NEXT_GOAL_HOME, ScoreState(0, 0, 0.3), None, 1),
-            (NEXT_GOAL_AWAY, ScoreState(0, 0, 0.3), None, 1),
+            (MATCH_ODDS_HOME, ScoreState(0, 0, 0.3), None),
+            (Bet.over(2.5), ScoreState(1, 0, 0.7), None),
+            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(0, 0, 0.3), None),
+            (Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(1, 0, 0.7), (1, 0)),
+            (NEXT_GOAL_HOME, ScoreState(0, 0, 0.3), None),
+            (NEXT_GOAL_AWAY, ScoreState(0, 0, 0.3), None),
         ],
     )
-    def test_greeks_never_reprice_the_clock(self, monkeypatch, bet, state, ht_score, calls):
+    def test_greeks_never_reprice_the_clock(self, monkeypatch, bet, state, ht_score):
+        # Next Goal deltas are closed-form arrays too, so no bet calls price.
         seen = []
         real_price = pricing.price
 
@@ -476,8 +527,7 @@ class TestAnalyticTheta:
 
         monkeypatch.setattr(pricing, "price", counting_price)
         greeks(bet, state, Intensities(1.3, 0.7), 0.5, ht_score)
-        assert len(seen) == calls
-        assert all(s.clock == state.clock for s in seen)
+        assert seen == []
 
 
 class TestIntensitySensitivity:
