@@ -16,6 +16,7 @@ snapshot, over those precomputed deltas.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,10 @@ def replay_hedge(
         lam_values = [p.result.intensities for p in valid]
     bets = (target, *instruments)
     snaps = timeline.snapshots
+    if snaps and _next_goal_payout(target, Team.HOME) is not None:
+        # The ledger stops at the first goal after the first snapshot.
+        seen = [s.state.home_goals + s.state.away_goals for s in snaps]
+        snaps = snaps[: bisect_right(seen, seen[0])]
     table, starts, stops = quote_columns(snaps)
     mids = np.column_stack([_first_mids(table, starts, stops, b) for b in bets])
     quoted = (~np.isnan(mids).any(axis=1)).tolist()

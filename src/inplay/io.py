@@ -10,10 +10,13 @@ An empty odds cell means that side is absent.  The bet token is
 ``market_selection`` joined with an underscore, or the bare selection where
 that fails to parse (so parity bets can live under a TOTAL_PARITY market).
 Accepted rows are parsed into one :class:`~inplay.calibration.QuoteTable`,
-and each snapshot's quotes are a view of its rows.
+and each snapshot's quotes are a view of its rows.  Rows sharing a timestamp
+and score form one snapshot; same-second snapshots run in the order of the
+goals their score counts, whatever the file's row order.
 
 Events CSV columns: ``match_id,timestamp_s,team,event`` with team HOME or
-AWAY (case-insensitive) and event GOAL.
+AWAY (case-insensitive) and event GOAL.  A file with only the header means
+no goals; an empty file is an error.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import csv
 import json
 import logging
 import math
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,8 @@ from .timeline import (
     GoalEvent,
     MatchTimeline,
     clock_of,
+    goal_counts,
+    score_path,
 )
 
 __all__ = [
@@ -262,7 +267,8 @@ def _parse_quotes(
     if len(match_ids) > 1:
         raise QuotesParseError(f"{path}: multiple match ids {sorted(match_ids)}")
 
-    keys = sorted(groups, key=lambda k: k[0])
+    # Same-second snapshots run in the order of the goals their score counts.
+    keys = sorted(groups, key=lambda k: (k[0], sum(k[1] or ())))
     order = np.fromiter(chain.from_iterable(groups[k] for k in keys), np.intp, len(bet_ix))
     table = QuoteTable(
         tuple(bets), np.array(bet_ix)[order], np.array(backs)[order], np.array(lays)[order]
@@ -281,17 +287,17 @@ def _parse_quotes(
 def parse_events_csv(
     path, match_length_min: float = DEFAULT_MATCH_MINUTES
 ) -> list[GoalEvent]:
-    """Parse an events CSV; a malformed row, a goal outside the match or a
-    decreasing timestamp raises ValueError naming its line."""
+    """Parse an events CSV; an empty file raises ValueError, and so does a
+    malformed row, a goal outside the match or a decreasing timestamp, naming
+    its line."""
     path = Path(path)
     length_s = match_length_min * 60.0
     events: list[GoalEvent] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header")
         if header != EVENTS_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}; want {EVENTS_HEADER}")
         last = -math.inf
@@ -336,48 +342,25 @@ def build_timeline(
 ) -> MatchTimeline:
     """Assemble a timeline, reconstructing snapshot scores from the events.
 
-    Snapshots that already carry a score are cross-checked: the score must
-    equal the running score somewhere between "no goal at this second yet"
-    and "all goals at this second counted", otherwise a warning names the
+    A snapshot without a score gets the score after every goal at or before
+    its stamp.  One that has a score keeps it if the events allow it there
+    (:func:`~inplay.timeline.goal_counts`); otherwise a warning names the
     timestamp and the reconstructed score wins for downstream pricing.
     """
-    times = [ev.timestamp_s for ev in events]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("goal events must be ordered by timestamp")
-    # Home goals among the first k events, for k = 0 .. len(events).
-    home = [0, *accumulate(int(ev.team is Team.HOME) for ev in events)]
-    stamps = [snap.timestamp_s for snap in snapshots]
-    before = np.searchsorted(times, stamps, side="left").tolist()
-    through = np.searchsorted(times, stamps, side="right").tolist()
+    path = score_path(events)
     filled: list[QuoteSnapshot] = []
-    for snap, lo, hi in zip(snapshots, before, through):
-        ts = snap.timestamp_s
-        # Acceptable scores: no goal at this second counted, then one more each.
-        acceptable = [(home[k], k - home[k]) for k in range(lo, hi + 1)]
+    for snap, lo, hi in zip(snapshots, *goal_counts(events, [s.timestamp_s for s in snapshots])):
+        ts, state = snap.timestamp_s, snap.state
+        score = None if state is None else (state.home_goals, state.away_goals)
+        if score is not None and score not in path[lo : hi + 1]:
+            log.warning(
+                "snapshot at %ss: score column %s disagrees with events %s", ts, score, path[hi]
+            )
+            state = None
         clock = clock_of(ts, match_length_min)
-        if snap.state is None:
-            state = ScoreState(acceptable[-1][0], acceptable[-1][1], clock)
-            filled.append(QuoteSnapshot(ts, state, snap.quotes))
-        else:
-            score = (snap.state.home_goals, snap.state.away_goals)
-            if score not in acceptable:
-                log.warning(
-                    "snapshot at %ss: score column %s disagrees with events %s",
-                    ts,
-                    score,
-                    acceptable[-1],
-                )
-                state = ScoreState(acceptable[-1][0], acceptable[-1][1], clock)
-                filled.append(QuoteSnapshot(ts, state, snap.quotes))
-            else:
-                filled.append(QuoteSnapshot(ts, snap.state.at_clock(clock), snap.quotes))
-    return MatchTimeline(
-        match_id=match_id,
-        events=tuple(events),
-        snapshots=tuple(filled),
-        match_length_min=match_length_min,
-        half_length_min=half_length_min,
-    )
+        state = ScoreState(*path[hi], clock) if state is None else state.at_clock(clock)
+        filled.append(QuoteSnapshot(ts, state, snap.quotes))
+    return MatchTimeline(match_id, tuple(events), tuple(filled), match_length_min, half_length_min)
 
 
 def load_timeline(

@@ -5,10 +5,14 @@ replay studies run on quotes manufactured from the pricing model itself:
 mids sit exactly on (or uniformly within a fraction of a spread around) the
 model values.  Goal timestamps get a pre-goal and a post-goal snapshot at
 the same second, which is what lets a replay measure jumps at the instant
-they happen.
+they happen; their scores come from the timeline's own rule
+(:func:`~inplay.timeline.goal_counts` on :func:`~inplay.timeline.score_path`),
+so several goals in one second share one pre and one post snapshot.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +28,15 @@ from .contracts import (
     ScoreState,
     Team,
 )
-from .timeline import DEFAULT_HALF_MINUTES, DEFAULT_MATCH_MINUTES, GoalEvent, MatchTimeline
+from .timeline import (
+    DEFAULT_HALF_MINUTES,
+    DEFAULT_MATCH_MINUTES,
+    GoalEvent,
+    MatchTimeline,
+    clock_of,
+    goal_counts,
+    score_path,
+)
 
 __all__ = [
     "calibration_catalogue",
@@ -102,55 +114,25 @@ def make_model_timeline(
     """
     if bets is None:
         bets = calibration_catalogue() + [NEXT_GOAL_HOME, NEXT_GOAL_AWAY]
-    length_s = match_length_min * 60.0
-    end_s = length_s if end_s is None else end_s
-    half_clock = half_length_min / match_length_min
-    events = sorted(goals, key=lambda g: g[0])
-    if any(not (0.0 <= t <= length_s) for t, _ in events):
-        raise ValueError("goal timestamps must lie inside the match")
-
-    half_s = half_length_min * 60.0
-    ht = (
-        sum(1 for t, team in events if t <= half_s and team is Team.HOME),
-        sum(1 for t, team in events if t <= half_s and team is Team.AWAY),
-    )
-
+    end_s = match_length_min * 60.0 if end_s is None else end_s
+    events = tuple(GoalEvent(t, team) for t, team in sorted(goals, key=lambda g: g[0]))
+    # The goals alone, checked to lie inside the match, give the half-time score.
+    frame = MatchTimeline(match_id, events, (), match_length_min, half_length_min)
+    ht = frame.ht_score()
+    path = score_path(events)
     grid = list(np.arange(0.0, end_s + step_s / 2, step_s))
-    times = sorted(set(grid) | {t for t, _ in events if t <= end_s})
-
-    snapshots: list[QuoteSnapshot] = []
-    score = [0, 0]
-    ev_idx = 0
-    for t in times:
-        clock = min(t / length_s, 1.0)
-        while ev_idx < len(events) and events[ev_idx][0] < t:
-            score[0 if events[ev_idx][1] is Team.HOME else 1] += 1
-            ev_idx += 1
-        goal_here = ev_idx < len(events) and events[ev_idx][0] == t
-
-        def snap_at(h: int, a: int) -> QuoteSnapshot:
-            state = ScoreState(h, a, clock)
-            return make_snapshot(
-                state,
-                lam,
-                timestamp_s=t,
-                bets=bets,
-                spread=spread,
-                half_clock=half_clock,
-                ht_score=ht,
-            )
-
-        snapshots.append(snap_at(score[0], score[1]))
-        if goal_here:
-            while ev_idx < len(events) and events[ev_idx][0] == t:
-                score[0 if events[ev_idx][1] is Team.HOME else 1] += 1
-                ev_idx += 1
-            snapshots.append(snap_at(score[0], score[1]))
-
-    return MatchTimeline(
-        match_id=match_id,
-        events=tuple(GoalEvent(t, team) for t, team in events),
-        snapshots=tuple(snapshots),
-        match_length_min=match_length_min,
-        half_length_min=half_length_min,
-    )
+    times = sorted(set(grid) | {ev.timestamp_s for ev in events if ev.timestamp_s <= end_s})
+    snapshots = [
+        make_snapshot(
+            ScoreState(*path[k], clock_of(t, match_length_min)),
+            lam,
+            timestamp_s=t,
+            bets=bets,
+            spread=spread,
+            half_clock=frame.half_clock,
+            ht_score=ht,
+        )
+        for t, lo, hi in zip(times, *goal_counts(events, times))
+        for k in sorted({lo, hi})  # the pre-goal, then the post-goal score at a goal's second
+    ]
+    return replace(frame, snapshots=tuple(snapshots))

@@ -2,23 +2,26 @@
 
 Timestamps are playing-time seconds from kickoff (the half-time break is not
 on the clock).  Snapshots at a goal's exact timestamp may appear both before
-and after the goal; they are disambiguated by their score, which lets a
-model-consistent replay observe the last pre-goal and first post-goal prices
-at the same instant.
+and after the goal; their score decides which goals they have seen, which
+lets a model-consistent replay observe the last pre-goal and first post-goal
+prices at the same instant.  That rule lives here once: a snapshot stamped t
+has seen k goals for some k between the goals strictly before t and the
+goals at or before t (:func:`goal_counts`), and its score is the score after
+the first k goals (:func:`score_path`).  A timeline whose snapshots break it
+raises.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
+
+import numpy as np
 
 from .calibration import QuoteSnapshot
 from .contracts import Team
 
-__all__ = ["GoalEvent", "MatchTimeline"]
-
-log = logging.getLogger(__name__)
+__all__ = ["GoalEvent", "MatchTimeline", "score_path", "goal_counts"]
 
 DEFAULT_MATCH_MINUTES = 90.0
 DEFAULT_HALF_MINUTES = 45.0
@@ -38,8 +41,32 @@ class GoalEvent:
 Record = tuple[Literal["snapshot", "goal"], QuoteSnapshot | GoalEvent]
 
 
+def score_path(events: Sequence[GoalEvent]) -> list[tuple[int, int]]:
+    """The score after the first k goals, for k = 0 .. len(events)."""
+    path = [(0, 0)]
+    for ev in events:
+        h, a = path[-1]
+        path.append((h + 1, a) if ev.team is Team.HOME else (h, a + 1))
+    return path
+
+
+def goal_counts(
+    events: Sequence[GoalEvent], stamps: Sequence[float]
+) -> tuple[list[int], list[int]]:
+    """Per stamp, the number of goals strictly before it and at or before it."""
+    times = [ev.timestamp_s for ev in events]
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("goal events must be ordered by timestamp")
+    left, right = (np.searchsorted(times, stamps, side).tolist() for side in ("left", "right"))
+    return left, right
+
+
 @dataclass(frozen=True)
 class MatchTimeline:
+    """Goals and snapshots of one match.  Construction raises ValueError at
+    the first snapshot that has no score, has one its goals do not allow, or
+    breaks (timestamp, goals) order, naming its timestamp."""
+
     match_id: str
     events: tuple[GoalEvent, ...]
     snapshots: tuple[QuoteSnapshot, ...]
@@ -51,60 +78,42 @@ class MatchTimeline:
         for ev in self.events:
             if not (0.0 <= ev.timestamp_s <= length_s):
                 raise ValueError(f"goal at {ev.timestamp_s}s is outside the match")
-        ts = [e.timestamp_s for e in self.events]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("goal events must be ordered by timestamp")
+        path = score_path(self.events)
+        stamps = [s.timestamp_s for s in self.snapshots]
+        last = (-np.inf, 0)
+        for snap, lo, hi in zip(self.snapshots, *goal_counts(self.events, stamps)):
+            t, state = snap.timestamp_s, snap.state
+            if state is None:
+                raise ValueError(f"snapshot at {t}s has no score")
+            score = (state.home_goals, state.away_goals)
+            if score not in path[lo : hi + 1]:
+                raise ValueError(
+                    f"snapshot at {t}s: score {score} does not follow the goals, "
+                    f"which allow {path[lo : hi + 1]}"
+                )
+            now = (t, sum(score))
+            if now < last:
+                raise ValueError(f"snapshot at {t}s is out of (timestamp, goals) order")
+            last = now
 
     @property
     def half_clock(self) -> float:
         return self.half_length_min / self.match_length_min
 
     def ht_score(self) -> tuple[int, int]:
-        """Score at the end of the first half."""
-        half_s = self.half_length_min * 60.0
-        h = sum(1 for e in self.events if e.timestamp_s <= half_s and e.team is Team.HOME)
-        a = sum(1 for e in self.events if e.timestamp_s <= half_s and e.team is Team.AWAY)
-        return h, a
+        """Score at the end of the first half: goals stamped at or before it."""
+        _, (through,) = goal_counts(self.events, [self.half_length_min * 60.0])
+        return score_path(self.events)[through]
 
     def records(self) -> Iterator[Record]:
-        """Snapshots and goals merged in replay order.
-
-        A snapshot ties with a goal timestamp-wise; its score decides whether
-        it represents the market just before or just after the goal.
-        """
-        running = [0, 0]
-        i = 0
-        events = self.events
-
-        def score_of(snap: QuoteSnapshot) -> tuple[int, int] | None:
-            if snap.state is None:
-                return None
-            return snap.state.home_goals, snap.state.away_goals
-
+        """Snapshots and goals merged in replay order: before each snapshot,
+        the goals its score counts."""
+        seen = 0
         for snap in self.snapshots:
-            while i < len(events) and events[i].timestamp_s < snap.timestamp_s:
-                running[0 if events[i].team is Team.HOME else 1] += 1
-                yield ("goal", events[i])
-                i += 1
-            score = score_of(snap)
-            while (
-                i < len(events)
-                and events[i].timestamp_s == snap.timestamp_s
-                and score is not None
-                and tuple(running) != score
-            ):
-                running[0 if events[i].team is Team.HOME else 1] += 1
-                yield ("goal", events[i])
-                i += 1
-            if score is not None and tuple(running) != score:
-                log.warning(
-                    "snapshot at %ss carries score %s but events imply %s",
-                    snap.timestamp_s,
-                    score,
-                    tuple(running),
-                )
+            k = snap.state.home_goals + snap.state.away_goals
+            for ev in self.events[seen:k]:
+                yield ("goal", ev)
             yield ("snapshot", snap)
-        while i < len(events):
-            running[0 if events[i].team is Team.HOME else 1] += 1
-            yield ("goal", events[i])
-            i += 1
+            seen = k
+        for ev in self.events[seen:]:
+            yield ("goal", ev)

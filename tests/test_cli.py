@@ -213,6 +213,18 @@ class TestCalibrate:
 
 
 class TestHedgeReplay:
+    def test_empty_events_file_is_data_error(self, fixture_files, tmp_path, capsys):
+        quotes, events = fixture_files
+        events.write_text("", encoding="utf-8")
+        code = main(
+            ["hedge-replay", "--quotes", str(quotes), "--events", str(events),
+             "--target", "MATCH_ODDS_HOME", "--lambda-home", "1.3", "--lambda-away", "0.7",
+             "--out-dir", str(tmp_path / "hedge")]
+        )
+        assert code == 2
+        assert f"{events}: empty file, no header" in capsys.readouterr().err
+        assert not (tmp_path / "hedge").exists()
+
     def test_model_consistent_replay_summary(self, fixture_files, tmp_path, capsys):
         quotes, events = fixture_files
         out_dir = tmp_path / "hedge"

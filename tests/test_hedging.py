@@ -320,6 +320,31 @@ class TestLedgerBranches:
         assert goal.portfolio_post == last.portfolio_value
         assert rep.terminal_error <= 1e-12
 
+    def test_next_goal_target_takes_deltas_only_up_to_its_settlement(self):
+        # European instruments make each delta row cost a pmf contraction.
+        tl = make_model_timeline(
+            LAM,
+            goals=[(600.0, Team.HOME), (3000.0, Team.AWAY)],
+            step_s=10.0,
+            bets=[NEXT_GOAL_AWAY, MATCH_ODDS_HOME, MATCH_ODDS_AWAY],
+        )
+        instruments = (MATCH_ODDS_HOME, MATCH_ODDS_AWAY)
+        rows = {}
+        real = pricing.segment_greeks
+
+        def spy(bet, score, lam, clocks, *args):
+            rows[bet] = rows.get(bet, 0) + len(clocks)
+            return real(bet, score, lam, clocks, *args)
+
+        with mock.patch.object(pricing, "segment_greeks", spy):
+            rep = replay_hedge(tl, NEXT_GOAL_AWAY, instruments, LAM)
+        assert rep.steps[-1].flag == "target settled"
+        assert set(rows) == {NEXT_GOAL_AWAY, *instruments}
+        assert all(n <= len(rep.steps) for n in rows.values()), rows
+        # The snapshots after the settlement never change the report.
+        cut = _without(tl, lambda s: s.state.home_goals + s.state.away_goals == 0)
+        assert rep == replay_hedge(cut, NEXT_GOAL_AWAY, instruments, LAM)
+
     def test_first_snapshot_without_a_quote_is_an_error(self):
         tl = make_model_timeline(LAM, goals=[], step_s=600.0, bets=self.BETS)
         snaps = list(tl.snapshots)
@@ -367,17 +392,19 @@ def test_no_step_reads_a_calibration_stamped_after_it(minutes, gaps):
     stamp_of = {p.result.intensities: p.timestamp_s for p in series.valid()}
 
     seen = []
-    real = pricing.greeks
+    real = pricing.segment_greeks
 
-    def spy(bet, state, lam, *args):
-        seen.append((state.clock * 5400.0, lam))
-        return real(bet, state, lam, *args)
+    def spy(bet, score, lam, clocks, *args):
+        seen.extend((t, lam) for t in np.asarray(clocks) * 5400.0)
+        return real(bet, score, lam, clocks, *args)
 
-    with mock.patch.object(pricing, "greeks", spy):
+    with mock.patch.object(pricing, "segment_greeks", spy):
         rep = replay_hedge(REPLAY_TIMELINE, MATCH_ODDS_HOME, HEDGES, series)
+    first = series.valid()[0].timestamp_s
+    # Deltas are taken whenever some step has intensities stamped by then.
+    assert bool(seen) == any(s.timestamp_s >= first for s in REPLAY_TIMELINE.snapshots)
     for t, lam in seen:
         assert stamp_of[lam] <= t + 1e-6
-    first = series.valid()[0].timestamp_s
     for step in rep.steps:
         assert (step.flag == "no intensity") == (step.timestamp_s < first)
         if step.flag:

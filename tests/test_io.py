@@ -26,6 +26,7 @@ from inplay.contracts import (
     ScoreState,
     Team,
 )
+from inplay.hedging import replay_hedge
 from inplay.io import (
     load_timeline,
     QuotesParseError,
@@ -270,6 +271,14 @@ class TestParseEvents:
         with pytest.raises(ValueError, match="must not decrease"):
             parse_events_csv(f)
 
+    def test_empty_file_is_an_error_but_a_bare_header_means_no_goals(self, tmp_path):
+        f = tmp_path / "e.csv"
+        f.write_text("")
+        with pytest.raises(ValueError, match=f"{f}: empty file, no header"):
+            parse_events_csv(f)
+        f.write_text("match_id,timestamp_s,team,event\n")
+        assert parse_events_csv(f) == []
+
     def test_match_length_sets_the_range(self, tmp_path):
         f = tmp_path / "e.csv"
         f.write_text("match_id,timestamp_s,team,event\ng1,0,HOME,GOAL\ng1,4800,AWAY,GOAL\n")
@@ -314,6 +323,33 @@ class TestBuildTimeline:
         i = sequence.index(("goal", 600.0))
         assert sequence[i - 1] == ("snapshot", 600.0)
         assert sequence[i + 1] == ("snapshot", 600.0)
+
+    def test_same_second_snapshots_follow_their_score_not_the_row_order(self, tmp_path):
+        bets = [MATCH_ODDS_HOME, NEXT_GOAL_HOME, NEXT_GOAL_AWAY]
+        tl = make_model_timeline(
+            Intensities(1.3, 0.7), goals=[(600.0, Team.HOME)], step_s=300.0, bets=bets
+        )
+        fq, fe = tmp_path / "q.csv", tmp_path / "e.csv"
+        write_quotes_csv(tl, fq)
+        write_events_csv(list(tl.events), fe, match_id=tl.match_id)
+        header, *rows = fq.read_text().splitlines()
+        pre = [r for r in rows if r.startswith("synthetic,600,") and r.endswith(",0,0")]
+        post = [r for r in rows if r.startswith("synthetic,600,") and r.endswith(",1,0")]
+        assert len(pre) == len(post) == len(bets)
+        swapped = tmp_path / "swapped.csv"
+        at = rows.index(pre[0])
+        rows[at : at + 2 * len(bets)] = post + pre
+        swapped.write_text("\n".join([header, *rows]) + "\n")
+        reports = []
+        for quotes in (fq, swapped):
+            tl = load_timeline(quotes, fe)
+            report = replay_hedge(tl, MATCH_ODDS_HOME, tuple(bets[1:]), Intensities(1.3, 0.7))
+            out = tmp_path / quotes.stem
+            write_hedge_report(report, out)
+            names = ("steps.csv", "goals.csv", "summary.json")
+            reports.append([(out / name).read_bytes() for name in names])
+        assert swapped.read_bytes() != fq.read_bytes()
+        assert reports[0] == reports[1]
 
 
 class TestRoundTrips:

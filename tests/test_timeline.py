@@ -1,0 +1,110 @@
+"""Tests for the one rule that decides which goals a snapshot has seen."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from inplay.calibration import QuoteSnapshot
+from inplay.contracts import MATCH_ODDS_HOME, Intensities, ScoreState, Team
+from inplay.io import load_timeline, write_events_csv, write_quotes_csv
+from inplay.synthetic import make_model_timeline
+from inplay.timeline import GoalEvent, MatchTimeline, goal_counts, score_path
+
+HOME_AT_600 = (GoalEvent(600.0, Team.HOME),)
+
+
+def _snap(t, score):
+    state = None if score is None else ScoreState(*score, t / 5400.0)
+    return QuoteSnapshot(t, state, ())
+
+
+def _timeline(events, *snaps):
+    return MatchTimeline("m", tuple(events), tuple(_snap(t, s) for t, s in snaps))
+
+
+class TestHelpers:
+    def test_score_path_counts_each_goal_once(self):
+        events = [GoalEvent(0.0, Team.AWAY), GoalEvent(10.0, Team.HOME), GoalEvent(10.0, Team.HOME)]
+        assert score_path(events) == [(0, 0), (0, 1), (1, 1), (2, 1)]
+
+    def test_goal_counts_split_strictly_before_from_at_or_before(self):
+        events = [GoalEvent(0.0, Team.AWAY), GoalEvent(10.0, Team.HOME), GoalEvent(10.0, Team.HOME)]
+        assert goal_counts(events, [0.0, 5.0, 10.0, 11.0]) == ([0, 1, 1, 3], [1, 1, 3, 3])
+        assert goal_counts([], [0.0, 5400.0]) == ([0, 0], [0, 0])
+
+    def test_goal_counts_reject_unordered_events(self):
+        events = [GoalEvent(10.0, Team.HOME), GoalEvent(5.0, Team.AWAY)]
+        with pytest.raises(ValueError, match="must be ordered"):
+            goal_counts(events, [0.0])
+
+
+class TestMatchTimelineRejects:
+    def test_a_snapshot_without_a_score(self):
+        with pytest.raises(ValueError, match=r"snapshot at 300.0s has no score"):
+            _timeline((), (300.0, None))
+
+    def test_a_home_score_when_the_only_goal_is_away(self):
+        with pytest.raises(ValueError, match=r"snapshot at 900.0s: score \(1, 0\) does not"):
+            _timeline([GoalEvent(600.0, Team.AWAY)], (900.0, (1, 0)))
+
+    def test_a_goal_counted_before_it_is_scored(self):
+        with pytest.raises(ValueError, match=r"snapshot at 300.0s: score \(1, 0\) does not"):
+            _timeline(HOME_AT_600, (300.0, (1, 0)))
+
+    def test_a_post_goal_snapshot_listed_before_the_pre_goal_one(self):
+        with pytest.raises(ValueError, match=r"snapshot at 600.0s is out of"):
+            _timeline(HOME_AT_600, (600.0, (1, 0)), (600.0, (0, 0)))
+
+    def test_a_snapshot_stamped_before_its_predecessor(self):
+        with pytest.raises(ValueError, match=r"snapshot at 300.0s is out of"):
+            _timeline((), (600.0, (0, 0)), (300.0, (0, 0)))
+
+
+def test_records_put_each_goal_between_the_snapshots_that_straddle_it():
+    tl = _timeline(HOME_AT_600, (600.0, (0, 0)), (600.0, (1, 0)), (900.0, (1, 0)))
+    kinds = [kind for kind, _ in tl.records()]
+    assert kinds == ["snapshot", "goal", "snapshot", "snapshot"]
+    # Both same-second snapshots may stand alone: the goal goes where the score says.
+    assert [k for k, _ in _timeline(HOME_AT_600, (600.0, (0, 0))).records()] == ["snapshot", "goal"]
+    assert [k for k, _ in _timeline(HOME_AT_600, (600.0, (1, 0))).records()] == ["goal", "snapshot"]
+
+
+def test_ht_score_counts_a_goal_stamped_on_the_half():
+    events = [
+        GoalEvent(2699.0, Team.AWAY), GoalEvent(2700.0, Team.HOME), GoalEvent(2701.0, Team.HOME)
+    ]
+    assert _timeline(events).ht_score() == (1, 1)
+
+
+def _sequence(tl):
+    return [
+        (kind, rec) if kind == "goal" else (kind, rec.timestamp_s, rec.state)
+        for kind, rec in tl.records()
+    ]
+
+
+TEAMS = st.sampled_from([Team.HOME, Team.AWAY])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    burst_s=st.integers(0, 5400),
+    burst=st.lists(TEAMS, min_size=2, max_size=3),
+    others=st.lists(st.tuples(st.integers(0, 5400), TEAMS), max_size=3),
+    kickoff=TEAMS,
+    whistle=TEAMS,
+    step_s=st.sampled_from([900.0, 1350.0, 2700.0]),
+)
+def test_written_and_reloaded_timeline_replays_the_same(
+    tmp_path_factory, burst_s, burst, others, kickoff, whistle, step_s
+):
+    # Goals at kickoff, at the final whistle and several in one second.
+    goals = [(0.0, kickoff), *((float(burst_s), t) for t in burst), (5400.0, whistle)]
+    goals += [(float(t), team) for t, team in others]
+    tl = make_model_timeline(Intensities(1.3, 0.7), goals, step_s=step_s, bets=[MATCH_ODDS_HOME])
+    out = tmp_path_factory.mktemp("round_trip")
+    write_quotes_csv(tl, out / "q.csv")
+    write_events_csv(list(tl.events), out / "e.csv", match_id=tl.match_id)
+    loaded = load_timeline(out / "q.csv", out / "e.csv")
+    assert _sequence(loaded) == _sequence(tl)
+    assert loaded.ht_score() == tl.ht_score()
+    assert sum(kind == "goal" for kind, _ in tl.records()) == len(goals)
