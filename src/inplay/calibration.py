@@ -1,20 +1,37 @@
 """Implied-intensity calibration against quote snapshots.
 
-A snapshot is fitted by minimising the root-mean-square of the mid-versus-
-model differences, each measured in units of that quote's half bid-ask
-spread.  All quoted bets are priced together on one
-:class:`~inplay.pricing.EuropeanBoard`, which also returns the exact
-intensity sensitivities dV/dlam_i = (1 - tau) * delta_i.  With that
-Jacobian the fit is a Levenberg-Marquardt least-squares solve on
-(log lam_home, log lam_away): each step solves the damped 2x2 normal
-equations, moves at most 1 in either log intensity, and is projected into
-:data:`LAMBDA_BOX`.  Identifiability is tested on the Jacobian rows at the
-start point.  Parameter uncertainties come from inverting the normal
-matrix at the fit, so they inherit the bid-ask spreads' scale.
+A snapshot is fitted by minimising the root-mean-square of its usable
+quotes' mid-versus-model differences, each in units of that quote's half
+bid-ask spread; usable quotes are two-sided European ones with a mid inside
+:data:`MID_FILTER`.  The fit is a Levenberg-Marquardt solve on (log lam_home,
+log lam_away) with the exact Jacobian dV/dlam_i = (1 - tau) * delta_i of a
+:class:`~inplay.pricing.EuropeanBoard`.
+
+A series is fitted one score segment at a time.  Its snapshots share one
+board over the union of their bets, where weight 0 marks a bet a snapshot
+has no usable quote on, and one loop fits them all: each evaluation prices
+every still-active snapshot at once, and each step solves their damped 2x2
+normal equations in closed form, moves at most 1 in either log intensity
+and is projected into :data:`LAMBDA_BOX`; damping, acceptance and the box
+hold are per snapshot.  The segment's first identifiable snapshot is fitted
+alone, from the last valid fit before the segment (or :data:`COLD_START`),
+and the rest start from its fit.  :func:`calibrate_snapshot` and
+:func:`objective` are the one-snapshot case.
+
+A fit converges once the gradient vanishes, once the part of the residual
+the Jacobian can still explain is below 1e-14 of the cost, or once a step
+that could gain no more than the rounding error of comparing two costs,
+8 eps sum |r_k| / half_k, fails to lower it: the test that holds at
+quote-rounding level.  It is flagged unconverged if it ends with an
+intensity held on the box, after 25 rejected steps in a row or at 100
+evaluations.  Identifiability is tested on the Jacobian rows at the start
+point.  Uncertainties come from inverting the normal matrix at the fit, so
+they inherit the spreads' scale.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -39,6 +56,8 @@ __all__ = [
     "estimate_drift_vol",
 ]
 
+log = logging.getLogger(__name__)
+
 COLD_START = Intensities(1.3, 1.1)
 
 # Quotes in effectively settled bets carry no information and break the
@@ -53,6 +72,7 @@ _MAX_LOG_STEP = 1.0
 _MAX_EVALUATIONS = 100
 _GRAD_TOL = 1e-10
 _EXPLAINED_TOL = 1e-14
+_EPS = np.finfo(float).eps
 _DAMPING_START = 1e-3
 _DAMPING_MAX = 1e12
 
@@ -200,172 +220,191 @@ class IntensitySeries:
         return [p for p in self.points if p.result is not None]
 
 
-def _usable_rows(snapshot: QuoteSnapshot) -> tuple[QuoteTable, np.ndarray]:
-    """The snapshot's table and the rows of its two-sided European quotes
-    inside the mid filter; a zero spread among them is an error.  The board
-    prices European bets only, and the solve leans on their identity
-    dV/dlam_i = (1-tau) delta_i."""
-    t, (start,), (stop,) = quote_columns([snapshot])
-    mid = t.mid[start:stop]
-    keep = (
-        t.two_sided[start:stop]
-        & t.european[start:stop]
-        & (MID_FILTER[0] < mid)
-        & (mid < MID_FILTER[1])
+class _Segment:
+    """The usable quotes of snapshots sharing one score, on one board: a
+    snapshot's k-th quote of a bet is in that bet's k-th column.  ``weight``
+    is 1 / half-spread on a quote and 0 off one, where ``mid`` is 0 and so
+    is the residual.  A zero spread raises, naming the earliest snapshot."""
+
+    def __init__(self, snapshots: Sequence[QuoteSnapshot], t: QuoteTable, starts, stops):
+        lengths, nb = stops - starts, len(t.bets)
+        rows = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        snap = np.repeat(np.arange(len(snapshots)), lengths)
+        mid = t.mid[rows]
+        usable = t.two_sided[rows] & t.european[rows] & (MID_FILTER[0] < mid) & (mid < MID_FILTER[1])
+        rows, snap = rows[usable], snap[usable]
+        for i in np.flatnonzero(t.spread[rows] == 0.0)[:1]:
+            raise ValueError(
+                f"zero spread on quote for {t.bets[t.bet_ix[rows[i]]]} in the snapshot at "
+                f"{snapshots[snap[i]].timestamp_s:.15g}s"
+            )
+        key = snap * nb + t.bet_ix[rows]
+        order = np.argsort(key, kind="stable")
+        repeat = np.empty_like(key)
+        repeat[order] = np.arange(len(key)) - np.searchsorted(key[order], key[order])
+        cols, col = np.unique(repeat * nb + t.bet_ix[rows], return_inverse=True)
+        self.mid, self.weight = np.zeros((2, len(snapshots), len(cols)))
+        self.mid[snap, col], self.weight[snap, col] = t.mid[rows], 2.0 / t.spread[rows]
+        self.count = (self.weight > 0.0).sum(axis=1)
+        score = (snapshots[0].state.home_goals, snapshots[0].state.away_goals)
+        self.board = pricing.EuropeanBoard([t.bets[b] for b in cols % nb], score)
+        self.clocks = np.array([s.state.clock for s in snapshots])
+
+    @classmethod
+    def of(cls, snapshot: QuoteSnapshot) -> _Segment:
+        return cls([snapshot], *quote_columns([snapshot]))
+
+    def residuals(self, idx: np.ndarray, lam: np.ndarray) -> tuple:
+        """Residuals of snapshots ``idx`` at ``lam`` (a row each), their
+        Jacobian in lam, and the board values."""
+        fit = self.board.evaluate(lam, self.clocks[idx])
+        w = self.weight[idx]
+        return w * (self.mid[idx] - fit.values), -w[..., None] * fit.jacobian, fit
+
+    def identifiable(self, idx: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
+        """Two quotes whose (dV/dlam_home, dV/dlam_away) rows have a cross
+        product above 1e-9 of the product of their norms.  Quotes on one bet
+        have equal rows, so they never pass."""
+        a, b = np.moveaxis(jacobian * (self.weight[idx] > 0.0)[..., None], -1, 0)
+        cross = np.abs(a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :])
+        norms = np.hypot(a, b)
+        scale = norms[:, :, None] * norms[:, None, :]
+        return ((scale > 0.0) & (cross > 1e-9 * scale)).any(axis=(1, 2))
+
+
+def _normal(j: np.ndarray) -> tuple:
+    """(a, b, c, det) of [[a, b], [b, c]] = j^T j for a stack of j."""
+    (a, b), (_, c) = np.einsum("ski,skj->ijs", j, j)
+    return a, b, c, a * c - b * b
+
+
+def _solve2(a, b, c, det, g) -> np.ndarray:
+    """x with [[a, b], [b, c]] x = g, by Cramer's rule; NaN where det <= 0."""
+    inv = np.divide(1.0, det, out=np.full_like(det, np.nan), where=det > 0.0)
+    return np.column_stack(((c * g[:, 0] - b * g[:, 1]) * inv, (a * g[:, 1] - b * g[:, 0]) * inv))
+
+
+def _uncertainty(jac: np.ndarray) -> tuple:
+    """(stderr_home, stderr_away, condition) for a stack of residual
+    Jacobians j: the roots of diag((j^T j)^-1) and j's largest over its
+    smallest singular value, inf where j^T j is singular."""
+    a, b, c, det = _normal(jac)
+    ok = det > 0.0
+    det = np.where(ok, det, 1.0)
+    largest = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)  # eigenvalue of j^T j
+    out = np.sqrt(c / det), np.sqrt(a / det), largest / np.sqrt(det)
+    return tuple(np.where(ok, x, np.inf) for x in out)
+
+
+def _solve(seg: _Segment, idx: np.ndarray, start: Intensities | None) -> list:
+    """Fit snapshots ``idx`` of a segment together, all from ``start`` (or
+    :data:`COLD_START` for none or a zero); a result per snapshot, None
+    where not identifiable."""
+    if start is None or start.home <= 0.0 or start.away <= 0.0:
+        start = COLD_START
+    lo, hi = math.log(LAMBDA_BOX[0]), math.log(LAMBDA_BOX[1])
+    u = np.clip(np.log(np.full((len(idx), 2), (start.home, start.away))), lo, hi)
+    r, jac, fit = seg.residuals(idx, np.exp(u))
+    ok = seg.identifiable(idx, fit.jacobian)
+    idx, u, r, jac = idx[ok], u[ok], r[ok], jac[ok]
+    n = len(idx)
+    cost = np.einsum("sk,sk->s", r, r)
+    bound, damping = np.full(n, fit.truncation_bound), np.full(n, _DAMPING_START)
+    evaluations = np.ones(n, dtype=int)
+    converged, active = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    while active.any() and evaluations.max() < _MAX_EVALUATIONS:
+        act = np.flatnonzero(active)
+        ju = jac[act] * np.exp(u[act])[:, None, :]  # d(residual)/d(log lam)
+        grad = np.einsum("sk,ski->si", r[act], ju)
+        # A log intensity on the box whose descent direction leaves it is
+        # held there: a zero column with 1 on the diagonal, so it never moves.
+        held = ((u[act] <= lo) & (grad > 0.0)) | ((u[act] >= hi) & (grad < 0.0))
+        free = ~held
+        a, b, c, _ = _normal(ju * free[:, None, :])
+        a, c, grad = np.where(held[:, 0], 1.0, a), np.where(held[:, 1], 1.0, c), grad * free
+        det = a * c - b * b
+        # g^T N^-1 g: the most a full Gauss-Newton step could lower the cost.
+        explained = np.einsum("si,si->s", grad, _solve2(a, b, c, det, grad))
+        small = np.abs(grad).max(axis=1) / seg.count[idx[act]] < _GRAD_TOL
+        stop = small | (explained <= _EXPLAINED_TOL * cost[act])
+        converged[act] = stop & free.all(axis=1)
+        active[act[stop | held.all(axis=1)]] = False
+        go = active[act]
+        if not go.any():
+            break
+        act, grad, explained, free = act[go], grad[go], explained[go], free[go]
+        a, b, c, det = a[go], b[go], c[go], det[go]
+        # Board values are good to 2 eps (1.5 eps against the 80-bit oracle),
+        # so two costs compare to within 2 * 2 * 2 eps sum |r_k| / half_k.
+        rounding = 8.0 * _EPS * np.einsum("sk,sk->s", np.abs(r[act]), seg.weight[idx[act]])
+        da, dc = (damping[act] * np.maximum(x, np.finfo(float).tiny) for x in (a, c))
+        # Damping adds to a determinant that only rounding makes negative.
+        step = -_solve2(a + da, b, c + dc, np.maximum(det, 0.0) + a * dc + c * da + da * dc, grad)
+        step /= np.maximum(1.0, np.abs(step).max(axis=1) / _MAX_LOG_STEP)[:, None]
+        u_new = np.clip(u[act] + step, lo, hi)
+        r_new, jac_new, fit = seg.residuals(idx[act], np.exp(u_new))
+        evaluations[act] += 1
+        cost_new = np.einsum("sk,sk->s", r_new, r_new)
+        better = cost_new < cost[act]
+        take = act[better]
+        u[take], r[take], jac[take] = u_new[better], r_new[better], jac_new[better]
+        cost[take], bound[take] = cost_new[better], fit.truncation_bound
+        damping[act] = np.where(better, damping[act] / 3.0, damping[act] * 4.0)
+        flat = (explained <= rounding) & ~better
+        converged[act] = flat & free.all(axis=1)
+        active[act[flat | (damping[act] > _DAMPING_MAX)]] = False
+
+    stderr_home, stderr_away, condition = _uncertainty(jac)
+    residual = np.sqrt(cost / seg.count[idx])
+    columns = (residual, stderr_home, stderr_away, evaluations, converged, condition, bound)
+    fits = (
+        CalibrationResult(Intensities(*lam), *rest)
+        for lam, *rest in zip(np.exp(u).tolist(), *(x.tolist() for x in columns))
     )
-    usable = start + np.flatnonzero(keep)
-    flat = usable[t.spread[usable] == 0.0]
-    if flat.size:
-        bet = t.bets[t.bet_ix[flat[0]]]
-        raise ValueError(
-            f"zero spread on quote for {bet} in the snapshot at {snapshot.timestamp_s:.15g}s"
-        )
-    return t, usable
-
-
-class _Residuals:
-    """Mid-versus-model residuals of some table rows in half-spread units."""
-
-    def __init__(self, table: QuoteTable, rows: np.ndarray, state: ScoreState):
-        self.board = pricing.EuropeanBoard([table.bets[i] for i in table.bet_ix[rows]], state)
-        self.mids = table.mid[rows]
-        self.half = 0.5 * table.spread[rows]
-
-    def __call__(
-        self, lam: Intensities
-    ) -> tuple[np.ndarray, np.ndarray, pricing.BoardValues]:
-        """Residuals, their Jacobian in lam, and the board values behind them."""
-        fit = self.board.evaluate(lam)
-        r = (self.mids - fit.values) / self.half
-        return r, -fit.jacobian / self.half[:, None], fit
+    return [next(fits) if good else None for good in ok.tolist()]
 
 
 def objective(lam: Intensities, snapshot: QuoteSnapshot) -> float:
     """Root mean square of spread-weighted mid-versus-model differences."""
-    table, rows = _usable_rows(snapshot)
-    if not len(rows):
+    seg = _Segment.of(snapshot)
+    if not seg.count[0]:
         raise ValueError("no usable quotes in snapshot")
-    r, _, _ = _Residuals(table, rows, snapshot.state)(lam)
+    r, _, _ = seg.residuals(np.zeros(1, dtype=np.intp), np.array([[lam.home, lam.away]]))
     # fsum is exactly rounded, so the value cannot depend on the quote order.
-    return math.sqrt(math.fsum(r * r) / len(r))
-
-
-def _check_identifiable(bet_ix: np.ndarray, jacobian: np.ndarray) -> None:
-    """Raise unless two quotes have non-parallel intensity sensitivities.
-
-    ``bet_ix`` holds each quote's bet index and ``jacobian`` one
-    (dV/dlam_home, dV/dlam_away) row per quote; two rows are parallel when
-    their cross product is below 1e-9 of the product of their norms.
-    """
-    if len(bet_ix) < 2:
-        raise IdentifiabilityError("need at least two usable quotes")
-    if len(set(bet_ix.tolist())) < 2:
-        raise IdentifiabilityError("need at least two distinct bet variants")
-    a, b = jacobian[:, 0], jacobian[:, 1]
-    cross = np.abs(np.multiply.outer(a, b) - np.multiply.outer(b, a))
-    norms = np.hypot(a, b)
-    scale = np.multiply.outer(norms, norms)
-    if np.any((scale > 0.0) & (cross > 1e-9 * scale)):
-        return
-    raise IdentifiabilityError(
-        "quoted bets have linearly dependent goal sensitivities; "
-        "intensities are not identifiable"
-    )
+    return math.sqrt(math.fsum(r[0] * r[0]) / seg.count[0])
 
 
 def calibrate_snapshot(
     snapshot: QuoteSnapshot, init: Intensities | None = None
 ) -> CalibrationResult:
-    """Fit implied intensities to one snapshot.
+    """Fit implied intensities to one snapshot, from ``init`` or
+    :data:`COLD_START`.
 
     Raises :class:`IdentifiabilityError` when the quoted bets cannot pin
     down two parameters.  A solve that stops before its convergence tests
     pass, or that ends held on :data:`LAMBDA_BOX`, still returns its best
     point, flagged ``converged=False``.
     """
-    table, rows = _usable_rows(snapshot)
-    lam0 = init if init is not None else COLD_START
-    if lam0.home <= 0.0 or lam0.away <= 0.0:
-        lam0 = COLD_START
-    residuals = _Residuals(table, rows, snapshot.state)
-
-    def at(u: np.ndarray) -> Intensities:
-        return Intensities(math.exp(u[0]), math.exp(u[1]))
-
-    lo, hi = math.log(LAMBDA_BOX[0]), math.log(LAMBDA_BOX[1])
-    u = np.clip([math.log(lam0.home), math.log(lam0.away)], lo, hi)
-    r, jac, fit = residuals(at(u))
-    _check_identifiable(table.bet_ix[rows], fit.jacobian)
-    cost = float(r @ r)
-    evaluations = 1
-    damping = _DAMPING_START
-    converged = False
-    while evaluations < _MAX_EVALUATIONS:
-        ju = jac * np.exp(u)  # d(residual)/d(log lam)
-        grad = ju.T @ r
-        # A log intensity on the box whose descent direction leaves it is
-        # held there; the solve continues in the other one.
-        held = ((u <= lo) & (grad > 0.0)) | ((u >= hi) & (grad < 0.0))
-        if held.all():
-            break
-        free = ~held
-        ju, grad = ju[:, free], grad[free]
-        # Converged once the gradient vanishes (an exact fit) or the part of
-        # the residual the Jacobian can still explain is at rounding level.
-        explained = ju @ np.linalg.lstsq(ju, r, rcond=None)[0]
-        if (
-            float(np.max(np.abs(grad))) / len(rows) < _GRAD_TOL
-            or float(explained @ explained) <= _EXPLAINED_TOL * cost
-        ):
-            converged = not held.any()
-            break
-        normal = ju.T @ ju
-        scale = np.maximum(np.diag(normal), np.finfo(float).tiny)
-        step = np.zeros(2)
-        step[free] = np.linalg.solve(normal + damping * np.diag(scale), -grad)
-        longest = float(np.max(np.abs(step)))
-        if longest > _MAX_LOG_STEP:
-            step *= _MAX_LOG_STEP / longest
-        u_new = np.clip(u + step, lo, hi)
-        r_new, jac_new, fit_new = residuals(at(u_new))
-        evaluations += 1
-        cost_new = float(r_new @ r_new)
-        if cost_new < cost:
-            u, r, jac, fit, cost = u_new, r_new, jac_new, fit_new, cost_new
-            damping /= 3.0
-        else:
-            damping *= 4.0
-            if damping > _DAMPING_MAX:
-                break
-
-    normal = jac.T @ jac
-    try:
-        cov = np.linalg.inv(normal)
-        stderr_home = math.sqrt(max(cov[0, 0], 0.0))
-        stderr_away = math.sqrt(max(cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
-        stderr_home = stderr_away = math.inf
-    return CalibrationResult(
-        intensities=at(u),
-        residual=math.sqrt(cost / len(rows)),
-        stderr_home=stderr_home,
-        stderr_away=stderr_away,
-        iterations=evaluations,
-        converged=converged,
-        condition=float(np.linalg.cond(jac)),
-        truncation_bound=fit.truncation_bound,
-    )
+    (result,) = _solve(_Segment.of(snapshot), np.zeros(1, dtype=np.intp), init)
+    if result is None:
+        raise IdentifiabilityError(
+            "intensities are not identifiable: no two usable quotes have linearly "
+            "independent goal sensitivities"
+        )
+    return result
 
 
 def calibrate_series(
     snapshots: list[QuoteSnapshot], step_s: float
 ) -> IntensitySeries:
-    """Calibrate a timeline on a fixed grid, warm-starting each step.
+    """Calibrate a timeline on a fixed grid, one score segment at a time.
 
     Snapshots are bucketed to floor(t/step)*step, keeping the latest one per
     bucket.  Buckets with no snapshot, or whose snapshot cannot identify two
     intensities, become gap points rather than aborting the series; any
-    other error (a zero-spread quote, say) propagates.
+    other error (a zero-spread quote, say) propagates.  Each point is logged
+    at DEBUG with its status, evaluations, residual, condition number and
+    truncation bound.
     """
     if not snapshots:
         raise ValueError("empty timeline")
@@ -378,23 +417,38 @@ def calibrate_series(
     buckets: dict[int, QuoteSnapshot] = {}
     for snap in snapshots:
         buckets[int(snap.timestamp_s // step_s)] = snap
+    kept = list(buckets.values())
+    table, starts, stops = quote_columns(kept)
+    scores = [(s.state.home_goals, s.state.away_goals) for s in kept]
+    edges = [i for i in range(1, len(kept)) if scores[i] != scores[i - 1]]
+    fits: list[CalibrationResult | None] = []
+    warm = None
+    for begin, end in zip([0] + edges, edges + [len(kept)]):
+        seg = _Segment(kept[begin:end], table, starts[begin:end], stops[begin:end])
+        for first in range(end - begin):
+            (result,) = _solve(seg, np.array([first]), warm)
+            fits.append(result)
+            if result is not None:
+                fits += _solve(seg, np.arange(first + 1, end - begin), result.intensities)
+                warm = next(f for f in reversed(fits) if f is not None).intensities
+                break
 
-    points: list[SeriesPoint] = []
-    warm: Intensities | None = None
-    for idx in range(min(buckets), max(buckets) + 1):
-        t = idx * step_s
-        snap = buckets.get(idx)
-        if snap is None:
-            points.append(SeriesPoint(t, None))
-            continue
-        try:
-            result = calibrate_snapshot(snap, init=warm)
-        except IdentifiabilityError:
-            points.append(SeriesPoint(t, None))
-            continue
-        warm = result.intensities
-        points.append(SeriesPoint(t, result))
-    return IntensitySeries(tuple(points))
+    fit_of = dict(zip(buckets, fits))
+    span = range(min(buckets), max(buckets) + 1)
+    points = tuple(SeriesPoint(i * step_s, fit_of.get(i)) for i in span)
+    if log.isEnabledFor(logging.DEBUG):
+        for i, p in zip(span, points):
+            if (r := p.result) is None:
+                why = "not identifiable" if i in buckets else "no snapshot"
+                log.debug("series point at %.15gs: gap (%s)", p.timestamp_s, why)
+            else:
+                log.debug(
+                    "series point at %.15gs: %s after %d evaluations, residual %.6g, "
+                    "condition %.6g, truncation bound %.3g", p.timestamp_s,
+                    "converged" if r.converged else "unconverged",
+                    r.iterations, r.residual, r.condition, r.truncation_bound,
+                )
+    return IntensitySeries(points)
 
 
 def estimate_drift_vol(

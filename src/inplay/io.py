@@ -345,7 +345,8 @@ def build_timeline(
     A snapshot without a score gets the score after every goal at or before
     its stamp.  One that has a score keeps it if the events allow it there
     (:func:`~inplay.timeline.goal_counts`); otherwise a warning names the
-    timestamp and the reconstructed score wins for downstream pricing.
+    timestamp and the reconstructed score wins for downstream pricing; the
+    snapshots are then sorted again by (timestamp, goals scored).
     """
     path = score_path(events)
     filled: list[QuoteSnapshot] = []
@@ -360,6 +361,7 @@ def build_timeline(
         clock = clock_of(ts, match_length_min)
         state = ScoreState(*path[hi], clock) if state is None else state.at_clock(clock)
         filled.append(QuoteSnapshot(ts, state, snap.quotes))
+    filled.sort(key=lambda s: (s.timestamp_s, s.state.home_goals + s.state.away_goals))
     return MatchTimeline(match_id, tuple(events), tuple(filled), match_length_min, half_length_min)
 
 

@@ -15,10 +15,11 @@ shifts the scoring team's pmf by one step, so each delta swaps in that
 pmf's derivative.  :func:`segment_greeks` calls it on one value grid with
 a (T x cap) pmf matrix per team, one row per clock of a score segment, and
 never re-prices; :func:`greeks` is its one-clock case.
-:class:`EuropeanBoard` calls it on a stack of payoff masks, so
-its intensity Jacobian is (1 - tau) times the same deltas, and calibration
-solves against it.  The forward equation makes theta the intensity-weighted
-sum of the deltas (``inplay.oracle`` holds the finite-difference check).
+:class:`EuropeanBoard` calls it on a stack of payoff masks and a segment's
+snapshots, so its intensity Jacobian is (1 - tau) times the same deltas,
+and calibration solves against it.  The forward equation makes theta the
+intensity-weighted sum of the deltas (``inplay.oracle`` holds the
+finite-difference check).
 All functions are pure and thread-safe; a board caches its payoff masks
 and belongs to one caller.
 """
@@ -195,9 +196,10 @@ def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult
 
 @dataclass(frozen=True)
 class BoardValues:
-    """Values of a board's bets, their intensity Jacobian and the omitted mass.
+    """A board's values at S snapshots, their intensity Jacobian and a bound
+    on every snapshot's omitted mass.
 
-    ``jacobian[i]`` is (dV_i/dlam_home, dV_i/dlam_away).
+    ``jacobian[s, i]`` is (dV_i/dlam_home, dV_i/dlam_away) at snapshot s.
     """
 
     values: np.ndarray
@@ -206,42 +208,49 @@ class BoardValues:
 
 
 class EuropeanBoard:
-    """Several European bets priced together on one score-matrix grid.
+    """European bets priced together on one score grid at the snapshots of
+    a score segment.
 
     Every value is the double sum of :func:`price_european`: one payoff mask
     per bet from ``contracts.payoff_grid``, all contracted at once by the
     ``_contract`` that :func:`greeks` uses.  The Jacobian is exact: the pmf
     p(k; m) has d/dm = p(k-1; m) - p(k; m), so dV/dlam_i is (1 - tau) *
-    delta_i, as the forward equation requires.  Masks depend on the state
-    and on the grid caps only, so they are rebuilt only when a cap changes.
+    delta_i, as the forward equation requires.  A team's cap is the one its
+    largest mean needs.  Masks depend on the score and on the caps only, so
+    they are rebuilt only when a cap changes.
     """
 
-    def __init__(self, bets: list[Bet] | tuple[Bet, ...], state: ScoreState):
+    def __init__(self, bets: list[Bet] | tuple[Bet, ...], score: tuple[int, int]):
         for bet in bets:
             if not bet.european:
                 raise NonEuropeanBetError(
                     f"{format_bet(bet)} is path dependent and has no board mask"
                 )
         self.bets = tuple(bets)
-        self.state = state
+        self.score = tuple(score)
         self._caps: tuple[int, int] | None = None
         self._masks: np.ndarray | None = None
 
     def _masks_for(self, c1: int, c2: int) -> np.ndarray:
         if self._caps != (c1, c2):
-            h = self.state.home_goals + np.arange(c1 + 1)[:, None]
-            a = self.state.away_goals + np.arange(c2 + 1)[None, :]
+            h = self.score[0] + np.arange(c1 + 1)[:, None]
+            a = self.score[1] + np.arange(c2 + 1)[None, :]
             masks = [payoff_grid(b, h, a) for b in self.bets]
             self._masks = np.array(masks, dtype=float).reshape(len(self.bets), c1 + 1, c2 + 1)
             self._caps = (c1, c2)
         return self._masks
 
-    def evaluate(self, lam: Intensities) -> BoardValues:
-        p1, p2, tails = _remaining_goal_pmfs(*_horizons(self.state, lam))
-        masks = self._masks_for(len(p1) - 1, len(p2) - 1)
-        values, d1, d2 = _contract(p1, masks, p2)
-        jacobian = (1.0 - self.state.clock) * np.column_stack((d1, d2))
-        return BoardValues(np.clip(values, 0.0, 1.0), jacobian, _omitted_mass(tails))
+    def evaluate(self, lam, clocks) -> BoardValues:
+        """The board at one (home, away) row of ``lam`` and one clock each."""
+        horizon = 1.0 - np.asarray(clocks, dtype=float)
+        means = np.asarray(lam, dtype=float) * horizon[:, None]
+        m1, m2 = means.max(axis=0, initial=0.0).tolist()
+        c1, c2 = (cap_for_tail(m, TRUNCATION_TOL, TRUNCATION_FLOOR) for m in (m1, m2))
+        p1, p2 = poisson_pmf_matrix(means[:, 0], c1), poisson_pmf_matrix(means[:, 1], c2)
+        values, d1, d2 = _contract(p1, self._masks_for(c1, c2), p2)
+        jacobian = np.stack((d1.T, d2.T), axis=-1) * horizon[:, None, None]
+        bound = _omitted_mass(((c1, m1), (c2, m2)))
+        return BoardValues(np.clip(values.T, 0.0, 1.0), jacobian, bound)
 
 
 def _pmf_derivative(p: np.ndarray) -> np.ndarray:
@@ -252,26 +261,27 @@ def _pmf_derivative(p: np.ndarray) -> np.ndarray:
 
 
 def _contract(p1: np.ndarray, weights: np.ndarray, p2: np.ndarray) -> tuple:
-    """(value, delta_home, delta_away) of p1 @ weights @ p2.
+    """(value, delta_home, delta_away) of p1 @ weights @ p2 per row of the
+    (T, cap) pmf matrices p1 and p2.
 
     A goal shifts the scoring team's remaining-goals pmf by one step, so each
     delta is the same contraction with that pmf's derivative in its place.
-    Either ``weights`` is a stack of grids (a board of bets) under one pair of
-    pmfs, or p1 and p2 are (T, cap) pmf matrices (a segment's clocks) under
-    one grid; the results then carry that leading axis.
+    ``weights`` is one value grid (a bet over a segment's clocks) or a stack
+    of them (a board of bets over a segment's snapshots); the results then
+    carry that leading bet axis before the row axis.
     """
-    # Stacked matrix-vector products: one matrix product per segment goes to
-    # multithreaded BLAS, which took 5-8 ms for (5400 x 26) @ (26 x 26) on a
-    # loaded 2-vCPU VM against about 1 ms for the stacked form.
-    by_home = (weights @ p2[..., None])[..., 0]  # home goals to come, away summed out
-    by_away = (p1[..., None, :] @ weights)[..., 0, :]  # away goals to come, home summed out
+    # Stacked products: one matrix product per segment goes to multithreaded
+    # BLAS, which took 5-8 ms for (5400 x 26) @ (26 x 26) on a loaded 2-vCPU
+    # VM against about 1 ms for one matrix-vector product per clock.  A board
+    # takes one (cap x cap) @ (cap x T) product per bet.
+    if weights.ndim == 2:
+        by_home = (weights @ p2[..., None])[..., 0]  # home goals to come, away summed out
+        by_away = (p1[..., None, :] @ weights)[..., 0, :]  # away goals to come, home summed out
+    else:
+        by_home, by_away = np.swapaxes(weights @ p2.T, -1, -2), p1 @ weights
     dp1, dp2 = _pmf_derivative(p1), _pmf_derivative(p2)
-    return _row_dot(by_home, p1), _row_dot(by_home, dp1), _row_dot(by_away, dp2)
-
-
-def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u @ v for one pmf vector v; row-by-row dot products for a pmf matrix."""
-    return u @ v if v.ndim == 1 else np.einsum("ij,ij->i", u, v)
+    pairs = ((by_home, p1), (by_home, dp1), (by_away, dp2))
+    return tuple(np.einsum("...ti,ti->...t", u, v) for u, v in pairs)
 
 
 @lru_cache(maxsize=4096)

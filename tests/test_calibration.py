@@ -1,10 +1,12 @@
 """Tests for implied-intensity calibration and the drift/vol estimator."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from inplay import calibration, io, pricing
 from inplay.calibration import (
     LAMBDA_BOX,
     CalibrationResult,
@@ -15,7 +17,8 @@ from inplay.calibration import (
     calibrate_series,
     calibrate_snapshot,
     estimate_drift_vol,
-    _usable_rows,
+    _Segment,
+    _uncertainty,
     objective,
 )
 from inplay.contracts import (
@@ -27,8 +30,7 @@ from inplay.contracts import (
     Quote,
     ScoreState,
 )
-from inplay import pricing
-from inplay.synthetic import calibration_catalogue, make_snapshot
+from inplay.synthetic import calibration_catalogue, make_model_timeline, make_snapshot
 
 LAM_TRUE = Intensities(1.3, 0.7)
 STATE = ScoreState(0, 0, 0.2)
@@ -71,7 +73,7 @@ class TestObjective:
     def test_settled_quotes_are_filtered(self):
         locked = Quote.from_values(Bet.under(0.5), 0.9999, 0.02)
         snap = QuoteSnapshot(0.0, STATE, (locked,))
-        assert len(_usable_rows(snap)[1]) == 0
+        assert _Segment.of(snap).count[0] == 0
         with pytest.raises(ValueError, match="no usable quotes"):
             objective(LAM_TRUE, snap)
 
@@ -214,6 +216,143 @@ class TestCalibrateSeries:
         snaps = [model_snapshot(ts=0.0, state=STATE.at_clock(0.0))]
         with pytest.raises(ValueError, match="step must be positive and finite"):
             calibrate_series(snaps, step_s=step_s)
+
+
+def mixed_series_snapshots():
+    """Snapshots one minute apart over three score segments: 0-0 with a
+    snapshot missing a bet and one whose quotes put lam_away below the box,
+    a one-snapshot 1-0 segment, and 1-1 opening with a totals-only snapshot."""
+    rng = np.random.default_rng(7)
+
+    def snap(minute, score, lam=LAM_TRUE, bets=None, noise=0.25):
+        state = ScoreState(*score, minute / 90.0)
+        return make_snapshot(state, lam, 60.0 * minute, bets=bets, noise=noise, rng=rng)
+
+    catalogue = calibration_catalogue()
+    totals = [Bet.under(x + 2.5) for x in range(4)] + [Bet.over(x + 2.5) for x in range(3)]
+    return [
+        snap(10, (0, 0)),
+        snap(11, (0, 0), bets=catalogue[:3] + catalogue[4:]),
+        snap(12, (0, 0), lam=Intensities(1.3, 1e-7), noise=0.0),
+        snap(13, (0, 0)),
+        snap(14, (1, 0)),
+        snap(15, (1, 1), bets=totals),
+        snap(16, (1, 1)),
+        snap(17, (1, 1), lam=Intensities(1.5, 0.8)),
+    ]
+
+
+def assert_same_fit(got, want, rel=1e-9):
+    assert got.intensities.home == pytest.approx(want.intensities.home, rel=rel)
+    assert got.intensities.away == pytest.approx(want.intensities.away, rel=rel)
+    for field in ("residual", "stderr_home", "stderr_away", "condition"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel), field
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+class TestSegmentSolve:
+    def test_each_point_is_its_own_one_snapshot_fit(self):
+        snaps = mixed_series_snapshots()
+        series = calibrate_series(snaps, step_s=60.0)
+        assert [p.timestamp_s for p in series.points] == [s.timestamp_s for s in snaps]
+        # The warm-start rule, restated: a segment's first identifiable
+        # snapshot starts from the last valid fit before the segment, the
+        # rest of the segment from that first fit.
+        warm = first = score = None
+        for snap, point in zip(snaps, series.points):
+            if (snap.state.home_goals, snap.state.away_goals) != score:
+                score, first = (snap.state.home_goals, snap.state.away_goals), None
+            init = warm if first is None else first
+            if point.result is None:
+                with pytest.raises(IdentifiabilityError):
+                    calibrate_snapshot(snap, init=init)
+                continue
+            assert_same_fit(point.result, calibrate_snapshot(snap, init=init))
+            first = first or point.result.intensities
+            warm = point.result.intensities
+        flags = [None if p.result is None else p.result.converged for p in series.points]
+        assert flags == [True, True, False, True, True, None, True, True]
+        held = series.points[2].result.intensities.away
+        assert held == pytest.approx(LAMBDA_BOX[0], rel=1e-12)
+
+    def test_zero_spread_names_the_earliest_snapshot(self):
+        snaps = mixed_series_snapshots()
+        bad = Quote(MATCH_ODDS_HOME, value_buy=0.5, value_sell=0.5)
+        for i in (6, 3):
+            snaps[i] = QuoteSnapshot(snaps[i].timestamp_s, snaps[i].state, snaps[i].quotes + (bad,))
+        with pytest.raises(
+            ValueError, match="^zero spread on quote for MATCH_ODDS_HOME in the snapshot at 780s$"
+        ):
+            calibrate_series(snaps, step_s=60.0)
+
+    def test_exact_quotes_read_back_from_csv_converge(self, tmp_path):
+        # Mids at 9 significant digits leave a residual at rounding level of
+        # these narrow spreads; the fits must still stop as converged.
+        tl = make_model_timeline(LAM_TRUE, goals=[], step_s=300.0, spread=0.002)
+        io.write_quotes_csv(tl, tmp_path / "q.csv")
+        io.write_events_csv([], tmp_path / "e.csv", tl.match_id)
+        back = io.load_timeline(tmp_path / "q.csv", tmp_path / "e.csv")
+        valid = calibrate_series(list(back.snapshots), step_s=300.0).valid()
+        assert len(valid) == 18
+        for point in valid:
+            fit = point.result
+            assert fit.converged and fit.iterations <= 11, point.timestamp_s
+            assert fit.intensities.home == pytest.approx(LAM_TRUE.home, abs=1e-6)
+            assert fit.intensities.away == pytest.approx(LAM_TRUE.away, abs=1e-6)
+
+    def test_debug_log_has_one_record_per_point(self, caplog):
+        snaps = mixed_series_snapshots()
+        del snaps[3]  # a bucket without a snapshot
+        with caplog.at_level(logging.DEBUG, logger="inplay.calibration"):
+            series = calibrate_series(snaps, step_s=60.0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "inplay.calibration"]
+        assert len(lines) == len(series.points) == 8
+        assert lines[3] == "series point at 780s: gap (no snapshot)"
+        assert lines[5] == "series point at 900s: gap (not identifiable)"
+        fit = series.points[2].result
+        assert lines[2] == (
+            f"series point at 720s: unconverged after {fit.iterations} evaluations, "
+            f"residual {fit.residual:.6g}, condition {fit.condition:.6g}, "
+            f"truncation bound {fit.truncation_bound:.3g}"
+        )
+        assert lines[0].startswith("series point at 600s: converged after ")
+
+    def test_logging_off_costs_one_check_per_series(self, monkeypatch):
+        checks = []
+
+        class Off:
+            def isEnabledFor(self, level):
+                checks.append(level)
+                return False
+
+            def debug(self, *args):
+                raise AssertionError("a DEBUG record was made with logging off")
+
+        monkeypatch.setattr(calibration, "log", Off())
+        calibrate_series(mixed_series_snapshots(), step_s=60.0)
+        assert checks == [logging.DEBUG]
+
+
+class TestUncertainty:
+    def test_matches_numpy_linalg(self):
+        rng = np.random.default_rng(3)
+        jac = rng.normal(size=(50, 31, 2)) * rng.uniform(0.1, 10.0, size=(50, 1, 2))
+        stderr_home, stderr_away, condition = _uncertainty(jac)
+        for j, se_h, se_a, cond in zip(jac, stderr_home, stderr_away, condition):
+            cov = np.linalg.inv(j.T @ j)
+            assert se_h == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+            assert se_a == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-12)
+            assert cond == pytest.approx(np.linalg.cond(j), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 2.0], [2.0, 4.0], [-3.0, -6.0]], [[0.0, 1.0], [0.0, 3.0]], [[0.0, 0.0]]]
+    )
+    def test_singular_normal_matrix_reads_inf(self, rows):
+        j = np.array(rows)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(j.T @ j)
+        stderr_home, stderr_away, condition = _uncertainty(j[None])
+        assert stderr_home[0] == stderr_away[0] == condition[0] == math.inf
 
 
 def series_from_totals(totals, step_s=60.0):

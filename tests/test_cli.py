@@ -195,6 +195,18 @@ class TestCalibrate:
         assert code == 2
         assert f"{quotes}:2: timestamp '-30' is outside the match" in capsys.readouterr().err
 
+    def test_replaced_score_column_is_warned_not_fatal(
+        self, same_second_goals, tmp_path, capsys, caplog
+    ):
+        quotes, events = same_second_goals
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            code = main(
+                ["calibrate", "--quotes", str(quotes), "--events", str(events),
+                 "--out", str(tmp_path / "out.csv")]
+            )
+        assert code == 0, capsys.readouterr().err
+        assert "disagrees with events" in caplog.text
+
     @pytest.mark.parametrize("stamp", ["6000", "-5"])
     def test_goal_outside_the_match_is_data_error(
         self, fixture_files, tmp_path, capsys, caplog, stamp

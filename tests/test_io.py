@@ -12,7 +12,7 @@ from inplay.calibration import (
     IntensitySeries,
     QuoteSnapshot,
     SeriesPoint,
-    _usable_rows,
+    _Segment,
 )
 from inplay.contracts import (
     MATCH_ODDS_AWAY,
@@ -82,8 +82,7 @@ class TestParseQuotes:
         draw = [q for q in snap.quotes if q.bet.kind.value == "MATCH_ODDS_DRAW"]
         assert len(draw) == 1 and not draw[0].two_sided
         filled = build_timeline([snap], [])
-        table, rows = _usable_rows(filled.snapshots[0])
-        assert all(table.bets[table.bet_ix[i]] != draw[0].bet for i in rows)
+        assert draw[0].bet not in _Segment.of(filled.snapshots[0]).board.bets
 
     def test_empty_file_is_an_error(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -309,6 +308,16 @@ class TestBuildTimeline:
             tl = build_timeline([bad], [])
         assert "disagrees" in caplog.text
         assert tl.snapshots[0].state.home_goals == 0
+
+    def test_replaced_score_is_sorted_among_its_second(self, same_second_goals, caplog):
+        # The 0-1 group is not on the HOME-then-AWAY path, becomes 1-1 and
+        # must then follow the 1-0 group.
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            tl = load_timeline(*same_second_goals)
+        assert "score column (0, 1) disagrees with events (1, 1)" in caplog.text
+        scores = [(s.state.home_goals, s.state.away_goals) for s in tl.snapshots]
+        assert scores == [(0, 0), (1, 0), (1, 1)]
+        assert [round(s.quotes[0].back_decimal, 2) for s in tl.snapshots] == [2.5, 1.5, 2.0]
 
     def test_pre_and_post_goal_snapshots_interleave_with_events(self):
         lam = Intensities(1.1, 0.9)

@@ -566,34 +566,47 @@ class TestEuropeanBoard:
     def test_matches_closed_form_and_sensitivities(self, score, tau):
         bets = calibration_catalogue()
         state = ScoreState(score[0], score[1], tau)
-        board = EuropeanBoard(bets, state)
-        for l1 in [0.1, 0.5, 1.0, 2.0, 5.0]:
-            for l2 in [0.1, 0.5, 1.0, 2.0, 5.0]:
-                lam = Intensities(l1, l2)
-                out = board.evaluate(lam)
-                values = [price_closed_form(b, state, lam).value for b in bets]
-                sens = [intensity_sensitivity(b, state, lam) for b in bets]
-                assert np.max(np.abs(out.values - values)) <= 1e-10
-                assert np.max(np.abs(out.jacobian - sens)) <= 1e-10
-                assert out.truncation_bound < 1e-12
+        board = EuropeanBoard(bets, score)
+        grid = [Intensities(l1, l2) for l1 in [0.1, 0.5, 1.0, 2.0, 5.0] for l2 in [0.1, 0.5, 1.0, 2.0, 5.0]]
+        out = board.evaluate([[lam.home, lam.away] for lam in grid], [tau] * len(grid))
+        assert out.values.shape == (len(grid), len(bets))
+        assert out.jacobian.shape == (len(grid), len(bets), 2)
+        assert out.truncation_bound < 1e-12
+        for values, jacobian, lam in zip(out.values, out.jacobian, grid):
+            expected = [price_closed_form(b, state, lam).value for b in bets]
+            sens = [intensity_sensitivity(b, state, lam) for b in bets]
+            assert np.max(np.abs(values - expected)) <= 1e-10
+            assert np.max(np.abs(jacobian - sens)) <= 1e-10
 
     def test_masks_follow_the_grid_caps(self):
         # lam = 20 needs a wider grid than the floor of 25 goals; going back
         # must rebuild the narrow masks, not reuse the wide ones.
         bets = calibration_catalogue()
         state = ScoreState(1, 0, 0.1)
-        board = EuropeanBoard(bets, state)
+        board = EuropeanBoard(bets, (1, 0))
         for lam in [Intensities(0.5, 0.5), Intensities(20.0, 0.1), Intensities(0.5, 0.5)]:
-            fresh = EuropeanBoard(bets, state).evaluate(lam)
-            out = board.evaluate(lam)
+            fresh = EuropeanBoard(bets, (1, 0)).evaluate([[lam.home, lam.away]], [0.1])
+            out = board.evaluate([[lam.home, lam.away]], [0.1])
             assert np.array_equal(out.values, fresh.values)
             assert np.array_equal(out.jacobian, fresh.jacobian)
             expected = [price_european(b, state, lam).value for b in bets]
-            assert np.max(np.abs(out.values - expected)) <= 1e-12
+            assert np.max(np.abs(out.values[0] - expected)) <= 1e-12
+
+    def test_snapshots_share_the_widest_cap(self):
+        # The clocks and intensities of a segment's snapshots differ; each
+        # row prices as the snapshot would alone, with the widest cap.
+        bets = calibration_catalogue()
+        lams = [Intensities(1.3, 0.7), Intensities(20.0, 0.1), Intensities(0.2, 4.0)]
+        clocks = [0.0, 0.3, 0.95]
+        out = EuropeanBoard(bets, (2, 1)).evaluate([[l.home, l.away] for l in lams], clocks)
+        for row, lam, clock in zip(out.values, lams, clocks):
+            expected = [price_european(b, ScoreState(2, 1, clock), lam).value for b in bets]
+            assert np.max(np.abs(row - expected)) <= 1e-12
+        assert 0.0 < out.truncation_bound < 1e-12
 
     def test_rejects_path_dependent_bets(self):
         with pytest.raises(NonEuropeanBetError):
-            EuropeanBoard([MATCH_ODDS_HOME, NEXT_GOAL_HOME], ScoreState(0, 0, 0.0))
+            EuropeanBoard([MATCH_ODDS_HOME, NEXT_GOAL_HOME], (0, 0))
 
 
 class TestStaticReplication:
