@@ -24,9 +24,14 @@ that could gain no more than the rounding error of comparing two costs,
 8 eps sum |r_k| / half_k, fails to lower it: the test that holds at
 quote-rounding level.  It is flagged unconverged if it ends with an
 intensity held on the box, after 25 rejected steps in a row or at 100
-evaluations.  Identifiability is tested on the Jacobian rows at the start
-point.  Uncertainties come from inverting the normal matrix at the fit, so
-they inherit the spreads' scale.
+evaluations.  Uncertainties come from inverting the normal matrix at the
+fit, so they inherit the spreads' scale.  A snapshot is identifiable when the
+condition number of its residual Jacobian at the start point, the one
+:attr:`CalibrationResult.condition` reports at the fit, is below
+:data:`CONDITION_MAX`: det = a c - b^2 rounds by about K eps a c over K
+quotes, so from about 1/sqrt(K eps), 1e7 for K = 31, it reads like singular.
+Scale-free tests (the angle between two rows, det / (a c)) pass a row or a
+column that is only rounding noise; the condition number does not.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ MID_FILTER = (0.001, 0.999)
 # Iterates stay inside this box: the score grid grows with the intensity,
 # so an unbounded step can ask for a grid of arbitrary size.
 LAMBDA_BOX = (1e-4, 50.0)
+
+# Snapshots whose Jacobian at the start point is this ill-conditioned are gaps.
+CONDITION_MAX = 1e6
 
 _MAX_LOG_STEP = 1.0
 _MAX_EVALUATIONS = 100
@@ -261,16 +269,6 @@ class _Segment:
         w = self.weight[idx]
         return w * (self.mid[idx] - fit.values), -w[..., None] * fit.jacobian, fit
 
-    def identifiable(self, idx: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
-        """Two quotes whose (dV/dlam_home, dV/dlam_away) rows have a cross
-        product above 1e-9 of the product of their norms.  Quotes on one bet
-        have equal rows, so they never pass."""
-        a, b = np.moveaxis(jacobian * (self.weight[idx] > 0.0)[..., None], -1, 0)
-        cross = np.abs(a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :])
-        norms = np.hypot(a, b)
-        scale = norms[:, :, None] * norms[:, None, :]
-        return ((scale > 0.0) & (cross > 1e-9 * scale)).any(axis=(1, 2))
-
 
 def _normal(j: np.ndarray) -> tuple:
     """(a, b, c, det) of [[a, b], [b, c]] = j^T j for a stack of j."""
@@ -305,7 +303,7 @@ def _solve(seg: _Segment, idx: np.ndarray, start: Intensities | None) -> list:
     lo, hi = math.log(LAMBDA_BOX[0]), math.log(LAMBDA_BOX[1])
     u = np.clip(np.log(np.full((len(idx), 2), (start.home, start.away))), lo, hi)
     r, jac, fit = seg.residuals(idx, np.exp(u))
-    ok = seg.identifiable(idx, fit.jacobian)
+    ok = _uncertainty(jac)[2] < CONDITION_MAX
     idx, u, r, jac = idx[ok], u[ok], r[ok], jac[ok]
     n = len(idx)
     cost = np.einsum("sk,sk->s", r, r)
@@ -388,8 +386,8 @@ def calibrate_snapshot(
     (result,) = _solve(_Segment.of(snapshot), np.zeros(1, dtype=np.intp), init)
     if result is None:
         raise IdentifiabilityError(
-            "intensities are not identifiable: no two usable quotes have linearly "
-            "independent goal sensitivities"
+            "intensities are not identifiable: the usable quotes' goal sensitivities "
+            f"have a condition number of at least {CONDITION_MAX:g}"
         )
     return result
 

@@ -86,10 +86,11 @@ def _build_parser() -> _Parser:
 
 
 def _check_lengths(args) -> None:
-    """Match length positive and finite, half strictly inside it, where given."""
+    """Match length and step positive and finite, half strictly inside the match, where given."""
     match = getattr(args, "match_length", DEFAULT_MATCH_MINUTES)
-    if not 0.0 < match < math.inf:
-        raise UsageError("--match-length must be positive and finite")
+    for flag, value in (("--match-length", match), ("--step-s", getattr(args, "step_s", 1.0))):
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{flag} must be positive and finite")
     if not 0.0 < getattr(args, "half_length", match / 2) < match:
         raise UsageError("--half-length must lie strictly between 0 and --match-length")
 

@@ -8,6 +8,7 @@ import pytest
 
 from inplay import calibration, io, pricing
 from inplay.calibration import (
+    CONDITION_MAX,
     LAMBDA_BOX,
     CalibrationResult,
     IdentifiabilityError,
@@ -128,11 +129,17 @@ class TestCalibrateSnapshot:
         with pytest.raises(IdentifiabilityError):
             calibrate_snapshot(QuoteSnapshot(0.0, STATE, quotes))
 
-    def test_total_goal_bets_alone_are_unidentifiable(self):
+    @pytest.mark.parametrize(
+        "state, unders, seed",
+        [(STATE, 5, None)] + [(ScoreState(1, 1, 900.0 / 5400.0), 4, s) for s in range(7, 12)],
+    )
+    def test_total_goal_bets_alone_are_unidentifiable(self, state, unders, seed):
         # Over/Under lines all have equal home and away deltas: the split
-        # between the two intensities stays free.
-        bets = [Bet.under(x + 0.5) for x in range(5)] + [Bet.over(x + 0.5) for x in range(3)]
-        snap = make_snapshot(STATE, LAM_TRUE, timestamp_s=0.0, bets=bets)
+        # between the two intensities stays free.  At 1-1 the noisy quotes on
+        # the settled lines add Jacobian rows of rounding noise only.
+        bets = [Bet.under(x + 0.5) for x in range(unders)] + [Bet.over(x + 0.5) for x in range(3)]
+        noise, rng = (0.0, None) if seed is None else (0.25, np.random.default_rng(seed))
+        snap = make_snapshot(state, LAM_TRUE, timestamp_s=0.0, bets=bets, noise=noise, rng=rng)
         with pytest.raises(IdentifiabilityError):
             calibrate_snapshot(snap)
 
@@ -353,6 +360,32 @@ class TestUncertainty:
             np.linalg.inv(j.T @ j)
         stderr_home, stderr_away, condition = _uncertainty(j[None])
         assert stderr_home[0] == stderr_away[0] == condition[0] == math.inf
+
+
+class TestIdentifiabilityGate:
+    """The gate :func:`calibrate_snapshot` and :func:`calibrate_series` apply
+    to the residual Jacobian at the start point."""
+
+    @staticmethod
+    def passes(rows) -> bool:
+        return bool(_uncertainty(np.array(rows)[None])[2][0] < CONDITION_MAX)
+
+    def test_parallel_rows_with_a_rounding_noise_row_fail(self):
+        # A pairwise test scale-free per row passes this: the noise row is
+        # far from parallel to the others.
+        assert not self.passes([[1.0, 1.0], [0.5, 0.5], [-2.0, -2.0], [3e-17, -1e-17]])
+
+    def test_a_rounding_noise_column_fails(self):
+        # det / (a c) is 0.56 here, far from 0: a test scale-free per column passes it.
+        home = [0.3, -0.8, 1.2, 0.05, -0.4]
+        away = [1e-17, 3e-17, -2e-17, 1e-17, -1e-17]
+        assert not self.passes(list(zip(home, away)))
+
+    def test_a_healthy_board_passes(self):
+        snap = model_snapshot()
+        seg = _Segment.of(snap)
+        _, jac, _ = seg.residuals(np.zeros(1, dtype=np.intp), np.array([[1.3, 1.1]]))
+        assert self.passes(jac[0])
 
 
 def series_from_totals(totals, step_s=60.0):

@@ -427,11 +427,12 @@ class TestLengths:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --half-length must lie strictly between")
 
+    @pytest.mark.parametrize("command", ["calibrate", "hedge-replay"])
     @pytest.mark.parametrize("step", ["0", "inf", "nan"])
-    def test_calibration_step_must_be_positive_and_finite(self, argvs, capsys, step):
-        assert main(argvs["calibrate"] + ["--step-s", step]) == 2
+    def test_calibration_step_must_be_positive_and_finite(self, argvs, capsys, command, step):
+        assert main(argvs[command] + ["--step-s", step]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("data error: step must be positive and finite")
+        assert err.startswith("usage error: --step-s must be positive and finite")
 
 
 def test_console_entry_point_smoke():
