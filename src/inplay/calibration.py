@@ -472,8 +472,6 @@ def estimate_drift_vol(
         if tot_a <= 0.0 or tot_b <= 0.0:
             continue
         d_tau = (b.timestamp_s - a.timestamp_s) / unit
-        if d_tau <= 0.0:
-            continue
         d_ln = math.log(tot_b) - math.log(tot_a)
         drifts.append(d_ln / d_tau)
         scaled.append(d_ln / math.sqrt(d_tau))

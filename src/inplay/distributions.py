@@ -3,7 +3,9 @@
 Each quantity has one route:
 
 * the Poisson pmf is exp(n log m - log n! - m), with log n! read from a
-  table of ``math.lgamma`` values that grows on demand;
+  table of ``math.lgamma`` values that grows on demand; a pmf vector is a
+  cached row of the pmf matrix, and ``cap_for_tail`` returns a truncation
+  cap with its Poisson tail, the bound a pricer reports;
 * a Poisson tail sums the side away from the mode as positive pmf terms, so
   both tails keep relative accuracy, and returns the side holding the mode
   as 1 minus that sum;
@@ -93,14 +95,9 @@ def poisson_pmf(n: int, mean: float) -> float:
     return _clamp01(float(_pmf(n, math.lgamma(n + 1.0), mean)))
 
 
-@lru_cache(maxsize=4096)
 def _poisson_sides(n: int, mean: float) -> tuple[float, float]:
     """(P[N <= n], P[N > n]): the side away from the mode floor(mean) is a
-    sum of pmf terms, the side holding it is 1 minus that sum.
-
-    Cached because ``cap_for_tail`` asks for the tail at its floor, and a
-    pricer's truncation bound then asks for the same (n, mean).
-    """
+    sum of pmf terms, the side holding it is 1 minus that sum."""
     mean = _check_mean(mean)
     n = int(n)
     if n < 0:
@@ -124,15 +121,8 @@ def poisson_tail(n: int, mean: float) -> float:
 
 @lru_cache(maxsize=4096)
 def poisson_pmf_vector(mean: float, cap: int) -> np.ndarray:
-    """pmf values for n = 0 .. cap as a read-only array."""
-    mean = _check_mean(mean)
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    if mean == 0.0:
-        out = np.zeros(cap + 1)
-        out[0] = 1.0
-    else:
-        out = np.minimum(_pmf_range(0, cap, mean), 1.0)
+    """pmf values for n = 0 .. cap: a read-only row of :func:`poisson_pmf_matrix`."""
+    out = poisson_pmf_matrix([_check_mean(mean)], cap)[0]
     out.flags.writeable = False
     return out
 
@@ -148,17 +138,20 @@ def poisson_pmf_matrix(means, cap: int) -> np.ndarray:
     dead = means == 0.0
     out = _pmf(np.arange(cap + 1), _log_factorials(cap), np.where(dead, 1.0, means)[:, None])
     np.minimum(out, 1.0, out=out)
-    out[dead] = 0.0
-    out[dead, 0] = 1.0
+    if dead.any():
+        out[dead] = 0.0
+        out[dead, 0] = 1.0
     return out
 
 
 @lru_cache(maxsize=4096)
-def cap_for_tail(mean: float, tol: float = 1e-13, floor: int = 25) -> int:
-    """Smallest n with poisson_tail(n, mean) < tol, never below the floor."""
+def cap_for_tail(mean: float, tol: float = 1e-13, floor: int = 25) -> tuple[int, float]:
+    """(cap, poisson_tail(cap, mean)) for the smallest cap, never below the
+    floor, with that tail below tol: the tail is the bound a pricer reports."""
     floor = int(floor)
-    if poisson_tail(floor, mean) < tol:
-        return floor
+    tail = poisson_tail(floor, mean)
+    if tail < tol:
+        return floor, tail
     # The Chernoff bound P[N >= m + x] <= exp(-x^2 / (2 (m + x/3))) puts the
     # mass past `top` below tol * e^-40, so suffix sums of the pmf up to `top`
     # are the tails P[N > n] for n = floor .. top - 1.
@@ -166,7 +159,8 @@ def cap_for_tail(mean: float, tol: float = 1e-13, floor: int = 25) -> int:
     x = log_ratio / 3.0 + math.sqrt(log_ratio**2 / 9.0 + 2.0 * log_ratio * mean)
     top = max(floor + 1, math.ceil(mean + x))
     tails = np.cumsum(_pmf_range(floor + 1, top, mean)[::-1])[::-1]
-    return floor + int(np.argmax(tails < tol))
+    cap = floor + int(np.argmax(tails < tol))
+    return cap, poisson_tail(cap, mean)  # the suffix sums only locate the cap
 
 
 def _log_scaled_bessel(top: int, z: float) -> np.ndarray:

@@ -74,7 +74,7 @@ def _arrival_matrix(
     horizon = 1.0 - start_clock
     if lam <= 0.0 or horizon <= 0.0:
         return np.full((n, 1), np.inf)
-    cols = cap_for_tail(lam * horizon, 1e-14, 4) + 2
+    cols = cap_for_tail(lam * horizon, 1e-14, 4)[0] + 2
     gaps = rng.exponential(scale=1.0 / lam, size=(n, cols))
     times = start_clock + np.cumsum(gaps, axis=1)
     times[times > 1.0] = np.inf

@@ -10,6 +10,8 @@ Two independent pricing routes are deliberately kept for every European bet:
   the payoff table, which it therefore cross-checks.
 
 They must agree to 1e-10; the test suite enforces this on a dense grid.
+A reported bound sums the tails ``cap_for_tail`` returns with its caps;
+prices read cached ``poisson_pmf_vector`` rows of ``poisson_pmf_matrix``.
 ``_contract`` evaluates p1 @ weights @ p2 with both goal-jump deltas: a goal
 shifts the scoring team's pmf by one step, so each delta swaps in that
 pmf's derivative.  :func:`segment_greeks` calls it on one value grid with
@@ -103,17 +105,9 @@ def _horizons(state: ScoreState, lam: Intensities) -> tuple[float, float]:
     return lam.home * h, lam.away * h
 
 
-def _remaining_goal_pmfs(m1: float, m2: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Poisson pmfs with means m1 and m2, each cut at the smallest cap
-    (floor 25) whose omitted tail is below TRUNCATION_TOL, plus the
-    (cap, mean) pairs whose tails bound the joint mass the cuts omit."""
-    c1 = cap_for_tail(m1, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    c2 = cap_for_tail(m2, TRUNCATION_TOL, TRUNCATION_FLOOR)
-    return poisson_pmf_vector(m1, c1), poisson_pmf_vector(m2, c2), ((c1, m1), (c2, m2))
-
-
-def _omitted_mass(tails: tuple) -> float:
-    return sum((poisson_tail(c, m) for c, m in tails), 0.0)
+def _cap(mean: float) -> tuple[int, float]:
+    """(cap, omitted tail) of the pricers' truncation rule for one mean."""
+    return cap_for_tail(mean, TRUNCATION_TOL, TRUNCATION_FLOOR)
 
 
 def _value_grid(
@@ -122,19 +116,19 @@ def _value_grid(
     lam: Intensities,
     half_clock: float = DEFAULT_HALF_CLOCK,
     ht_score: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """(p1, weights, p2, tails) with value p1 @ weights @ p2 for a European
-    or HT/FT bet: p1 and p2 are the truncated pmfs of the home and away goals
-    still to come in this stage (the first half, for HT/FT before half time),
-    weights[i, j] is the bet's value once i and j of them have come, and
-    ``tails`` lists the (cap, mean) pairs bounding the omitted mass.  A goal
-    scored now shifts p1 or p2 by one step and leaves the weights alone.
+) -> tuple[np.ndarray, float, float]:
+    """(weights, end, bound) with value p1 @ weights @ p2 for a European or
+    HT/FT bet: p1 and p2 are the pmfs of the home and away goals still to
+    come in the stage ending at clock ``end`` (half time, for HT/FT before
+    it), cut at the caps weights.shape - 1, weights[i, j] is the bet's value
+    once i and j of them have come, and ``bound`` sums the tails the caps
+    omit.  A goal scored now shifts p1 or p2 and leaves the weights alone.
     """
     if bet.kind is not BetKind.HT_FT:
-        p1, p2, tails = _remaining_goal_pmfs(*_horizons(state, lam))
-        h = state.home_goals + np.arange(len(p1))[:, None]
-        a = state.away_goals + np.arange(len(p2))[None, :]
-        return p1, payoff_grid(bet, h, a).astype(float), p2, tails
+        (c1, t1), (c2, t2) = map(_cap, _horizons(state, lam))
+        h = state.home_goals + np.arange(c1 + 1)[:, None]
+        a = state.away_goals + np.arange(c2 + 1)[None, :]
+        return payoff_grid(bet, h, a).astype(float), 1.0, t1 + t2
 
     if not (0.0 < half_clock < 1.0):
         raise ValueError("half_clock must lie strictly inside (0, 1)")
@@ -145,16 +139,16 @@ def _value_grid(
         if payoff(MATCH_ODDS_FOR[bet.half_time], *ht_score):
             return grid
         # Half-time leg lost: worth exactly 0, with nothing omitted.
-        return grid[0], np.zeros_like(grid[1]), grid[2], ()
+        return np.zeros_like(grid[0]), grid[1], 0.0
 
     h1 = half_clock - state.clock
-    p1, p2, tails = _remaining_goal_pmfs(lam.home * h1, lam.away * h1)
-    hh = state.home_goals + np.arange(len(p1))[:, None]  # half-time scores
-    aa = state.away_goals + np.arange(len(p2))[None, :]
+    (c1, t1), (c2, t2) = _cap(lam.home * h1), _cap(lam.away * h1)
+    hh = state.home_goals + np.arange(c1 + 1)[:, None]  # half-time scores
+    aa = state.away_goals + np.arange(c2 + 1)[None, :]
     # Full-time outcome probability depends on the half-time score only
     # through the goal difference d: tabulate over the reachable d range.
     b1, b2 = _horizons(state.at_clock(half_clock), lam)
-    j = cap_for_tail(b1 + b2, TRUNCATION_TOL, TRUNCATION_FLOOR)
+    j, tail_j = _cap(b1 + b2)
     d_min = int(hh[0, 0] - aa[0, -1])
     d_max = int(hh[-1, 0] - aa[0, 0])
     lo = min(-j, -d_max)
@@ -168,16 +162,20 @@ def _value_grid(
     elif bet.full_time is Outcome.DRAW:
         ft_by_d = sk[idx]
     else:
-        ft_by_d = 1.0 - suffix[idx] - poisson_tail(j, b1 + b2)  # P[D < -d]
+        ft_by_d = 1.0 - suffix[idx] - tail_j  # P[D < -d]
         np.clip(ft_by_d, 0.0, 1.0, out=ft_by_d)
     ft_grid = ft_by_d[(hh - aa) - d_min]
     ht_won = payoff_grid(MATCH_ODDS_FOR[bet.half_time], hh, aa)
-    return p1, ht_won * ft_grid, p2, tails + ((j, b1 + b2),)
+    return ht_won * ft_grid, half_clock, t1 + t2 + tail_j
 
 
-def _priced(grid: tuple) -> PriceResult:
-    p1, weights, p2, tails = grid
-    return PriceResult(_clamp01(float(p1 @ weights @ p2)), _omitted_mass(tails))
+def _priced(bet: Bet, state: ScoreState, lam: Intensities, *half_time) -> PriceResult:
+    """A European or HT/FT value; ``half_time`` is (half_clock, ht_score)."""
+    weights, end, bound = _value_grid(bet, state, lam, *half_time)
+    c1, c2 = weights.shape
+    p1 = poisson_pmf_vector(lam.home * (end - state.clock), c1 - 1)
+    p2 = poisson_pmf_vector(lam.away * (end - state.clock), c2 - 1)
+    return PriceResult(_clamp01(float(p1 @ weights @ p2)), bound)
 
 
 def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult:
@@ -191,7 +189,7 @@ def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult
         raise NonEuropeanBetError(
             f"{format_bet(bet)} is path dependent; use price_next_goal/price_ht_ft"
         )
-    return _priced(_value_grid(bet, state, lam))
+    return _priced(bet, state, lam)
 
 
 @dataclass(frozen=True)
@@ -245,12 +243,11 @@ class EuropeanBoard:
         horizon = 1.0 - np.asarray(clocks, dtype=float)
         means = np.asarray(lam, dtype=float) * horizon[:, None]
         m1, m2 = means.max(axis=0, initial=0.0).tolist()
-        c1, c2 = (cap_for_tail(m, TRUNCATION_TOL, TRUNCATION_FLOOR) for m in (m1, m2))
+        (c1, t1), (c2, t2) = _cap(m1), _cap(m2)
         p1, p2 = poisson_pmf_matrix(means[:, 0], c1), poisson_pmf_matrix(means[:, 1], c2)
         values, d1, d2 = _contract(p1, self._masks_for(c1, c2), p2)
         jacobian = np.stack((d1.T, d2.T), axis=-1) * horizon[:, None, None]
-        bound = _omitted_mass(((c1, m1), (c2, m2)))
-        return BoardValues(np.clip(values.T, 0.0, 1.0), jacobian, bound)
+        return BoardValues(np.clip(values.T, 0.0, 1.0), jacobian, t1 + t2)
 
 
 def _pmf_derivative(p: np.ndarray) -> np.ndarray:
@@ -296,14 +293,13 @@ def _match_odds_closed(state: ScoreState, lam: Intensities) -> tuple[float, floa
     remaining goal difference."""
     l1, l2 = _horizons(state, lam)
     d0 = state.away_goals - state.home_goals  # remaining diff needed to draw
-    j = cap_for_tail(l1 + l2, TRUNCATION_TOL, TRUNCATION_FLOOR)
+    j, bound = _cap(l1 + l2)
     lo, hi = min(-j, d0), max(j, d0)
     pmfs = _skellam_table(lo, hi, l1, l2)
     idx = d0 - lo
     draw = float(pmfs[idx])
     home = float(pmfs[idx + 1 :].sum())
     away = float(pmfs[:idx].sum())
-    bound = poisson_tail(j, l1 + l2)
     return home, draw, away, bound
 
 
@@ -393,7 +389,7 @@ def price_ht_ft(
     worthless (half-time leg lost) or equal to the matching full-time match
     odds bet.  The half-time score must be supplied once clock >= half_clock.
     """
-    return _priced(_value_grid(Bet.ht_ft(ht, ft), state, lam, half_clock, ht_score))
+    return _priced(Bet.ht_ft(ht, ft), state, lam, half_clock, ht_score)
 
 
 def price(
@@ -446,12 +442,9 @@ def segment_greeks(
         base = _next_goal_value(lam.home if home else lam.away, lam, 1.0 - clocks)
         d1, d2 = (1.0 - base, -base) if home else (-base, 1.0 - base)
     else:
-        _, weights, _, _ = _value_grid(bet, first, lam, half_clock, ht_score)
-        end = 1.0
-        if bet.kind is BetKind.HT_FT and first.clock < half_clock:
-            if clocks.max() >= half_clock:
-                raise ValueError("HT/FT clocks must lie on one side of half time")
-            end = half_clock
+        weights, end, _ = _value_grid(bet, first, lam, half_clock, ht_score)
+        if end < 1.0 and clocks.max() >= end:
+            raise ValueError("HT/FT clocks must lie on one side of half time")
         c1, c2 = weights.shape
         p1 = poisson_pmf_matrix(lam.home * (end - clocks), c1 - 1)
         p2 = poisson_pmf_matrix(lam.away * (end - clocks), c2 - 1)

@@ -432,6 +432,14 @@ class TestDriftVol:
         with pytest.raises(ValueError, match="at least 10"):
             estimate_drift_vol(series_from_totals([2.0] * 9))
 
+    def test_needs_two_consecutive_valid_pairs(self):
+        # Ten valid points with a gap between every two: no increment to use.
+        alternating = series_from_totals([2.0] * 20).points
+        holed = [p if i % 2 == 0 else SeriesPoint(p.timestamp_s, None)
+                 for i, p in enumerate(alternating)]
+        with pytest.raises(ValueError, match="at least 2 consecutive valid pairs"):
+            estimate_drift_vol(IntensitySeries(tuple(holed)))
+
     def test_gaps_skipped_pairwise(self):
         base = series_from_totals([2.0, 2.2, 2.4, 2.2, 2.0, 2.1, 2.3, 2.2, 2.4, 2.5, 2.6])
         holed = list(base.points)

@@ -283,6 +283,40 @@ class TestHedgeReplay:
         )
         assert code == 1
 
+    def test_calibrated_replay_writes_report(self, fixture_files, tmp_path, capsys):
+        quotes, events = fixture_files
+        out_dir = tmp_path / "hedge"
+        code = main(
+            ["hedge-replay", "--quotes", str(quotes), "--events", str(events),
+             "--target", "MATCH_ODDS_HOME", "--out-dir", str(out_dir)]
+        )
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary == json.loads(capsys.readouterr().out)
+        assert summary["goals"] == 2
+        assert summary["jump_correlation"] >= 0.999
+
+    def test_singular_instruments_are_numerical_failure(self, fixture_files, tmp_path, capsys):
+        quotes, events = fixture_files
+        code = main(
+            ["hedge-replay", "--quotes", str(quotes), "--events", str(events),
+             "--target", "MATCH_ODDS_HOME", "--instruments", "NEXT_GOAL_HOME,NEXT_GOAL_HOME",
+             "--lambda-home", "1.3", "--lambda-away", "0.7", "--out-dir", str(tmp_path / "h")]
+        )
+        assert code == 3
+        assert "every replay step was flagged" in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()
+
+    def test_one_fixed_intensity_is_usage_error(self, fixture_files, tmp_path, capsys):
+        quotes, events = fixture_files
+        code = main(
+            ["hedge-replay", "--quotes", str(quotes), "--events", str(events),
+             "--target", "MATCH_ODDS_HOME", "--lambda-home", "1.3",
+             "--out-dir", str(tmp_path / "h")]
+        )
+        assert code == 1
+        assert "give both --lambda-home and --lambda-away" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_deterministic_output(self, tmp_path):

@@ -113,10 +113,10 @@ class TestPmfVectorAndCaps:
             assert vec[n] == pytest.approx(poisson_pmf(n, mean), rel=1e-13, abs=1e-300)
 
     def test_cap_is_smallest_with_floor(self):
-        cap = cap_for_tail(2.0, 1e-13, 25)
-        assert poisson_tail(cap, 2.0) < 1e-13
+        cap, tail = cap_for_tail(2.0, 1e-13, 25)
+        assert tail == poisson_tail(cap, 2.0) < 1e-13
         assert cap == 25 or poisson_tail(cap - 1, 2.0) >= 1e-13
-        assert cap_for_tail(0.0) == 25
+        assert cap_for_tail(0.0) == (25, 0.0)
 
     @pytest.mark.parametrize("floor", [4, 25])
     @pytest.mark.parametrize("tol", [1e-13, 1e-14])
@@ -125,7 +125,9 @@ class TestPmfVectorAndCaps:
             n = floor
             while gammainc(n + 1, mean) >= tol:
                 n += 1
-            assert cap_for_tail(float(mean), tol, floor) == n, mean
+            cap, tail = cap_for_tail(float(mean), tol, floor)
+            assert cap == n, mean
+            assert tail.hex() == poisson_tail(n, float(mean)).hex(), mean
 
 
 class TestPmfMatrix:
@@ -264,7 +266,8 @@ class TestSkellamTable:
 
     @pytest.mark.parametrize("mean1,mean2", PAIRS)
     def test_full_range_sums_to_one(self, mean1, mean2):
-        j = cap_for_tail(mean1 + mean2, 1e-13, 25)
+        j, tail = cap_for_tail(mean1 + mean2, 1e-13, 25)
+        assert tail.hex() == poisson_tail(j, mean1 + mean2).hex()
         assert skellam_pmf_range(-j, j, mean1, mean2).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_orders_where_ive_underflows_match_the_series(self):

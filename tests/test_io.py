@@ -20,6 +20,8 @@ from inplay.contracts import (
     MATCH_ODDS_HOME,
     NEXT_GOAL_AWAY,
     NEXT_GOAL_HOME,
+    EVEN_TOTAL,
+    ODD_TOTAL,
     Bet,
     Intensities,
     Quote,
@@ -153,6 +155,18 @@ class TestParseQuotes:
             snaps = parse_quotes_csv(f)
         assert "rejected" in caplog.text
         assert len(snaps[0].quotes) == 1
+
+    def test_row_without_odds_dropped_with_its_line(self, tmp_path, caplog):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal\n"
+            "g1,600,MATCH_ODDS,HOME,2.5,2.54\n"
+            "g1,600,MATCH_ODDS,DRAW,,\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            snaps = parse_quotes_csv(f)
+        assert f"{f}:3: no odds on either side, row rejected" in caplog.text
+        assert [q.bet for q in snaps[0].quotes] == [MATCH_ODDS_HOME]
 
     @pytest.mark.parametrize(
         "row, message",
@@ -368,14 +382,17 @@ class TestRoundTrips:
             lam,
             goals=[(1200.0, Team.AWAY)],
             step_s=600.0,
-            bets=[MATCH_ODDS_HOME, Bet.under(2.5), Bet.correct_score(1, 1)],
+            bets=[MATCH_ODDS_HOME, Bet.under(2.5), Bet.correct_score(1, 1), ODD_TOTAL, EVEN_TOTAL],
         )
         f1 = tmp_path / "a.csv"
         fe = tmp_path / "e.csv"
         write_quotes_csv(tl, f1)
         write_events_csv(list(tl.events), fe, match_id=tl.match_id)
+        assert ",TOTAL_PARITY,ODD," in f1.read_text() and ",TOTAL_PARITY,EVEN," in f1.read_text()
         tl2 = load_timeline(f1, fe)
         assert tl2.match_id == tl.match_id
+        for a, b in zip(tl.snapshots, tl2.snapshots, strict=True):
+            assert [q.bet for q in a.quotes] == [q.bet for q in b.quotes]
         f2 = tmp_path / "b.csv"
         write_quotes_csv(tl2, f2)
         assert f1.read_bytes() == f2.read_bytes()
