@@ -85,14 +85,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_lengths(args) -> None:
-    """Match length and step positive and finite, half strictly inside the match, where given."""
+def _check_numbers(args) -> None:
+    """Lengths, step and intensities within their ranges, where given."""
     match = getattr(args, "match_length", DEFAULT_MATCH_MINUTES)
     for flag, value in (("--match-length", match), ("--step-s", getattr(args, "step_s", 1.0))):
         if not 0.0 < value < math.inf:
             raise UsageError(f"{flag} must be positive and finite")
     if not 0.0 < getattr(args, "half_length", match / 2) < match:
         raise UsageError("--half-length must lie strictly between 0 and --match-length")
+    for side in ("home", "away"):
+        if not 0.0 <= (getattr(args, f"lambda_{side}", None) or 0.0) < math.inf:
+            raise UsageError(f"--lambda-{side} must be finite and nonnegative")
 
 
 def _parse_score(text: str) -> tuple[int, int]:
@@ -149,7 +152,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_hedge_replay(args) -> int:
-    tl = io.load_timeline(args.quotes, args.events, args.match_length, args.half_length)
     target = _parse_bet_arg(args.target)
     tokens = [t for t in args.instruments.split(",") if t]
     if len(tokens) != 2:
@@ -157,6 +159,7 @@ def _cmd_hedge_replay(args) -> int:
     instruments = (_parse_bet_arg(tokens[0]), _parse_bet_arg(tokens[1]))
     if (args.lambda_home is None) != (args.lambda_away is None):
         raise UsageError("give both --lambda-home and --lambda-away or neither")
+    tl = io.load_timeline(args.quotes, args.events, args.match_length, args.half_length)
     if args.lambda_home is not None:
         lam_source = Intensities(args.lambda_home, args.lambda_away)
     else:
@@ -212,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        _check_lengths(args)
+        _check_numbers(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

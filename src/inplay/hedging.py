@@ -9,8 +9,8 @@ settlement payouts, never through injected cash.
 Between goals, series points and half time the score and the intensities
 hold and only the clock moves, so the replay cuts its snapshots into such
 segments and takes each bet's deltas over a segment from one
-``pricing.segment_greeks`` call.  Only the ledger and its 2x2 solve run per
-snapshot, over those precomputed deltas.
+``pricing.segment_greeks`` call.  The 2x2 weight solves run once per replay,
+over every snapshot's deltas at once; only the ledger runs per snapshot.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def _segment_deltas(
     lam_values: list[Intensities],
     half_clock: float,
     ht_score: tuple[int, int] | None,
-) -> list:
-    """Per snapshot, the bets' home deltas and their away deltas (NaN before
-    the first intensities).
+) -> np.ndarray:
+    """Per snapshot, the bets' home deltas and their away deltas, shape
+    (snapshots, 2, bets) (NaN before the first intensities).
 
     A segment is a run of snapshots with one score, one series point ``at``
     and one side of half time; only the clock moves inside it, so each bet's
@@ -188,7 +188,17 @@ def _segment_deltas(
                 bet, score, lam_values[at[lo]], clocks[lo:hi], half_clock, ht_score
             )
             out[lo:hi, 0, b], out[lo:hi, 1, b] = d1, d2
-    return out.tolist()
+    return out
+
+
+def _stack_weights(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per snapshot of a (snapshots, 2, 3) delta stack, psi1, psi2 and whether the
+    solve is singular, each as :func:`solve_replication_weights` computes it."""
+    (d1, m00, m01), (d2, m10, m11) = deltas.transpose(1, 2, 0)
+    det = m00 * m11 - m01 * m10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi1, psi2 = (d1 * m11 - m01 * d2) / det, (m00 * d2 - d1 * m10) / det
+    return psi1, psi2, np.abs(det) <= _DET_TOL
 
 
 def replay_hedge(
@@ -240,7 +250,9 @@ def replay_hedge(
     times = np.array([s.timestamp_s for s in snaps], dtype=float)
     at = np.searchsorted(lam_times, times, side="right") - 1
     deltas = _segment_deltas(snaps, bets, at, lam_values, half_clock, ht_score)
-    at = at.tolist()
+    psi1, psi2, singular = _stack_weights(deltas)
+    flags = np.where(at < 0, "no intensity", np.where(singular, "singular", "")).tolist()
+    psi1, psi2 = psi1.tolist(), psi2.tolist()
 
     steps: list[HedgeStep] = []
     goals: list[GoalRecord] = []
@@ -303,18 +315,10 @@ def replay_hedge(
         value = mark(z)
         close_goal(x, value)
 
-        flag = ""
-        if at[k] < 0:
-            flag = "no intensity"
-        else:
-            (t1, a1, b1), (t2, a2, b2) = deltas[k]
-            try:
-                w = solve_replication_weights((t1, t2), ((a1, b1), (a2, b2)), value, z)
-            except SingularHedgeError:
-                flag = "singular"
-            else:
-                psi = [w.psi1, w.psi2]
-                cash = w.cash
+        flag = flags[k]
+        if not flag:
+            psi = [psi1[k], psi2[k]]
+            cash = value - psi[0] * z1 - psi[1] * z2
         add_step(snap.timestamp_s, snap.state.clock, x, value, z, flag)
         last_x, last_z = x, z
 

@@ -342,26 +342,33 @@ def build_timeline(
 ) -> MatchTimeline:
     """Assemble a timeline, reconstructing snapshot scores from the events.
 
-    A snapshot without a score gets the score after every goal at or before
-    its stamp.  One that has a score keeps it if the events allow it there
-    (:func:`~inplay.timeline.goal_counts`); otherwise a warning names the
-    timestamp and the reconstructed score wins for downstream pricing; the
-    snapshots are then sorted again by (timestamp, goals scored).
+    ``snapshots`` come in (timestamp, goals scored) order, as parsed.  One
+    without a score gets the score after every goal at or before its stamp.
+    One with a score the events allow there (:func:`~inplay.timeline.goal_counts`)
+    is kept, as the same object if its clock fits its stamp; otherwise a
+    warning names the timestamp, the reconstructed score wins for downstream
+    pricing and the snapshots are sorted again by (timestamp, goals scored).
     """
     path = score_path(events)
-    filled: list[QuoteSnapshot] = []
-    for snap, lo, hi in zip(snapshots, *goal_counts(events, [s.timestamp_s for s in snapshots])):
+    filled = list(snapshots)
+    replaced = False
+    counts = goal_counts(events, [s.timestamp_s for s in snapshots])
+    for i, (snap, lo, hi) in enumerate(zip(snapshots, *counts)):
         ts, state = snap.timestamp_s, snap.state
-        score = None if state is None else (state.home_goals, state.away_goals)
-        if score is not None and score not in path[lo : hi + 1]:
+        clock = clock_of(ts, match_length_min)
+        if state is not None:
+            score = (state.home_goals, state.away_goals)
+            if score in path[lo : hi + 1]:
+                if state.clock != clock:
+                    filled[i] = QuoteSnapshot(ts, state.at_clock(clock), snap.quotes)
+                continue
             log.warning(
                 "snapshot at %ss: score column %s disagrees with events %s", ts, score, path[hi]
             )
-            state = None
-        clock = clock_of(ts, match_length_min)
-        state = ScoreState(*path[hi], clock) if state is None else state.at_clock(clock)
-        filled.append(QuoteSnapshot(ts, state, snap.quotes))
-    filled.sort(key=lambda s: (s.timestamp_s, s.state.home_goals + s.state.away_goals))
+            replaced = True
+        filled[i] = QuoteSnapshot(ts, ScoreState(*path[hi], clock), snap.quotes)
+    if replaced:
+        filled.sort(key=lambda s: (s.timestamp_s, s.state.home_goals + s.state.away_goals))
     return MatchTimeline(match_id, tuple(events), tuple(filled), match_length_min, half_length_min)
 
 
@@ -490,37 +497,23 @@ def write_hedge_report(report: HedgeReport, out_dir) -> dict:
     """Emit steps.csv, goals.csv and summary.json; returns the summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # One format per row: %.9g is fmt_float, and no flag needs CSV quoting.
+    step_row = "%s" + ",%.9g" * 7 + ",%s\n"
+    goal_row = "%s,%s" + ",%.9g" * 4 + "\n"
     with _open_write(out_dir / "steps.csv") as fh:
-        w = _writer(fh)
-        w.writerow(STEPS_HEADER)
-        for s in report.steps:
-            w.writerow(
-                [
-                    _fmt_ts(s.timestamp_s),
-                    fmt_float(s.target_value),
-                    fmt_float(s.portfolio_value),
-                    fmt_float(s.psi1),
-                    fmt_float(s.psi2),
-                    fmt_float(s.cash),
-                    fmt_float(s.z1),
-                    fmt_float(s.z2),
-                    s.flag,
-                ]
-            )
+        fh.write(",".join(STEPS_HEADER) + "\n")
+        fh.writelines(
+            step_row % (_fmt_ts(s.timestamp_s), s.target_value, s.portfolio_value, s.psi1,
+                        s.psi2, s.cash, s.z1, s.z2, s.flag)
+            for s in report.steps
+        )
     with _open_write(out_dir / "goals.csv") as fh:
-        w = _writer(fh)
-        w.writerow(GOALS_HEADER)
-        for g in report.goals:
-            w.writerow(
-                [
-                    _fmt_ts(g.timestamp_s),
-                    g.team.value,
-                    fmt_float(g.target_pre),
-                    fmt_float(g.target_post),
-                    fmt_float(g.portfolio_pre),
-                    fmt_float(g.portfolio_post),
-                ]
-            )
+        fh.write(",".join(GOALS_HEADER) + "\n")
+        fh.writelines(
+            goal_row % (_fmt_ts(g.timestamp_s), g.team.value, g.target_pre, g.target_post,
+                        g.portfolio_pre, g.portfolio_post)
+            for g in report.goals
+        )
     summary = {
         "target": format_bet(report.target),
         "instruments": [format_bet(b) for b in report.instruments],

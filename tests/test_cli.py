@@ -469,6 +469,43 @@ class TestLengths:
         assert err.startswith("usage error: --step-s must be positive and finite")
 
 
+class TestIntensityFlags:
+    @pytest.mark.parametrize("command", ["price", "hedge-replay", "simulate"])
+    @pytest.mark.parametrize("side", ["home", "away"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_intensity_must_be_finite_and_nonnegative(
+        self, argvs, tmp_path, capsys, command, side, value
+    ):
+        simulate = ["simulate", "--lambda-home", "1.3", "--lambda-away", "0.7",
+                    "--paths", "5", "--seed", "1", "--out", str(tmp_path / "s.csv")]
+        argv = {**argvs, "simulate": simulate}[command]
+        at = argv.index(f"--lambda-{side}") + 1
+        assert main([*argv[:at], value, *argv[at + 1 :]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --lambda-{side} must be finite and nonnegative")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_zero_intensity_is_accepted(self, argvs, capsys):
+        assert main(argvs["price"] + ["--lambda-away", "0"]) == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--target", "NOT_A_BET"],
+            ["--instruments", "NEXT_GOAL_HOME"],
+            ["--instruments", "NEXT_GOAL_HOME,NOT_A_BET"],
+            ["--lambda-home", "1.3"],
+            ["--lambda-home", "-1", "--lambda-away", "0.7"],
+        ],
+    )
+    def test_hedge_replay_checks_arguments_before_reading_files(self, tmp_path, capsys, extra):
+        missing = str(tmp_path / "missing.csv")
+        argv = ["hedge-replay", "--quotes", missing, "--events", missing,
+                "--target", "MATCH_ODDS_HOME", "--out-dir", str(tmp_path / "h"), *extra]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_console_entry_point_smoke():
     proc = subprocess.run(
         [

@@ -24,9 +24,11 @@ from inplay.contracts import (
     Team,
 )
 from inplay.hedging import (
+    _DET_TOL,
     GoalRecord,
     HedgeReport,
     SingularHedgeError,
+    _stack_weights,
     jump_scatter_stats,
     next_goal_delta_matrix,
     replay_hedge,
@@ -121,6 +123,50 @@ class TestSolveWeights:
         target = greeks(Bet.over(4.5), state, LAM)
         with pytest.raises(SingularHedgeError):
             solve_replication_weights(target, matrix)
+
+
+class TestStackWeights:
+    """The replay's one-pass weights against the scalar solve, bit for bit."""
+
+    # Determinants on and around the singular bound, and exact zeros.
+    DETS = [
+        np.nextafter(_DET_TOL, 0.0), _DET_TOL, np.nextafter(_DET_TOL, 1.0),
+        -np.nextafter(_DET_TOL, 0.0), -_DET_TOL, -np.nextafter(_DET_TOL, 1.0), 0.0, -0.0,
+    ]
+
+    @classmethod
+    def stack(cls) -> np.ndarray:
+        """(rows, team, (target, instrument 1, instrument 2)) deltas."""
+        rng = np.random.default_rng(19)
+        deltas = rng.normal(size=(300, 2, 3)) * 10.0 ** rng.uniform(-8, 2, size=(300, 1, 1))
+        # m00 = 1 and m01 = 0 make det = m00 * m11 - m01 * m10 exactly m11.
+        for row, det in zip(deltas, cls.DETS):
+            row[0, 1], row[0, 2], row[1, 2] = 1.0, 0.0, det
+        deltas[len(cls.DETS) : len(cls.DETS) + 4, 0, 0] = 0.0  # zero numerators
+        deltas[-3] = np.nan  # before the first intensities
+        deltas[-2, 1, 0] = np.nan  # one NaN target delta
+        deltas[-1, 0, 2] = np.nan  # one NaN instrument delta
+        return deltas
+
+    def test_equal_to_the_scalar_solve_bit_for_bit(self):
+        deltas = self.stack()
+        psi1, psi2, singular = _stack_weights(deltas)
+        raised = []
+        for row, p1, p2 in zip(deltas.tolist(), psi1.tolist(), psi2.tolist()):
+            (t1, a1, b1), (t2, a2, b2) = row
+            try:
+                w = solve_replication_weights((t1, t2), ((a1, b1), (a2, b2)))
+            except SingularHedgeError:
+                raised.append(True)
+                continue
+            raised.append(False)
+            assert (p1.hex(), p2.hex()) == (w.psi1.hex(), w.psi2.hex())
+        assert singular.tolist() == raised
+        # The bound itself is singular, a NaN determinant is not, and tiny
+        # random scales give singular rows of their own.
+        assert singular[: len(self.DETS)].tolist() == [True, True, False] * 2 + [True, True]
+        assert not singular[-3:].any()
+        assert 10 < singular.sum() < len(singular) - 100
 
 
 class TestReplay:

@@ -1,5 +1,6 @@
 """Tests for CSV parsing, serialisation round-trips and timeline assembly."""
 
+import csv
 import dataclasses
 import logging
 import math
@@ -28,7 +29,7 @@ from inplay.contracts import (
     ScoreState,
     Team,
 )
-from inplay.hedging import replay_hedge
+from inplay.hedging import GoalRecord, HedgeReport, HedgeStep, replay_hedge
 from inplay.io import (
     load_timeline,
     QuotesParseError,
@@ -45,7 +46,7 @@ from inplay.io import (
 )
 from inplay.oracle import SimulatedPath
 from inplay.synthetic import make_model_timeline
-from inplay.timeline import GoalEvent
+from inplay.timeline import GoalEvent, clock_of, goal_counts, score_path
 
 
 QUOTES_EXAMPLE = """match_id,timestamp_s,market,selection,back_decimal,lay_decimal
@@ -333,6 +334,72 @@ class TestBuildTimeline:
         assert scores == [(0, 0), (1, 0), (1, 1)]
         assert [round(s.quotes[0].back_decimal, 2) for s in tl.snapshots] == [2.5, 1.5, 2.0]
 
+    @staticmethod
+    def _rebuilt(snapshots, events, match_length_min=90.0):
+        """(timestamp, state, quotes) per snapshot with every state made anew
+        and the whole list sorted, the reference for build_timeline."""
+        path = score_path(events)
+        stamps = [s.timestamp_s for s in snapshots]
+        rows = []
+        for snap, lo, hi in zip(snapshots, *goal_counts(events, stamps)):
+            st = snap.state
+            score = None if st is None else (st.home_goals, st.away_goals)
+            score = score if score in path[lo : hi + 1] else path[hi]
+            clock = clock_of(snap.timestamp_s, match_length_min)
+            rows.append((snap.timestamp_s, ScoreState(*score, clock), snap.quotes))
+        return sorted(rows, key=lambda r: (r[0], r[1].home_goals + r[1].away_goals))
+
+    @staticmethod
+    def _files(tmp_path, scores=True):
+        tl = make_model_timeline(
+            Intensities(1.3, 0.7), goals=[(1200.0, Team.AWAY), (1200.0, Team.HOME)],
+            step_s=300.0, bets=[MATCH_ODDS_HOME, NEXT_GOAL_HOME],
+        )
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        write_quotes_csv(tl, quotes)
+        write_events_csv(list(tl.events), events, match_id=tl.match_id)
+        if not scores:
+            lines = quotes.read_text().splitlines()
+            quotes.write_text("".join(",".join(line.split(",")[:6]) + "\n" for line in lines))
+        return quotes, events
+
+    @pytest.mark.parametrize("source", ["scores", "no scores", "same second"])
+    def test_same_timeline_as_rebuilding_every_snapshot(
+        self, tmp_path, same_second_goals, source
+    ):
+        if source == "same second":
+            quotes, events = same_second_goals
+        else:
+            quotes, events = self._files(tmp_path, scores=source == "scores")
+        parsed, goals = parse_quotes_csv(quotes), parse_events_csv(events)
+        for length in (90.0, 100.0):
+            tl = build_timeline(parsed, goals, match_length_min=length)
+            got = [(s.timestamp_s, s.state, s.quotes) for s in tl.snapshots]
+            assert got == self._rebuilt(parsed, goals, length)
+
+    def test_allowed_scores_come_back_as_the_parsed_snapshots(self, tmp_path):
+        quotes, events = self._files(tmp_path)
+        parsed, goals = parse_quotes_csv(quotes), parse_events_csv(events)
+        assert all(a is b for a, b in zip(build_timeline(parsed, goals).snapshots, parsed))
+        # Another match length restamps every clock but kickoff's.
+        longer = build_timeline(parsed, goals, match_length_min=100.0).snapshots
+        assert [a is b for a, b in zip(longer, parsed)] == [
+            s.timestamp_s == 0.0 for s in parsed
+        ]
+
+    def test_replaced_score_leaves_the_other_snapshots_as_parsed(
+        self, same_second_goals, caplog
+    ):
+        quotes, events = same_second_goals
+        parsed = parse_quotes_csv(quotes)  # 0-0, 0-1, 1-0
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            tl = build_timeline(parsed, parse_events_csv(events))
+        assert "score column (0, 1) disagrees with events (1, 1)" in caplog.text
+        first, second, replaced = tl.snapshots
+        assert first is parsed[0] and second is parsed[2]
+        assert replaced.quotes is parsed[1].quotes
+        assert replaced.state == ScoreState(1, 1, 600 / 5400)
+
     def test_pre_and_post_goal_snapshots_interleave_with_events(self):
         lam = Intensities(1.1, 0.9)
         tl = make_model_timeline(
@@ -513,6 +580,56 @@ class TestRoundTrips:
         assert (tmp_path / "out" / "summary.json").exists()
         assert summary["goals"] == 2
         assert summary["jump_correlation"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_hedge_report_rows_match_the_csv_writer(self, tmp_path):
+        floats = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 1.5e12, 0.1 + 0.2, -2.5]
+        flags = ["", "stale", "singular", "no intensity", "target settled"]
+        stamps = [0.0, 1234.5, 5400.0, 0.25, 1e-7, 2700.0, 999.999999999, 3.0, 60.0]
+        steps = tuple(
+            HedgeStep(t, t / 5400.0, *(floats[i:] + floats[:i])[:7], flags[i % len(flags)])
+            for i, t in enumerate(stamps)
+        )
+        goals = tuple(
+            GoalRecord(t, team, *(floats[i:] + floats[:i])[:4])
+            for i, (t, team) in enumerate(zip(stamps, [Team.HOME, Team.AWAY] * 5))
+        )
+        report = HedgeReport(MATCH_ODDS_HOME, (NEXT_GOAL_HOME, NEXT_GOAL_AWAY), steps, goals,
+                             0.0, None)
+        write_hedge_report(report, tmp_path / "out")
+
+        def ts(t):
+            return str(int(t)) if float(t).is_integer() else fmt_float(t)
+
+        def reference(name, header, rows):
+            with open(tmp_path / name, "w", encoding="utf-8", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(header.split(","))
+                w.writerows(rows)
+            return (tmp_path / name).read_bytes()
+
+        want_steps = reference(
+            "steps.csv",
+            "timestamp_s,target_value,portfolio_value,psi_1,psi_2,cash,z_1,z_2,flag",
+            [
+                [ts(s.timestamp_s)]
+                + [fmt_float(x) for x in dataclasses.astuple(s)[2:9]]
+                + [s.flag]
+                for s in steps
+            ],
+        )
+        want_goals = reference(
+            "goals.csv",
+            "timestamp_s,team,target_pre,target_post,portfolio_pre,portfolio_post",
+            [
+                [ts(g.timestamp_s), g.team.value]
+                + [fmt_float(x) for x in (g.target_pre, g.target_post, g.portfolio_pre,
+                                          g.portfolio_post)]
+                for g in goals
+            ],
+        )
+        assert (tmp_path / "out" / "steps.csv").read_bytes() == want_steps
+        assert (tmp_path / "out" / "goals.csv").read_bytes() == want_goals
+        assert b"nan" in want_steps and b"-inf" in want_steps and b",-0," in want_steps
 
 
 def _decimal_as_written(x):
