@@ -16,7 +16,8 @@ goals their score counts, whatever the file's row order.
 
 Events CSV columns: ``match_id,timestamp_s,team,event`` with team HOME or
 AWAY (case-insensitive) and event GOAL.  A file with only the header means
-no goals; an empty file is an error.
+no goals.  Every reader rejects an empty file, a foreign header and a
+malformed row in the same words, naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import json
 import logging
 import math
+from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
 
@@ -124,15 +126,62 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path, header: list[str], rows) -> None:
+    with _open_write(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+@contextmanager
+def _read_csv(path, headers: tuple[list[str], ...], error: type[ValueError] = ValueError):
+    """Open a CSV file whose header is one of ``headers``; yield that header
+    and the reader of the rows after it.  A csv.Error or ValueError raised in
+    the caller's row loop comes out as ``error`` prefixed with ``path:line``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise error(f"{path}: empty file, no header")
+        if header not in headers:
+            want = " or ".join(map(str, headers))
+            raise error(f"{path}: unexpected header {header!r}; want {want}")
+        try:
+            yield header, reader
+        except UnicodeError:  # decoding reads ahead, so no line can be named
+            raise
+        except (csv.Error, ValueError) as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _width_message(header: list[str], row: list[str]) -> str:
+    return f"expected {len(header)} cells, got {len(row)}"
+
+
+def _number(cell: str, what: str) -> float:
+    """A cell as a finite float; otherwise ValueError naming ``what`` and the cell."""
+    try:
+        x = float(cell)
+        if math.isfinite(x):
+            return x
+    except ValueError:
+        pass
+    raise ValueError(f"bad {what} {cell!r}")
+
+
+def _match_time(cell: str, what: str, length_s: float) -> float:
+    """A timestamp cell within [0, length_s]; ``what`` opens the range error."""
+    ts = _number(cell, "timestamp")
+    if not 0.0 <= ts <= length_s:
+        raise ValueError(f"{what} {cell!r} is outside the match (0 to {length_s:g} s)")
+    return ts
 
 
 def _bet_from_market_selection(market: str, selection: str) -> Bet:
-    try:
-        return parse_bet(f"{market}_{selection}")
-    except ValueError:
-        return parse_bet(selection)
+    for token in (f"{market}_{selection}", selection):
+        with suppress(ValueError):
+            return parse_bet(token)
+    raise ValueError(f"unknown selection {market!r}/{selection!r}")
 
 
 # Market column of each bet token's prefix; parity bets go under TOTAL_PARITY.
@@ -162,21 +211,7 @@ def parse_quotes_csv(
     state here if the optional score columns are present; otherwise use
     :func:`build_timeline` to reconstruct scores from events.
     """
-    _, snapshots = _parse_quotes(path, match_length_min)
-    return snapshots
-
-
-def _decimal(cell: str, side: str, path: Path, lineno: int) -> float:
-    """An odds cell as a finite float; empty means that side is absent (NaN)."""
-    if cell == "":
-        return math.nan
-    try:
-        x = float(cell)
-        if math.isfinite(x):
-            return x
-    except ValueError:
-        pass
-    raise QuotesParseError(f"{path}:{lineno}: bad {side} decimal {cell!r}")
+    return _parse_quotes(path, match_length_min)[1]
 
 
 def _parse_quotes(
@@ -193,59 +228,34 @@ def _parse_quotes(
     # A board repeats the same few tokens on every row: parse each once.
     tokens: dict[tuple[str, str], int] = {}
     bets: dict[Bet, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise QuotesParseError(f"{path}: empty file, no snapshots") from None
-        has_scores = header == QUOTES_HEADER + SCORE_COLUMNS
-        if not has_scores and header != QUOTES_HEADER:
-            raise QuotesParseError(
-                f"{path}: unexpected header {header!r}; want {QUOTES_HEADER} "
-                f"optionally followed by {SCORE_COLUMNS}"
-            )
+    headers = (QUOTES_HEADER, QUOTES_HEADER + SCORE_COLUMNS)
+    with _read_csv(path, headers, QuotesParseError) as (header, reader):
+        has_scores = header == headers[1]
         # Rows of one snapshot share their timestamp and score cells, so those
         # are parsed, checked and looked up only when they change.
         ts_cell = score_cells = rows = score = None
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise QuotesParseError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                )
+                raise ValueError(_width_message(header, row))
             match_id, ts_s, market, selection, back_s, lay_s = row[:6]
             match_ids.add(match_id)
             if ts_s != ts_cell:
-                try:
-                    ts = float(ts_s)
-                    if not math.isfinite(ts):
-                        raise ValueError
-                except ValueError:
-                    raise QuotesParseError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
-                if not 0.0 <= ts <= length_s:
-                    raise QuotesParseError(
-                        f"{path}:{lineno}: timestamp {ts_s!r} is outside the match "
-                        f"(0 to {length_s:g} s)"
-                    )
+                ts = _match_time(ts_s, "timestamp", length_s)
                 ts_cell, rows = ts_s, None
             ix = tokens.get((market, selection))
             if ix is None:
-                try:
-                    bet = _bet_from_market_selection(market, selection)
-                except ValueError:
-                    raise QuotesParseError(
-                        f"{path}:{lineno}: unknown selection {market!r}/{selection!r}"
-                    ) from None
+                bet = _bet_from_market_selection(market, selection)
                 ix = tokens[(market, selection)] = bets.setdefault(bet, len(bets))
-            back = _decimal(back_s, "back", path, lineno)
-            lay = _decimal(lay_s, "lay", path, lineno)
+            # An empty odds cell means that side is absent (NaN).
+            back = _number(back_s, "back decimal") if back_s else math.nan
+            lay = _number(lay_s, "lay decimal") if lay_s else math.nan
             if back < 1.0 or lay < 1.0:
-                log.warning("%s:%d: decimal odds below 1, row rejected", path, lineno)
+                log.warning("%s:%d: decimal odds below 1, row rejected", path, reader.line_num)
                 continue
             if back_s == "" and lay_s == "":
-                log.warning("%s:%d: no odds on either side, row rejected", path, lineno)
+                log.warning("%s:%d: no odds on either side, row rejected", path, reader.line_num)
                 continue
             if has_scores and row[6:] != score_cells:
                 try:
@@ -253,7 +263,7 @@ def _parse_quotes(
                     if score[0] < 0 or score[1] < 0:
                         raise ValueError
                 except ValueError:
-                    raise QuotesParseError(f"{path}:{lineno}: bad score cells") from None
+                    raise ValueError("bad score cells") from None
                 score_cells, rows = row[6:], None
             if rows is None:
                 rows = groups.setdefault((ts, score), [])
@@ -288,49 +298,39 @@ def parse_events_csv(
     path, match_length_min: float = DEFAULT_MATCH_MINUTES
 ) -> list[GoalEvent]:
     """Parse an events CSV; an empty file raises ValueError, and so does a
-    malformed row, a goal outside the match or a decreasing timestamp, naming
-    its line."""
-    path = Path(path)
+    malformed row, a goal outside the match, a decreasing timestamp or a
+    second match id, naming its line."""
+    return _parse_events(path, match_length_min)[1]
+
+
+def _parse_events(
+    path, match_length_min: float = DEFAULT_MATCH_MINUTES
+) -> tuple[str | None, list[GoalEvent]]:
+    """The file's match id (None for a bare header) and its goals."""
     length_s = match_length_min * 60.0
+    match_id = None
     events: list[GoalEvent] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no header")
-        if header != EVENTS_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}; want {EVENTS_HEADER}")
-        last = -math.inf
-        for lineno, row in enumerate(reader, start=2):
+    with _read_csv(path, (EVENTS_HEADER,)) as (header, reader):
+        for row in reader:
             if not row:
                 continue
-            if len(row) != len(EVENTS_HEADER):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(EVENTS_HEADER)} cells, got {len(row)}"
-                )
-            _, ts_s, team_s, event_s = row
-            try:
-                ts = float(ts_s)
-                if not math.isfinite(ts):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad timestamp {ts_s!r}") from None
-            if not 0.0 <= ts <= length_s:
-                raise ValueError(
-                    f"{path}:{lineno}: goal at {ts_s!r} is outside the match "
-                    f"(0 to {length_s:g} s)"
-                )
-            if ts < last:
-                raise ValueError(f"{path}:{lineno}: timestamps must not decrease")
-            last = ts
+            if len(row) != len(header):
+                raise ValueError(_width_message(header, row))
+            row_id, ts_s, team_s, event_s = row
+            if events and row_id != match_id:
+                raise ValueError(f"match id {row_id!r} after {match_id!r}")
+            match_id = row_id
+            ts = _match_time(ts_s, "goal at", length_s)
+            if events and ts < events[-1].timestamp_s:
+                raise ValueError("timestamps must not decrease")
             if event_s.strip().upper() != "GOAL":
-                raise ValueError(f"{path}:{lineno}: unknown event {event_s!r}")
+                raise ValueError(f"unknown event {event_s!r}")
             try:
                 team = Team(team_s.strip().upper())
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unknown team {team_s!r}") from None
+                raise ValueError(f"unknown team {team_s!r}") from None
             events.append(GoalEvent(ts, team))
-    return events
+    return match_id, events
 
 
 def build_timeline(
@@ -379,7 +379,9 @@ def load_timeline(
     half_length_min: float = DEFAULT_HALF_MINUTES,
 ) -> MatchTimeline:
     match_id, snapshots = _parse_quotes(quotes_path, match_length_min)
-    events = parse_events_csv(events_path, match_length_min)
+    events_id, events = _parse_events(events_path, match_length_min)
+    if events_id not in (None, match_id):
+        raise ValueError(f"{events_path}: match id {events_id!r}, but the quotes are {match_id!r}")
     return build_timeline(
         snapshots,
         events,
@@ -391,104 +393,71 @@ def load_timeline(
 
 def write_quotes_csv(timeline: MatchTimeline, path) -> None:
     """Write every snapshot's quotes, with the score columns."""
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(QUOTES_HEADER + SCORE_COLUMNS)
-        for snap in timeline.snapshots:
-            for q in snap.quotes:
-                market, selection = _market_selection(q.bet)
-                w.writerow(
-                    [
-                        timeline.match_id,
-                        _fmt_ts(snap.timestamp_s),
-                        market,
-                        selection,
-                        fmt_float(q.back_decimal) if q.back_decimal is not None else "",
-                        fmt_float(q.lay_decimal) if q.lay_decimal is not None else "",
-                        str(snap.state.home_goals),
-                        str(snap.state.away_goals),
-                    ]
-                )
+    rows = (
+        [
+            timeline.match_id,
+            _fmt_ts(snap.timestamp_s),
+            *_market_selection(q.bet),
+            fmt_float(q.back_decimal) if q.back_decimal is not None else "",
+            fmt_float(q.lay_decimal) if q.lay_decimal is not None else "",
+            snap.state.home_goals,
+            snap.state.away_goals,
+        ]
+        for snap in timeline.snapshots
+        for q in snap.quotes
+    )
+    _write_csv(path, QUOTES_HEADER + SCORE_COLUMNS, rows)
 
 
-def write_events_csv(events: list[GoalEvent], path, match_id: str = "match") -> None:
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(EVENTS_HEADER)
-        for ev in events:
-            w.writerow([match_id, _fmt_ts(ev.timestamp_s), ev.team.value, "GOAL"])
+def write_events_csv(events: list[GoalEvent], path, match_id: str) -> None:
+    rows = ([match_id, _fmt_ts(ev.timestamp_s), ev.team.value, "GOAL"] for ev in events)
+    _write_csv(path, EVENTS_HEADER, rows)
 
 
 def write_intensity_series_csv(series: IntensitySeries, path) -> None:
     """One row per step; gap steps leave every field after the timestamp empty."""
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(SERIES_HEADER)
-        for point in series.points:
-            if point.result is None:
-                w.writerow([_fmt_ts(point.timestamp_s), "", "", "", "", "", ""])
-                continue
-            r = point.result
-            w.writerow(
-                [
-                    _fmt_ts(point.timestamp_s),
-                    fmt_float(r.intensities.home),
-                    fmt_float(r.intensities.away),
-                    fmt_float(r.residual),
-                    fmt_float(r.stderr_home),
-                    fmt_float(r.stderr_away),
-                    "true" if r.converged else "false",
-                ]
-            )
+
+    def cells(r: CalibrationResult | None) -> list[str]:
+        if r is None:
+            return [""] * 6
+        numbers = (r.intensities.home, r.intensities.away, r.residual, r.stderr_home, r.stderr_away)
+        return [*map(fmt_float, numbers), "true" if r.converged else "false"]
+
+    rows = ([_fmt_ts(p.timestamp_s), *cells(p.result)] for p in series.points)
+    _write_csv(path, SERIES_HEADER, rows)
 
 
 def parse_intensity_series_csv(path) -> IntensitySeries:
-    """Parse a series CSV; a malformed file raises ValueError naming its line."""
+    """Parse a series CSV; a malformed file or a timestamp not above the one
+    before it raises ValueError naming its line."""
     points: list[SeriesPoint] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no header")
-        if header != SERIES_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+    with _read_csv(path, (SERIES_HEADER,)) as (header, reader):
+        for row in reader:
             if not row:
                 continue
-            if len(row) != len(SERIES_HEADER):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(SERIES_HEADER)} cells, got {len(row)}"
+            if len(row) != len(header):
+                raise ValueError(_width_message(header, row))
+            ts = _number(row[0], "timestamp")
+            if points and ts <= points[-1].timestamp_s:
+                raise ValueError("timestamps must strictly increase")
+            result = None
+            if row[1] == "":
+                if any(row[2:]):
+                    raise ValueError("a gap row must leave every cell after the timestamp empty")
+            else:
+                if row[6] not in ("true", "false"):
+                    raise ValueError(f"converged must be true or false, got {row[6]!r}")
+                residual, *stderrs = map(float, row[3:6])
+                if math.isnan(residual):
+                    raise ValueError("residual is NaN")
+                # inf is what the writer emits for a singular fit; NaN is not >= 0.
+                for name, se in zip(SERIES_HEADER[4:6], stderrs):
+                    if not se >= 0.0:
+                        raise ValueError(f"{name} must be nonnegative, got {se}")
+                lam = Intensities(float(row[1]), float(row[2]))
+                result = CalibrationResult(
+                    lam, residual, *stderrs, iterations=0, converged=row[6] == "true"
                 )
-            try:
-                ts = float(row[0])
-                if not math.isfinite(ts):
-                    raise ValueError(f"bad timestamp {row[0]!r}")
-                result = None
-                if row[1] == "":
-                    if any(row[2:]):
-                        raise ValueError(
-                            "a gap row must leave every cell after the timestamp empty"
-                        )
-                else:
-                    if row[6] not in ("true", "false"):
-                        raise ValueError(f"converged must be true or false, got {row[6]!r}")
-                    residual, *stderrs = map(float, row[3:6])
-                    if math.isnan(residual):
-                        raise ValueError("residual is NaN")
-                    # inf is what the writer emits for a singular fit; NaN is not >= 0.
-                    for name, se in zip(SERIES_HEADER[4:6], stderrs):
-                        if not se >= 0.0:
-                            raise ValueError(f"{name} must be nonnegative, got {se}")
-                    result = CalibrationResult(
-                        intensities=Intensities(float(row[1]), float(row[2])),
-                        residual=residual,
-                        stderr_home=stderrs[0],
-                        stderr_away=stderrs[1],
-                        iterations=0,
-                        converged=row[6] == "true",
-                    )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
             points.append(SeriesPoint(ts, result))
     return IntensitySeries(tuple(points))
 
@@ -529,8 +498,4 @@ def write_hedge_report(report: HedgeReport, out_dir) -> dict:
 
 
 def write_terminal_scores_csv(paths: list[SimulatedPath], path) -> None:
-    with _open_write(path) as fh:
-        w = _writer(fh)
-        w.writerow(SCORES_HEADER)
-        for i, p in enumerate(paths):
-            w.writerow([str(i), str(p.home_goals), str(p.away_goals)])
+    _write_csv(path, SCORES_HEADER, ([i, p.home_goals, p.away_goals] for i, p in enumerate(paths)))

@@ -81,6 +81,15 @@ def _arrival_matrix(
     return times
 
 
+def _arrival_batches(lam: Intensities, start_clock: float, n: int, seed: int):
+    """(home, away) goal-time matrices for n paths, one pair per batch."""
+    for batch_index, done in enumerate(range(0, n, _BATCH)):
+        rng = _batch_rng(seed, batch_index)
+        size = min(_BATCH, n - done)
+        t_home = _arrival_matrix(rng, lam.home, start_clock, size)
+        yield t_home, _arrival_matrix(rng, lam.away, start_clock, size)
+
+
 def simulate_paths(
     lam: Intensities, start: ScoreState, n: int, seed: int
 ) -> list[SimulatedPath]:
@@ -88,14 +97,8 @@ def simulate_paths(
     if n < 1:
         raise ValueError("need at least one path")
     paths: list[SimulatedPath] = []
-    done = 0
-    batch_index = 0
-    while done < n:
-        size = min(_BATCH, n - done)
-        rng = _batch_rng(seed, batch_index)
-        t_home = _arrival_matrix(rng, lam.home, start.clock, size)
-        t_away = _arrival_matrix(rng, lam.away, start.clock, size)
-        for i in range(size):
+    for t_home, t_away in _arrival_batches(lam, start.clock, n, seed):
+        for i in range(len(t_home)):
             th = t_home[i][np.isfinite(t_home[i])]
             ta = t_away[i][np.isfinite(t_away[i])]
             events = sorted(
@@ -108,8 +111,6 @@ def simulate_paths(
                     away_goals=start.away_goals + len(ta),
                 )
             )
-        done += size
-        batch_index += 1
     return paths
 
 
@@ -161,18 +162,10 @@ def mc_price(
         raise ValueError("Monte Carlo pricing needs n >= 1000")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    batch_index = 0
-    while done < n:
-        size = min(_BATCH, n - done)
-        rng = _batch_rng(seed, batch_index)
-        t_home = _arrival_matrix(rng, lam.home, state.clock, size)
-        t_away = _arrival_matrix(rng, lam.away, state.clock, size)
+    for t_home, t_away in _arrival_batches(lam, state.clock, n, seed):
         pays = _payoff_batch(bet, state, t_home, t_away, half_clock, ht_score)
         total += float(pays.sum())
         total_sq += float((pays * pays).sum())
-        done += size
-        batch_index += 1
     mean = total / n
     var = max(total_sq - total * total / n, 0.0) / (n - 1)
     return mean, math.sqrt(var / n)

@@ -237,6 +237,19 @@ class TestHedgeReplay:
         assert f"{events}: empty file, no header" in capsys.readouterr().err
         assert not (tmp_path / "hedge").exists()
 
+    def test_events_of_another_match_are_data_error(self, fixture_files, tmp_path, capsys):
+        quotes, events = fixture_files
+        text = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        events.write_text(text[0] + "".join("g2" + line[line.index(","):] for line in text[1:]))
+        code = main(
+            ["hedge-replay", "--quotes", str(quotes), "--events", str(events),
+             "--target", "MATCH_ODDS_HOME", "--lambda-home", "1.3", "--lambda-away", "0.7",
+             "--out-dir", str(tmp_path / "hedge")]
+        )
+        assert code == 2
+        assert f"{events}: match id 'g2', but the quotes are " in capsys.readouterr().err
+        assert not (tmp_path / "hedge").exists()
+
     def test_model_consistent_replay_summary(self, fixture_files, tmp_path, capsys):
         quotes, events = fixture_files
         out_dir = tmp_path / "hedge"
@@ -401,6 +414,7 @@ class TestReport:
             (SERIES + "60,1.3,0.7,0.25,0.01,0.02,yes\n", ":3: converged must be .*'yes'"),
             (SERIES + "60,,junk,x,,,maybe\n", ":3: a gap row must leave every cell"),
             (SERIES + "60,1.3,0.7,0.25,-0.01,0.02,true\n", ":3: stderr_home must be nonnegative"),
+            (SERIES + "0,1.3,0.7,0.25,0.01,0.02,true\n", ":3: timestamps must strictly increase"),
         ],
     )
     def test_malformed_series_is_data_error(self, tmp_path, capsys, text, message):

@@ -31,6 +31,10 @@ from inplay.contracts import (
 )
 from inplay.hedging import GoalRecord, HedgeReport, HedgeStep, replay_hedge
 from inplay.io import (
+    EVENTS_HEADER,
+    QUOTES_HEADER,
+    SCORE_COLUMNS,
+    SERIES_HEADER,
     load_timeline,
     QuotesParseError,
     build_timeline,
@@ -65,6 +69,54 @@ g1,1675,HOME,GOAL
 """
 
 
+READERS = {
+    "quotes": (parse_quotes_csv, QUOTES_HEADER, [QUOTES_HEADER, QUOTES_HEADER + SCORE_COLUMNS]),
+    "events": (parse_events_csv, EVENTS_HEADER, [EVENTS_HEADER]),
+    "series": (parse_intensity_series_csv, SERIES_HEADER, [SERIES_HEADER]),
+}
+BAD_STAMP_ROWS = {
+    "quotes": "g1,abc,MATCH_ODDS,HOME,2.5,2.54",
+    "events": "g1,abc,HOME,GOAL",
+    "series": "abc,,,,,,",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+@pytest.mark.parametrize("case", ["empty file", "foreign header", "short row", "bad timestamp"])
+def test_every_reader_states_the_shared_rules_in_the_same_words(tmp_path, fmt, case):
+    parse, header, headers = READERS[fmt]
+    text, message = {
+        "empty file": ("", "{f}: empty file, no header"),
+        "foreign header": (
+            "a,b\n",
+            "{f}: unexpected header ['a', 'b']; want " + " or ".join(map(str, headers)),
+        ),
+        "short row": (
+            ",".join(header) + "\n\nx\n",
+            f"{{f}}:3: expected {len(header)} cells, got 1",
+        ),
+        "bad timestamp": (
+            ",".join(header) + f"\n{BAD_STAMP_ROWS[fmt]}\n",
+            "{f}:2: bad timestamp 'abc'",
+        ),
+    }[case]
+    f = tmp_path / f"{fmt}.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        parse(f)
+    assert str(excinfo.value) == message.format(f=f)
+    assert isinstance(excinfo.value, QuotesParseError) == (fmt == "quotes")
+
+
+@pytest.mark.parametrize("fmt", sorted(READERS))
+def test_a_row_the_csv_module_cannot_read_names_its_line(tmp_path, fmt):
+    parse, header, _ = READERS[fmt]
+    f = tmp_path / f"{fmt}.csv"
+    f.write_text(",".join(header) + "\n\n" + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError, match=rf"^{f}:3: field larger than field limit"):
+        parse(f)
+
+
 class TestParseQuotes:
     def test_example_row_values(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -90,7 +142,7 @@ class TestParseQuotes:
     def test_empty_file_is_an_error(self, tmp_path):
         f = tmp_path / "q.csv"
         f.write_text("")
-        with pytest.raises(QuotesParseError, match="no snapshots"):
+        with pytest.raises(QuotesParseError, match=f"{f}: empty file, no header"):
             parse_quotes_csv(f)
         f.write_text("match_id,timestamp_s,market,selection,back_decimal,lay_decimal\n")
         with pytest.raises(QuotesParseError, match="no snapshots"):
@@ -285,6 +337,12 @@ class TestParseEvents:
         with pytest.raises(ValueError, match="must not decrease"):
             parse_events_csv(f)
 
+    def test_second_match_id_names_its_line(self, tmp_path):
+        f = tmp_path / "e.csv"
+        f.write_text("match_id,timestamp_s,team,event\ng1,10,HOME,GOAL\ng2,20,AWAY,GOAL\n")
+        with pytest.raises(ValueError, match=r"e\.csv:3: match id 'g2' after 'g1'"):
+            parse_events_csv(f)
+
     def test_empty_file_is_an_error_but_a_bare_header_means_no_goals(self, tmp_path):
         f = tmp_path / "e.csv"
         f.write_text("")
@@ -310,6 +368,15 @@ class TestBuildTimeline:
         tl = build_timeline(parse_quotes_csv(fq), parse_events_csv(fe))
         assert tl.snapshots[0].state == ScoreState(1, 0, 600 / 5400)
         assert tl.ht_score() == (2, 1)
+
+    def test_load_rejects_events_of_another_match(self, tmp_path):
+        fq, fe = tmp_path / "q.csv", tmp_path / "e.csv"
+        fq.write_text(QUOTES_EXAMPLE)
+        fe.write_text(EVENTS_EXAMPLE.replace("g1,", "g2,"))
+        with pytest.raises(ValueError, match=r"e\.csv: match id 'g2', but the quotes are 'g1'"):
+            load_timeline(fq, fe)
+        fe.write_text("match_id,timestamp_s,team,event\n")
+        assert load_timeline(fq, fe).events == ()
 
     def test_score_mismatch_warned(self, caplog):
         snap_quotes = make_model_timeline(
@@ -531,6 +598,8 @@ class TestRoundTrips:
             (SERIES_LINE + "0,1.3,0.7,0.25,0.01,NaN,true\n", r":2: stderr_away .* got nan"),
             (SERIES_LINE + "0,1.3,0.7,0.25,-0.01,0.02,true\n", r":2: stderr_home .* got -0.01"),
             (SERIES_LINE + "0,1.3,0.7,0.25,0.01,-inf,true\n", r":2: stderr_away must be nonneg"),
+            (SERIES_LINE + "60,,,,,,\n0,,,,,,\n", r":3: timestamps must strictly increase"),
+            (SERIES_LINE + "0,,,,,,\n60,,,,,,\n\n60,,,,,,\n", r":5: timestamps must strictly"),
         ],
     )
     def test_malformed_series_names_its_line(self, tmp_path, text, message):
