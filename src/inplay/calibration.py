@@ -50,6 +50,7 @@ __all__ = [
     "QuoteTable",
     "QuoteRows",
     "QuoteSnapshot",
+    "SnapshotColumns",
     "quote_columns",
     "CalibrationResult",
     "SeriesPoint",
@@ -135,7 +136,7 @@ class QuoteRows(Sequence):
     """Rows ``start:stop`` of a :class:`QuoteTable`: one snapshot's quotes.
 
     Its length costs nothing; indexing or iterating builds the
-    :class:`Quote` objects on demand.
+    :class:`Quote` objects on demand.  Two views of the same rows are equal.
     """
 
     __slots__ = ("table", "start", "stop")
@@ -155,6 +156,13 @@ class QuoteRows(Sequence):
     def __iter__(self):
         return map(self.table.quote, range(self.start, self.stop))
 
+    def __eq__(self, other):
+        key = (self.table, self.start, self.stop)
+        return isinstance(other, QuoteRows) and key == (other.table, other.start, other.stop)
+
+    def __hash__(self) -> int:
+        return hash((self.table, self.start, self.stop))
+
 
 @dataclass(frozen=True)
 class QuoteSnapshot:
@@ -167,6 +175,54 @@ class QuoteSnapshot:
     timestamp_s: float
     state: ScoreState
     quotes: Sequence[Quote]
+
+
+class SnapshotColumns(Sequence):
+    """Snapshots as columns: each one's rows ``starts[i]:stops[i]`` of one
+    :class:`QuoteTable`, timestamp, home and away goals (-1 for no score) and
+    clock.  An integer index builds the :class:`QuoteSnapshot`; a slice or an
+    index array selects another view."""
+
+    __slots__ = ("table", "timestamps", "home", "away", "clocks", "starts", "stops")
+
+    def __init__(self, table: QuoteTable, timestamps, home, away, clocks, starts, stops):
+        self.table, self.timestamps, self.home, self.away = table, timestamps, home, away
+        self.clocks, self.starts, self.stops = clocks, starts, stops
+
+    @classmethod
+    def of(cls, snapshots: Sequence[QuoteSnapshot]) -> SnapshotColumns:
+        """``snapshots`` as a view: a view as it is, any other sequence
+        converted by :func:`_snapshot_columns` and :func:`quote_columns`."""
+        if isinstance(snapshots, SnapshotColumns):
+            return snapshots
+        table, starts, stops = quote_columns(snapshots)
+        return cls(table, *_snapshot_columns(snapshots), starts, stops)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return SnapshotColumns(self.table, *(getattr(self, n)[i] for n in self.__slots__[1:]))
+        i = range(len(self))[i]
+        home, away = int(self.home[i]), int(self.away[i])
+        state = ScoreState(home, away, float(self.clocks[i])) if home >= 0 else None
+        rows = QuoteRows(self.table, int(self.starts[i]), int(self.stops[i]))
+        return QuoteSnapshot(float(self.timestamps[i]), state, rows)
+
+
+def _snapshot_columns(snapshots: Sequence[QuoteSnapshot]) -> tuple[np.ndarray, ...]:
+    """The snapshots' timestamps, home and away goals (-1 for no score) and
+    clocks: a view's own arrays, or those of any other sequence, converted."""
+    if isinstance(snapshots, SnapshotColumns):
+        return snapshots.timestamps, snapshots.home, snapshots.away, snapshots.clocks
+    states = [s.state for s in snapshots]
+    return (
+        np.array([s.timestamp_s for s in snapshots], dtype=float),
+        np.array([-1 if st is None else st.home_goals for st in states], dtype=np.intp),
+        np.array([-1 if st is None else st.away_goals for st in states], dtype=np.intp),
+        np.array([math.nan if st is None else st.clock for st in states], dtype=float),
+    )
 
 
 def quote_columns(
@@ -234,33 +290,34 @@ class _Segment:
     is 1 / half-spread on a quote and 0 off one, where ``mid`` is 0 and so
     is the residual.  A zero spread raises, naming the earliest snapshot."""
 
-    def __init__(self, snapshots: Sequence[QuoteSnapshot], t: QuoteTable, starts, stops):
+    def __init__(self, snaps: SnapshotColumns):
+        t, starts, stops = snaps.table, snaps.starts, snaps.stops
         lengths, nb = stops - starts, len(t.bets)
         rows = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        snap = np.repeat(np.arange(len(snapshots)), lengths)
+        snap = np.repeat(np.arange(len(snaps)), lengths)
         mid = t.mid[rows]
         usable = t.two_sided[rows] & t.european[rows] & (MID_FILTER[0] < mid) & (mid < MID_FILTER[1])
         rows, snap = rows[usable], snap[usable]
         for i in np.flatnonzero(t.spread[rows] == 0.0)[:1]:
             raise ValueError(
                 f"zero spread on quote for {t.bets[t.bet_ix[rows[i]]]} in the snapshot at "
-                f"{snapshots[snap[i]].timestamp_s:.15g}s"
+                f"{float(snaps.timestamps[snap[i]]):.15g}s"
             )
         key = snap * nb + t.bet_ix[rows]
         order = np.argsort(key, kind="stable")
         repeat = np.empty_like(key)
         repeat[order] = np.arange(len(key)) - np.searchsorted(key[order], key[order])
         cols, col = np.unique(repeat * nb + t.bet_ix[rows], return_inverse=True)
-        self.mid, self.weight = np.zeros((2, len(snapshots), len(cols)))
+        self.mid, self.weight = np.zeros((2, len(snaps), len(cols)))
         self.mid[snap, col], self.weight[snap, col] = t.mid[rows], 2.0 / t.spread[rows]
         self.count = (self.weight > 0.0).sum(axis=1)
-        score = (snapshots[0].state.home_goals, snapshots[0].state.away_goals)
+        score = (int(snaps.home[0]), int(snaps.away[0]))
         self.board = pricing.EuropeanBoard([t.bets[b] for b in cols % nb], score)
-        self.clocks = np.array([s.state.clock for s in snapshots])
+        self.clocks = snaps.clocks
 
     @classmethod
     def of(cls, snapshot: QuoteSnapshot) -> _Segment:
-        return cls([snapshot], *quote_columns([snapshot]))
+        return cls(SnapshotColumns.of([snapshot]))
 
     def residuals(self, idx: np.ndarray, lam: np.ndarray) -> tuple:
         """Residuals of snapshots ``idx`` at ``lam`` (a row each), their
@@ -393,7 +450,7 @@ def calibrate_snapshot(
 
 
 def calibrate_series(
-    snapshots: list[QuoteSnapshot], step_s: float
+    snapshots: Sequence[QuoteSnapshot], step_s: float
 ) -> IntensitySeries:
     """Calibrate a timeline on a fixed grid, one score segment at a time.
 
@@ -408,21 +465,19 @@ def calibrate_series(
         raise ValueError("empty timeline")
     if not 0.0 < step_s < math.inf:
         raise ValueError("step must be positive and finite")
-    ts = [s.timestamp_s for s in snapshots]
-    if any(b < a for a, b in zip(ts, ts[1:])):
+    view = SnapshotColumns.of(snapshots)
+    ts = view.timestamps
+    if (ts[1:] < ts[:-1]).any():
         raise ValueError("snapshots must be ordered by timestamp")
 
-    buckets: dict[int, QuoteSnapshot] = {}
-    for snap in snapshots:
-        buckets[int(snap.timestamp_s // step_s)] = snap
-    kept = list(buckets.values())
-    table, starts, stops = quote_columns(kept)
-    scores = [(s.state.home_goals, s.state.away_goals) for s in kept]
+    buckets = {int(t // step_s): i for i, t in enumerate(ts.tolist())}  # the latest per bucket
+    kept = view[list(buckets.values())]
+    scores = list(zip(kept.home.tolist(), kept.away.tolist()))
     edges = [i for i in range(1, len(kept)) if scores[i] != scores[i - 1]]
     fits: list[CalibrationResult | None] = []
     warm = None
     for begin, end in zip([0] + edges, edges + [len(kept)]):
-        seg = _Segment(kept[begin:end], table, starts[begin:end], stops[begin:end])
+        seg = _Segment(kept[begin:end])
         for first in range(end - begin):
             (result,) = _solve(seg, np.array([first]), warm)
             fits.append(result)

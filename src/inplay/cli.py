@@ -144,7 +144,7 @@ def _cmd_price(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     tl = io.load_timeline(args.quotes, args.events, args.match_length, args.half_length)
-    series = calibrate_series(list(tl.snapshots), args.step_s)
+    series = calibrate_series(tl.snapshots, args.step_s)
     if not series.valid():
         raise NumericalFailure("no calibration step succeeded")
     io.write_intensity_series_csv(series, args.out)
@@ -163,12 +163,12 @@ def _cmd_hedge_replay(args) -> int:
     if args.lambda_home is not None:
         lam_source = Intensities(args.lambda_home, args.lambda_away)
     else:
-        series = calibrate_series(list(tl.snapshots), args.step_s)
+        series = calibrate_series(tl.snapshots, args.step_s)
         if not series.valid():
             raise NumericalFailure("calibration produced no usable intensities")
         lam_source = series
     report = hedging.replay_hedge(tl, target, instruments, lam_source)
-    if all(s.flag for s in report.steps):
+    if all(report.steps.flag):
         raise NumericalFailure("every replay step was flagged")
     summary = io.write_hedge_report(report, args.out_dir)
     print(json.dumps(summary))

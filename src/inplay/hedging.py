@@ -10,27 +10,29 @@ Between goals, series points and half time the score and the intensities
 hold and only the clock moves, so the replay cuts its snapshots into such
 segments and takes each bet's deltas over a segment from one
 ``pricing.segment_greeks`` call.  The 2x2 weight solves run once per replay,
-over every snapshot's deltas at once; only the ledger runs per snapshot.
+over every snapshot's deltas at once; only the ledger runs per snapshot, on
+the timeline's columns, and the report keeps the steps as columns.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import pricing
-from .calibration import IntensitySeries, QuoteSnapshot, QuoteTable, quote_columns
+from .calibration import IntensitySeries, SnapshotColumns
 from .contracts import Bet, BetKind, Intensities, Team
 from .pricing import Greeks
-from .timeline import GoalEvent, MatchTimeline, clock_of
+from .timeline import MatchTimeline, clock_of, replay_order
 
 __all__ = [
     "SingularHedgeError",
     "ReplicationWeights",
     "HedgeStep",
+    "HedgeSteps",
     "GoalRecord",
     "HedgeReport",
     "next_goal_delta_matrix",
@@ -69,6 +71,34 @@ class HedgeStep:
     flag: str = ""
 
 
+class HedgeSteps(Sequence):
+    """Steps as columns, one tuple per :class:`HedgeStep` field, named after
+    it.  An integer index builds the :class:`HedgeStep`; a slice selects
+    another view.  A view equals, and hashes as, the tuple of its steps."""
+
+    __slots__ = tuple(f.name for f in fields(HedgeStep))
+
+    def __init__(self, *columns):
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, tuple(column))
+
+    def __len__(self) -> int:
+        return len(self.timestamp_s)
+
+    def __getitem__(self, i):
+        cells = (getattr(self, name)[i] for name in self.__slots__)
+        return HedgeSteps(*cells) if isinstance(i, slice) else HedgeStep(*cells)
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        same = (getattr(self, n) == getattr(other, n) for n in self.__slots__)
+        return isinstance(other, HedgeSteps) and all(same)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class GoalRecord:
     timestamp_s: float
@@ -83,10 +113,15 @@ class GoalRecord:
 class HedgeReport:
     target: Bet
     instruments: tuple[Bet, Bet]
-    steps: tuple[HedgeStep, ...]
+    steps: HedgeSteps
     goals: tuple[GoalRecord, ...]
     terminal_error: float
     jump_correlation: float | None
+
+    def __post_init__(self) -> None:  # steps given as HedgeStep objects become columns
+        if not isinstance(self.steps, HedgeSteps):
+            columns = ([getattr(s, name) for s in self.steps] for name in HedgeSteps.__slots__)
+            object.__setattr__(self, "steps", HedgeSteps(*columns))
 
 
 def next_goal_delta_matrix(z1: float, z2: float) -> np.ndarray:
@@ -139,23 +174,21 @@ def _next_goal_payout(bet: Bet, scorer: Team) -> float | None:
     return None
 
 
-def _first_mids(
-    table: QuoteTable, starts: np.ndarray, stops: np.ndarray, bet: Bet
-) -> np.ndarray:
+def _first_mids(snaps: SnapshotColumns, bet: Bet) -> np.ndarray:
     """Per snapshot, the mid of the bet's first two-sided quote; NaN where none is."""
-    out = np.full(len(starts), np.nan)
+    table, out = snaps.table, np.full(len(snaps), np.nan)
     if bet not in table.bets:
         return out
     rows = np.flatnonzero(table.two_sided & (table.bet_ix == table.bets.index(bet)))
     # The first such row at or after each snapshot's start, if before its stop.
-    first = np.append(rows, len(table.mid))[np.searchsorted(rows, starts)]
-    found = first < stops
+    first = np.append(rows, len(table.mid))[np.searchsorted(rows, snaps.starts)]
+    found = first < snaps.stops
     out[found] = table.mid[first[found]]
     return out
 
 
 def _segment_deltas(
-    snaps: tuple[QuoteSnapshot, ...],
+    snaps: SnapshotColumns,
     bets: tuple[Bet, ...],
     at: np.ndarray,
     lam_values: list[Intensities],
@@ -169,20 +202,14 @@ def _segment_deltas(
     and one side of half time; only the clock moves inside it, so each bet's
     deltas over it are one ``pricing.segment_greeks`` call.
     """
-    states = [s.state for s in snaps]
-    clocks = np.array([st.clock for st in states], dtype=float)
-    key = np.column_stack((
-        [st.home_goals for st in states],
-        [st.away_goals for st in states],
-        at,
-        clocks >= half_clock,
-    ))
+    home, away, clocks = snaps.home, snaps.away, snaps.clocks
+    key = np.column_stack((home, away, at, clocks >= half_clock))
     cuts = (np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1).tolist()
     out = np.full((len(snaps), 2, len(bets)), np.nan)  # (snapshot, team, bet)
     for lo, hi in zip([0, *cuts], [*cuts, len(snaps)]):
         if lo == hi or at[lo] < 0:
             continue
-        score = (states[lo].home_goals, states[lo].away_goals)
+        score = (int(home[lo]), int(away[lo]))
         for b, bet in enumerate(bets):
             d1, d2, _ = pricing.segment_greeks(
                 bet, score, lam_values[at[lo]], clocks[lo:hi], half_clock, ht_score
@@ -234,27 +261,26 @@ def replay_hedge(
         lam_times = [p.timestamp_s for p in valid]
         lam_values = [p.result.intensities for p in valid]
     bets = (target, *instruments)
-    snaps = timeline.snapshots
-    if snaps and _next_goal_payout(target, Team.HOME) is not None:
+    snaps = SnapshotColumns.of(timeline.snapshots)
+    if len(snaps) and _next_goal_payout(target, Team.HOME) is not None:
         # The ledger stops at the first goal after the first snapshot.
-        seen = [s.state.home_goals + s.state.away_goals for s in snaps]
-        snaps = snaps[: bisect_right(seen, seen[0])]
-    table, starts, stops = quote_columns(snaps)
-    mids = np.column_stack([_first_mids(table, starts, stops, b) for b in bets])
+        seen = snaps.home + snaps.away
+        snaps = snaps[: np.searchsorted(seen, seen[0], side="right")]
+    mids = np.column_stack([_first_mids(snaps, b) for b in bets])
     quoted = (~np.isnan(mids).any(axis=1)).tolist()
     mids = mids.tolist()
     half_clock = timeline.half_clock
     ht_score = timeline.ht_score() if any(b.kind is BetKind.HT_FT for b in bets) else None
 
     # The latest intensities stamped at or before each snapshot, -1 if none.
-    times = np.array([s.timestamp_s for s in snaps], dtype=float)
-    at = np.searchsorted(lam_times, times, side="right") - 1
+    at = np.searchsorted(lam_times, snaps.timestamps, side="right") - 1
     deltas = _segment_deltas(snaps, bets, at, lam_values, half_clock, ht_score)
     psi1, psi2, singular = _stack_weights(deltas)
     flags = np.where(at < 0, "no intensity", np.where(singular, "singular", "")).tolist()
     psi1, psi2 = psi1.tolist(), psi2.tolist()
+    times, clocks = snaps.timestamps.tolist(), snaps.clocks.tolist()
 
-    steps: list[HedgeStep] = []
+    rows: list[tuple] = []  # one per step, in HedgeStep's field order
     goals: list[GoalRecord] = []
     psi = [0.0, 0.0]
     cash = 0.0
@@ -273,14 +299,13 @@ def replay_hedge(
             pending = None
 
     def add_step(t, clock, x, value, z, flag) -> None:
-        steps.append(HedgeStep(t, clock, x, value, psi[0], psi[1], cash, z[0], z[1], flag))
+        rows.append((t, clock, x, value, psi[0], psi[1], cash, z[0], z[1], flag))
 
-    k = -1  # index of the current snapshot
-    for kind, record in timeline.records():
+    for kind, k in replay_order((snaps.home + snaps.away).tolist(), len(timeline.events)):
         if kind == "goal":
             if last_x is None:
                 continue
-            ev: GoalEvent = record
+            ev = timeline.events[k]
             v_pre = mark(last_z)
             close_goal(last_x, v_pre)
             for i, inst in enumerate(instruments):
@@ -300,12 +325,10 @@ def replay_hedge(
                 break
             continue
 
-        snap = record
-        k += 1
         if not quoted[k]:
             if last_x is None:
                 raise ValueError("first snapshot must quote the target and both instruments")
-            add_step(snap.timestamp_s, snap.state.clock, last_x, mark(last_z), last_z, "stale")
+            add_step(times[k], clocks[k], last_x, mark(last_z), last_z, "stale")
             continue
 
         x, z1, z2 = mids[k]
@@ -319,26 +342,27 @@ def replay_hedge(
         if not flag:
             psi = [psi1[k], psi2[k]]
             cash = value - psi[0] * z1 - psi[1] * z2
-        add_step(snap.timestamp_s, snap.state.clock, x, value, z, flag)
+        add_step(times[k], clocks[k], x, value, z, flag)
         last_x, last_z = x, z
 
-    if not steps:
+    if not rows:
         raise ValueError("timeline contains no usable snapshots")
     close_goal(last_x, mark(last_z))
+    steps = HedgeSteps(*zip(*rows))
 
-    steps_t, goals_t = tuple(steps), tuple(goals)
+    goals_t = tuple(goals)
     try:
         correlation, _ = jump_scatter_stats(
-            HedgeReport(target, instruments, steps_t, goals_t, 0.0, None)
+            HedgeReport(target, instruments, steps, goals_t, 0.0, None)
         )
     except ValueError:  # fewer than two goals, or no jump variance
         correlation = None
     return HedgeReport(
         target=target,
         instruments=instruments,
-        steps=steps_t,
+        steps=steps,
         goals=goals_t,
-        terminal_error=abs(steps[-1].portfolio_value - steps[-1].target_value),
+        terminal_error=abs(steps.portfolio_value[-1] - steps.target_value[-1]),
         jump_correlation=correlation,
     )
 

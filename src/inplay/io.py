@@ -10,9 +10,10 @@ An empty odds cell means that side is absent.  The bet token is
 ``market_selection`` joined with an underscore, or the bare selection where
 that fails to parse (so parity bets can live under a TOTAL_PARITY market).
 Accepted rows are parsed into one :class:`~inplay.calibration.QuoteTable`,
-and each snapshot's quotes are a view of its rows.  Rows sharing a timestamp
-and score form one snapshot; same-second snapshots run in the order of the
-goals their score counts, whatever the file's row order.
+and the snapshots into one :class:`~inplay.calibration.SnapshotColumns` view
+of its rows.  Rows sharing a timestamp and score form one snapshot;
+same-second snapshots run in the order of the goals their score counts,
+whatever the file's row order.
 
 Events CSV columns: ``match_id,timestamp_s,team,event`` with team HOME or
 AWAY (case-insensitive) and event GOAL.  A file with only the header means
@@ -26,6 +27,7 @@ import csv
 import json
 import logging
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
@@ -35,19 +37,12 @@ import numpy as np
 from .calibration import (
     CalibrationResult,
     IntensitySeries,
-    QuoteRows,
     QuoteSnapshot,
     QuoteTable,
     SeriesPoint,
+    SnapshotColumns,
 )
-from .contracts import (
-    Bet,
-    Intensities,
-    ScoreState,
-    Team,
-    format_bet,
-    parse_bet,
-)
+from .contracts import Bet, Intensities, Team, format_bet, parse_bet
 from .hedging import HedgeReport
 from .oracle import SimulatedPath
 from .timeline import (
@@ -55,9 +50,8 @@ from .timeline import (
     DEFAULT_MATCH_MINUTES,
     GoalEvent,
     MatchTimeline,
-    clock_of,
-    goal_counts,
-    score_path,
+    allowed_scores,
+    clocks_of,
 )
 
 __all__ = [
@@ -137,21 +131,25 @@ def _write_csv(path, header: list[str], rows) -> None:
 def _read_csv(path, headers: tuple[list[str], ...], error: type[ValueError] = ValueError):
     """Open a CSV file whose header is one of ``headers``; yield that header
     and the reader of the rows after it.  A csv.Error or ValueError raised in
-    the caller's row loop comes out as ``error`` prefixed with ``path:line``."""
+    the caller's row loop comes out as ``error`` prefixed with ``path:line``;
+    bytes that are not UTF-8 come out as ``error`` prefixed with ``path``."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise error(f"{path}: empty file, no header")
-        if header not in headers:
-            want = " or ".join(map(str, headers))
-            raise error(f"{path}: unexpected header {header!r}; want {want}")
         try:
-            yield header, reader
-        except UnicodeError:  # decoding reads ahead, so no line can be named
-            raise
-        except (csv.Error, ValueError) as exc:
-            raise error(f"{path}:{reader.line_num}: {exc}") from None
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file, no header")
+            if header not in headers:
+                want = " or ".join(map(str, headers))
+                raise error(f"{path}: unexpected header {header!r}; want {want}")
+            try:
+                yield header, reader
+            except UnicodeError:
+                raise
+            except (csv.Error, ValueError) as exc:
+                raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeError as exc:  # decoding reads ahead, so no line can be named
+            raise error(f"{path}: {exc}") from None
 
 
 def _width_message(header: list[str], row: list[str]) -> str:
@@ -202,7 +200,7 @@ class QuotesParseError(ValueError):
 
 def parse_quotes_csv(
     path, match_length_min: float = DEFAULT_MATCH_MINUTES
-) -> list[QuoteSnapshot]:
+) -> SnapshotColumns:
     """Parse a quotes CSV into timestamp-grouped snapshots.
 
     Rows with a decimal below 1 are rejected and logged; an unknown bet
@@ -216,7 +214,7 @@ def parse_quotes_csv(
 
 def _parse_quotes(
     path, match_length_min: float = DEFAULT_MATCH_MINUTES
-) -> tuple[str, list[QuoteSnapshot]]:
+) -> tuple[str, SnapshotColumns]:
     path = Path(path)
     length_s = match_length_min * 60.0
     # Accepted rows as columns; a snapshot's rows are listed under its key.
@@ -283,15 +281,12 @@ def _parse_quotes(
     table = QuoteTable(
         tuple(bets), np.array(bet_ix)[order], np.array(backs)[order], np.array(lays)[order]
     )
-    snapshots = []
-    stop = 0
-    for ts, score in keys:
-        start, stop = stop, stop + len(groups[(ts, score)])
-        state = None
-        if score is not None:
-            state = ScoreState(score[0], score[1], clock_of(ts, match_length_min))
-        snapshots.append(QuoteSnapshot(ts, state, QuoteRows(table, start, stop)))
-    return match_ids.pop(), snapshots
+    lengths = np.array([len(groups[k]) for k in keys], dtype=np.intp)
+    stops = np.cumsum(lengths)
+    ts = np.array([k[0] for k in keys])
+    home, away = np.array([k[1] or (-1, -1) for k in keys], dtype=np.intp).T
+    clocks = clocks_of(ts, match_length_min)
+    return match_ids.pop(), SnapshotColumns(table, ts, home, away, clocks, stops - lengths, stops)
 
 
 def parse_events_csv(
@@ -334,7 +329,7 @@ def _parse_events(
 
 
 def build_timeline(
-    snapshots: list[QuoteSnapshot],
+    snapshots: Sequence[QuoteSnapshot],
     events: list[GoalEvent],
     match_id: str = "match",
     match_length_min: float = DEFAULT_MATCH_MINUTES,
@@ -345,31 +340,27 @@ def build_timeline(
     ``snapshots`` come in (timestamp, goals scored) order, as parsed.  One
     without a score gets the score after every goal at or before its stamp.
     One with a score the events allow there (:func:`~inplay.timeline.goal_counts`)
-    is kept, as the same object if its clock fits its stamp; otherwise a
-    warning names the timestamp, the reconstructed score wins for downstream
-    pricing and the snapshots are sorted again by (timestamp, goals scored).
+    keeps it; otherwise a warning names the timestamp, the reconstructed
+    score wins for downstream pricing and the snapshots are sorted again by
+    (timestamp, goals scored).  Every clock is taken from its stamp.  The
+    timeline's snapshots are a :class:`~inplay.calibration.SnapshotColumns`
+    view over the quotes' rows.
     """
-    path = score_path(events)
-    filled = list(snapshots)
-    replaced = False
-    counts = goal_counts(events, [s.timestamp_s for s in snapshots])
-    for i, (snap, lo, hi) in enumerate(zip(snapshots, *counts)):
-        ts, state = snap.timestamp_s, snap.state
-        clock = clock_of(ts, match_length_min)
-        if state is not None:
-            score = (state.home_goals, state.away_goals)
-            if score in path[lo : hi + 1]:
-                if state.clock != clock:
-                    filled[i] = QuoteSnapshot(ts, state.at_clock(clock), snap.quotes)
-                continue
-            log.warning(
-                "snapshot at %ss: score column %s disagrees with events %s", ts, score, path[hi]
-            )
-            replaced = True
-        filled[i] = QuoteSnapshot(ts, ScoreState(*path[hi], clock), snap.quotes)
-    if replaced:
-        filled.sort(key=lambda s: (s.timestamp_s, s.state.home_goals + s.state.away_goals))
-    return MatchTimeline(match_id, tuple(events), tuple(filled), match_length_min, half_length_min)
+    given = SnapshotColumns.of(snapshots)
+    ts, home, away = given.timestamps, given.home, given.away
+    ok, home_after, away_after = allowed_scores(events, ts, home, away)
+    replaced = ~ok & (home >= 0)
+    for i in np.flatnonzero(replaced).tolist():
+        score, after = (int(home[i]), int(away[i])), (int(home_after[i]), int(away_after[i]))
+        log.warning(
+            "snapshot at %ss: score column %s disagrees with events %s", float(ts[i]), score, after
+        )
+    home, away = np.where(ok, home, home_after), np.where(ok, away, away_after)
+    clocks = clocks_of(ts, match_length_min)
+    view = SnapshotColumns(given.table, ts, home, away, clocks, given.starts, given.stops)
+    if replaced.any():
+        view = view[np.lexsort((home + away, ts))]
+    return MatchTimeline(match_id, tuple(events), view, match_length_min, half_length_min)
 
 
 def load_timeline(
@@ -467,15 +458,13 @@ def write_hedge_report(report: HedgeReport, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # One format per row: %.9g is fmt_float, and no flag needs CSV quoting.
+    s = report.steps
     step_row = "%s" + ",%.9g" * 7 + ",%s\n"
     goal_row = "%s,%s" + ",%.9g" * 4 + "\n"
     with _open_write(out_dir / "steps.csv") as fh:
         fh.write(",".join(STEPS_HEADER) + "\n")
-        fh.writelines(
-            step_row % (_fmt_ts(s.timestamp_s), s.target_value, s.portfolio_value, s.psi1,
-                        s.psi2, s.cash, s.z1, s.z2, s.flag)
-            for s in report.steps
-        )
+        numbers = (s.target_value, s.portfolio_value, s.psi1, s.psi2, s.cash, s.z1, s.z2)
+        fh.writelines(map(step_row.__mod__, zip(map(_fmt_ts, s.timestamp_s), *numbers, s.flag)))
     with _open_write(out_dir / "goals.csv") as fh:
         fh.write(",".join(GOALS_HEADER) + "\n")
         fh.writelines(

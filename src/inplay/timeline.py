@@ -18,10 +18,10 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .calibration import QuoteSnapshot
+from .calibration import QuoteSnapshot, _snapshot_columns
 from .contracts import Team
 
-__all__ = ["GoalEvent", "MatchTimeline", "score_path", "goal_counts"]
+__all__ = ["GoalEvent", "MatchTimeline", "score_path", "goal_counts", "replay_order"]
 
 DEFAULT_MATCH_MINUTES = 90.0
 DEFAULT_HALF_MINUTES = 45.0
@@ -30,6 +30,11 @@ DEFAULT_HALF_MINUTES = 45.0
 def clock_of(timestamp_s: float, match_length_min: float) -> float:
     """Playing-time seconds as the clock tau in [0, 1]."""
     return min(max(timestamp_s / (match_length_min * 60.0), 0.0), 1.0)
+
+
+def clocks_of(stamps: np.ndarray, match_length_min: float) -> np.ndarray:
+    """:func:`clock_of` of each stamp, rounded the same way."""
+    return np.clip(stamps / (match_length_min * 60.0), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,39 @@ def goal_counts(
     return left, right
 
 
+def replay_order(seen: Sequence[int], goals: int) -> Iterator[tuple[str, int]]:
+    """Snapshot and goal indices in replay order, for snapshots that have seen
+    ``seen[k]`` of ``goals`` goals: each snapshot follows the goals it counts."""
+    done = 0
+    for k, upto in enumerate([*seen, goals]):
+        for j in range(done, upto):
+            yield "goal", j
+        if k < len(seen):
+            yield "snapshot", k
+        done = upto
+
+
+def allowed_scores(events: Sequence[GoalEvent], stamps, home, away) -> tuple[np.ndarray, ...]:
+    """Per snapshot scored (home, away) at ``stamps`` (-1 goals for no score),
+    whether the goals allow that score there, and the (home, away) score after
+    every goal at or before the stamp."""
+    lo, hi = (np.array(c, dtype=np.intp) for c in goal_counts(events, stamps))
+    path, seen = np.array(score_path(events)), home + away
+    on_path = (path[np.clip(seen, 0, len(events))] == np.column_stack((home, away))).all(axis=1)
+    return (home >= 0) & (lo <= seen) & (seen <= hi) & on_path, *path[hi].T
+
+
 @dataclass(frozen=True)
 class MatchTimeline:
-    """Goals and snapshots of one match.  Construction raises ValueError at
-    the first snapshot that has no score, has one its goals do not allow, or
-    breaks (timestamp, goals) order, naming its timestamp."""
+    """Goals and snapshots of one match; ``snapshots`` is a tuple of
+    :class:`QuoteSnapshot` or a :class:`~inplay.calibration.SnapshotColumns`
+    view, checked on its columns either way.  Construction raises ValueError
+    at the first snapshot that has no score, has one its goals do not allow,
+    or breaks (timestamp, goals) order, naming its timestamp."""
 
     match_id: str
     events: tuple[GoalEvent, ...]
-    snapshots: tuple[QuoteSnapshot, ...]
+    snapshots: Sequence[QuoteSnapshot]
     match_length_min: float = DEFAULT_MATCH_MINUTES
     half_length_min: float = DEFAULT_HALF_MINUTES
 
@@ -78,23 +107,20 @@ class MatchTimeline:
         for ev in self.events:
             if not (0.0 <= ev.timestamp_s <= length_s):
                 raise ValueError(f"goal at {ev.timestamp_s}s is outside the match")
-        path = score_path(self.events)
-        stamps = [s.timestamp_s for s in self.snapshots]
-        last = (-np.inf, 0)
-        for snap, lo, hi in zip(self.snapshots, *goal_counts(self.events, stamps)):
-            t, state = snap.timestamp_s, snap.state
-            if state is None:
+        ts, home, away, _ = _snapshot_columns(self.snapshots)
+        ok, seen = allowed_scores(self.events, ts, home, away)[0], home + away
+        later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (seen[1:] < seen[:-1]))
+        for i in np.flatnonzero(~ok | np.append(False, later))[:1].tolist():
+            t = float(ts[i])
+            if home[i] < 0:
                 raise ValueError(f"snapshot at {t}s has no score")
-            score = (state.home_goals, state.away_goals)
-            if score not in path[lo : hi + 1]:
+            if not ok[i]:
+                (lo,), (hi,) = goal_counts(self.events, [t])
                 raise ValueError(
-                    f"snapshot at {t}s: score {score} does not follow the goals, "
-                    f"which allow {path[lo : hi + 1]}"
+                    f"snapshot at {t}s: score {(int(home[i]), int(away[i]))} does not follow "
+                    f"the goals, which allow {score_path(self.events)[lo : hi + 1]}"
                 )
-            now = (t, sum(score))
-            if now < last:
-                raise ValueError(f"snapshot at {t}s is out of (timestamp, goals) order")
-            last = now
+            raise ValueError(f"snapshot at {t}s is out of (timestamp, goals) order")
 
     @property
     def half_clock(self) -> float:
@@ -106,14 +132,7 @@ class MatchTimeline:
         return score_path(self.events)[through]
 
     def records(self) -> Iterator[Record]:
-        """Snapshots and goals merged in replay order: before each snapshot,
-        the goals its score counts."""
-        seen = 0
-        for snap in self.snapshots:
-            k = snap.state.home_goals + snap.state.away_goals
-            for ev in self.events[seen:k]:
-                yield ("goal", ev)
-            yield ("snapshot", snap)
-            seen = k
-        for ev in self.events[seen:]:
-            yield ("goal", ev)
+        """Snapshots and goals merged in replay order (:func:`replay_order`)."""
+        _, home, away, _ = _snapshot_columns(self.snapshots)
+        for kind, i in replay_order((home + away).tolist(), len(self.events)):
+            yield kind, self.events[i] if kind == "goal" else self.snapshots[i]

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from inplay import calibration, hedging
 from inplay.cli import main
 from inplay.contracts import Intensities, MATCH_ODDS_DRAW, MATCH_ODDS_HOME, Team
 from inplay.io import (
@@ -223,6 +224,23 @@ class TestCalibrate:
         assert f"{events}:2: goal at '{stamp}' is outside the match" in capsys.readouterr().err
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
+    @pytest.mark.parametrize("which", ["quotes", "events"])
+    def test_undecodable_bytes_are_data_error_naming_the_file(
+        self, fixture_files, tmp_path, capsys, which
+    ):
+        quotes, events = fixture_files
+        bad = {"quotes": quotes, "events": events}[which]
+        bad.write_bytes(bad.read_bytes() + b"g1,60,\xff\n")
+        code = main(
+            ["calibrate", "--quotes", str(quotes), "--events", str(events),
+             "--out", str(tmp_path / "out.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        # Decoding reads ahead of the row in hand, so no line is named.
+        want = rf"data error: {re.escape(str(bad))}: 'utf-8' codec can't decode .*\n"
+        assert re.fullmatch(want, err)
+
 
 class TestHedgeReplay:
     def test_empty_events_file_is_data_error(self, fixture_files, tmp_path, capsys):
@@ -276,6 +294,39 @@ class TestHedgeReplay:
         assert summary["jump_correlation"] >= 0.999
         assert (out_dir / "steps.csv").exists()
         assert (out_dir / "goals.csv").exists()
+
+    @staticmethod
+    def _fixed_argv(fixture_files, target, out_dir):
+        quotes, events = fixture_files
+        return ["hedge-replay", "--quotes", str(quotes), "--events", str(events),
+                "--target", target, "--lambda-home", "1.3", "--lambda-away", "0.7",
+                "--out-dir", str(out_dir)]
+
+    @pytest.mark.parametrize("target", ["MATCH_ODDS_HOME", "NEXT_GOAL_HOME"])
+    def test_fixed_intensity_replay_builds_no_per_snapshot_objects(
+        self, fixture_files, tmp_path, monkeypatch, target
+    ):
+        assert main(self._fixed_argv(fixture_files, target, tmp_path / "plain")) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-snapshot object was built")
+
+        monkeypatch.setattr(hedging, "HedgeStep", forbidden)
+        monkeypatch.setattr(calibration, "QuoteSnapshot", forbidden)
+        assert main(self._fixed_argv(fixture_files, target, tmp_path / "columns")) == 0
+        for name in ("steps.csv", "goals.csv", "summary.json"):
+            plain, columns = (tmp_path / d / name for d in ("plain", "columns"))
+            assert columns.read_bytes() == plain.read_bytes(), name
+
+    def test_next_goal_target_ends_on_its_settlement(self, fixture_files, tmp_path, capsys):
+        out_dir = tmp_path / "hedge"
+        assert main(self._fixed_argv(fixture_files, "NEXT_GOAL_HOME", out_dir)) == 0
+        rows = (out_dir / "steps.csv").read_text(encoding="utf-8").splitlines()[1:]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert rows[-1].endswith(",target settled")
+        assert summary["steps"] == len(rows)
+        # The fixture's first goal (AWAY at 1200 s) settles it: 21 one-minute snapshots.
+        assert rows[-1].startswith("1200,") and len(rows) == 22
 
     def test_instrument_list_must_be_a_pair(self, fixture_files, tmp_path):
         quotes, events = fixture_files

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inplay import pricing
-from inplay.calibration import CalibrationResult, IntensitySeries, SeriesPoint
+from inplay.calibration import (
+    CalibrationResult,
+    IntensitySeries,
+    SeriesPoint,
+    SnapshotColumns,
+    quote_columns,
+)
 
 from inplay.contracts import (
     Bet,
@@ -27,6 +33,7 @@ from inplay.hedging import (
     _DET_TOL,
     GoalRecord,
     HedgeReport,
+    HedgeSteps,
     SingularHedgeError,
     _stack_weights,
     jump_scatter_stats,
@@ -34,6 +41,7 @@ from inplay.hedging import (
     replay_hedge,
     solve_replication_weights,
 )
+from inplay.io import load_timeline, write_events_csv, write_quotes_csv
 from inplay.pricing import greeks, price_next_goal
 from inplay.synthetic import make_model_timeline
 
@@ -536,3 +544,59 @@ class TestJumpStats:
         corr, pairs = jump_scatter_stats([a, b])
         assert len(pairs) == 2
         assert corr == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLoadedAndTupleRoutesAgree:
+    """A loaded timeline holds its snapshots as a column view; the same
+    snapshots as a tuple go through the conversion route."""
+
+    # Half time 0-1, full time 2-1, with two goals in one second.
+    GOALS = [(1200.0, Team.AWAY), (3000.0, Team.HOME), (3000.0, Team.HOME)]
+    SERIES = IntensitySeries(tuple(
+        SeriesPoint(t, CalibrationResult(lam, 0.0, 0.0, 0.0, 1, True))
+        for t, lam in ((0.0, LAM), (2400.0, Intensities(1.4, 0.6)), (3000.0, LAM))
+    ))
+
+    @staticmethod
+    def _bits(rep):
+        """Every number of a report, as exact reprs."""
+        columns = [getattr(rep.steps, name) for name in HedgeSteps.__slots__]
+        return repr((columns, rep.goals, rep.terminal_error, rep.jump_correlation))
+
+    @pytest.mark.parametrize("lam_source", ["fixed", "series"])
+    @pytest.mark.parametrize(
+        "target", [MATCH_ODDS_HOME, Bet.ht_ft(Outcome.AWAY, Outcome.HOME), NEXT_GOAL_HOME]
+    )
+    def test_replays_are_identical(self, tmp_path, target, lam_source):
+        bets = list(dict.fromkeys([target, *HEDGES]))
+        made = make_model_timeline(LAM, goals=self.GOALS, step_s=60.0, bets=bets)
+        write_quotes_csv(made, tmp_path / "q.csv")
+        write_events_csv(list(made.events), tmp_path / "e.csv", made.match_id)
+        loaded = load_timeline(tmp_path / "q.csv", tmp_path / "e.csv")
+        as_tuple = dataclasses.replace(loaded, snapshots=tuple(loaded.snapshots))
+        assert isinstance(loaded.snapshots, SnapshotColumns)
+        assert list(loaded.snapshots) == list(as_tuple.snapshots)
+        lam = LAM if lam_source == "fixed" else self.SERIES
+        rep, other = (replay_hedge(tl, target, HEDGES, lam) for tl in (loaded, as_tuple))
+        assert rep == other and self._bits(rep) == self._bits(other)
+        if target == NEXT_GOAL_HOME:
+            assert rep.steps[-1].flag == "target settled" and rep.steps[-1].timestamp_s == 1200.0
+
+    def test_tuple_of_loaded_snapshots_keeps_the_table(self, tmp_path):
+        made = make_model_timeline(LAM, goals=self.GOALS, step_s=600.0, bets=list(HEDGES))
+        write_quotes_csv(made, tmp_path / "q.csv")
+        write_events_csv(list(made.events), tmp_path / "e.csv", made.match_id)
+        view = load_timeline(tmp_path / "q.csv", tmp_path / "e.csv").snapshots
+        table, starts, stops = quote_columns(tuple(view))
+        assert table is view.table
+        assert np.array_equal(starts, view.starts) and np.array_equal(stops, view.stops)
+
+    def test_steps_equal_and_hash_as_their_tuple(self):
+        bets = list(dict.fromkeys([MATCH_ODDS_HOME, *HEDGES]))
+        made = make_model_timeline(LAM, goals=self.GOALS, step_s=600.0, bets=bets)
+        rep = replay_hedge(made, MATCH_ODDS_HOME, HEDGES, LAM)
+        steps = tuple(rep.steps)
+        assert rep.steps == steps and steps == rep.steps and rep.steps == rep.steps[:]
+        assert hash(rep.steps) == hash(steps) and hash(rep) == hash(rep)
+        assert dataclasses.replace(rep, steps=steps) == rep
+        assert rep.steps != steps[:-1] and rep.steps != list(steps)

@@ -447,10 +447,13 @@ class TestBuildTimeline:
     def test_allowed_scores_come_back_as_the_parsed_snapshots(self, tmp_path):
         quotes, events = self._files(tmp_path)
         parsed, goals = parse_quotes_csv(quotes), parse_events_csv(events)
-        assert all(a is b for a, b in zip(build_timeline(parsed, goals).snapshots, parsed))
+        built = build_timeline(parsed, goals).snapshots
+        assert [(s.timestamp_s, s.state) for s in built] == [(s.timestamp_s, s.state) for s in parsed]
+        assert built.table is parsed.table
+        assert np.array_equal(built.starts, parsed.starts) and np.array_equal(built.stops, parsed.stops)
         # Another match length restamps every clock but kickoff's.
         longer = build_timeline(parsed, goals, match_length_min=100.0).snapshots
-        assert [a is b for a, b in zip(longer, parsed)] == [
+        assert [a.state == b.state for a, b in zip(longer, parsed)] == [
             s.timestamp_s == 0.0 for s in parsed
         ]
 
@@ -463,8 +466,9 @@ class TestBuildTimeline:
             tl = build_timeline(parsed, parse_events_csv(events))
         assert "score column (0, 1) disagrees with events (1, 1)" in caplog.text
         first, second, replaced = tl.snapshots
-        assert first is parsed[0] and second is parsed[2]
-        assert replaced.quotes is parsed[1].quotes
+        assert first == parsed[0] and second == parsed[2]
+        q, want = replaced.quotes, parsed[1].quotes
+        assert (q.table, q.start, q.stop) == (want.table, want.start, want.stop)
         assert replaced.state == ScoreState(1, 1, 600 / 5400)
 
     def test_pre_and_post_goal_snapshots_interleave_with_events(self):

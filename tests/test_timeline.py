@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inplay.calibration import QuoteSnapshot
+from inplay.calibration import QuoteSnapshot, SnapshotColumns
 from inplay.contracts import MATCH_ODDS_HOME, Intensities, ScoreState, Team
 from inplay.io import load_timeline, write_events_csv, write_quotes_csv
 from inplay.synthetic import make_model_timeline
@@ -17,8 +17,12 @@ def _snap(t, score):
     return QuoteSnapshot(t, state, ())
 
 
-def _timeline(events, *snaps):
-    return MatchTimeline("m", tuple(events), tuple(_snap(t, s) for t, s in snaps))
+def _timeline(events, *snaps, view=False):
+    """A timeline of hand-built snapshots, as a tuple or as a column view."""
+    snapshots = tuple(_snap(t, s) for t, s in snaps)
+    if view:
+        snapshots = SnapshotColumns.of(snapshots)
+    return MatchTimeline("m", tuple(events), snapshots)
 
 
 class TestHelpers:
@@ -38,25 +42,40 @@ class TestHelpers:
 
 
 class TestMatchTimelineRejects:
+    view = False  # the snapshots as a tuple
+
     def test_a_snapshot_without_a_score(self):
-        with pytest.raises(ValueError, match=r"snapshot at 300.0s has no score"):
-            _timeline((), (300.0, None))
+        with pytest.raises(ValueError, match=r"^snapshot at 300.0s has no score$"):
+            _timeline((), (300.0, None), view=self.view)
 
     def test_a_home_score_when_the_only_goal_is_away(self):
-        with pytest.raises(ValueError, match=r"snapshot at 900.0s: score \(1, 0\) does not"):
-            _timeline([GoalEvent(600.0, Team.AWAY)], (900.0, (1, 0)))
+        want = r"^snapshot at 900.0s: score \(1, 0\) does not follow the goals, which allow "
+        want += r"\[\(0, 1\)\]$"
+        with pytest.raises(ValueError, match=want):
+            _timeline([GoalEvent(600.0, Team.AWAY)], (900.0, (1, 0)), view=self.view)
 
     def test_a_goal_counted_before_it_is_scored(self):
         with pytest.raises(ValueError, match=r"snapshot at 300.0s: score \(1, 0\) does not"):
-            _timeline(HOME_AT_600, (300.0, (1, 0)))
+            _timeline(HOME_AT_600, (300.0, (1, 0)), view=self.view)
 
     def test_a_post_goal_snapshot_listed_before_the_pre_goal_one(self):
-        with pytest.raises(ValueError, match=r"snapshot at 600.0s is out of"):
-            _timeline(HOME_AT_600, (600.0, (1, 0)), (600.0, (0, 0)))
+        want = r"^snapshot at 600.0s is out of \(timestamp, goals\) order$"
+        with pytest.raises(ValueError, match=want):
+            _timeline(HOME_AT_600, (600.0, (1, 0)), (600.0, (0, 0)), view=self.view)
 
     def test_a_snapshot_stamped_before_its_predecessor(self):
         with pytest.raises(ValueError, match=r"snapshot at 300.0s is out of"):
-            _timeline((), (600.0, (0, 0)), (300.0, (0, 0)))
+            _timeline((), (600.0, (0, 0)), (300.0, (0, 0)), view=self.view)
+
+    def test_the_first_bad_snapshot_is_named(self):
+        with pytest.raises(ValueError, match=r"snapshot at 60.0s: score \(0, 1\)"):
+            _timeline(HOME_AT_600, (0.0, (0, 0)), (60.0, (0, 1)), (30.0, None), view=self.view)
+
+
+class TestMatchTimelineViewRejects(TestMatchTimelineRejects):
+    """The same snapshots as a column view give the same messages."""
+
+    view = True
 
 
 def test_records_put_each_goal_between_the_snapshots_that_straddle_it():
