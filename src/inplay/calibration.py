@@ -287,10 +287,12 @@ class IntensitySeries:
 class _Segment:
     """The usable quotes of snapshots sharing one score, on one board: a
     snapshot's k-th quote of a bet is in that bet's k-th column.  ``weight``
-    is 1 / half-spread on a quote and 0 off one, where ``mid`` is 0 and so
-    is the residual.  A zero spread raises, naming the earliest snapshot."""
+    is 1 / half-spread on a quote and 0 off one, where ``mid`` is 0 and so is
+    the residual.  No score or a zero spread raises, naming the earliest snapshot."""
 
     def __init__(self, snaps: SnapshotColumns):
+        if snaps.home[0] < 0:
+            raise ValueError(f"the snapshot at {float(snaps.timestamps[0]):.15g}s has no score")
         t, starts, stops = snaps.table, snaps.starts, snaps.stops
         lengths, nb = stops - starts, len(t.bets)
         rows = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)

@@ -29,7 +29,6 @@ import logging
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -217,76 +216,90 @@ def _parse_quotes(
 ) -> tuple[str, SnapshotColumns]:
     path = Path(path)
     length_s = match_length_min * 60.0
-    # Accepted rows as columns; a snapshot's rows are listed under its key.
-    bet_ix: list[int] = []
-    backs: list[float] = []
-    lays: list[float] = []
-    groups: dict[tuple, list[int]] = {}
+    # Accepted rows as columns, and one (key, first row) entry per run of
+    # consecutive accepted rows that share a snapshot key (timestamp, score).
+    bet_ix, backs, lays = [], [], []
+    runs: list[tuple] = []
     match_ids: set[str] = set()
     # A board repeats the same few tokens on every row: parse each once.
     tokens: dict[tuple[str, str], int] = {}
     bets: dict[Bet, int] = {}
     headers = (QUOTES_HEADER, QUOTES_HEADER + SCORE_COLUMNS)
     with _read_csv(path, headers, QuotesParseError) as (header, reader):
-        has_scores = header == headers[1]
-        # Rows of one snapshot share their timestamp and score cells, so those
-        # are parsed, checked and looked up only when they change.
-        ts_cell = score_cells = rows = score = None
+        has_scores, width = header == headers[1], len(header)
+        # Rows of one snapshot share their id, timestamp and score cells, so
+        # those are parsed, checked and looked up only when they change.
+        match_id = ts_cell = home_cell = away_cell = key = score = None
         for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
+            if len(row) != width:
+                if not row:
+                    continue
                 raise ValueError(_width_message(header, row))
-            match_id, ts_s, market, selection, back_s, lay_s = row[:6]
-            match_ids.add(match_id)
+            cells = row if has_scores else (*row, None, None)  # no score cells: None
+            row_id, ts_s, market, selection, back_s, lay_s, home_s, away_s = cells
+            if row_id != match_id:
+                match_ids.add(row_id)
+                match_id = row_id
             if ts_s != ts_cell:
                 ts = _match_time(ts_s, "timestamp", length_s)
-                ts_cell, rows = ts_s, None
+                ts_cell, key = ts_s, None
             ix = tokens.get((market, selection))
             if ix is None:
                 bet = _bet_from_market_selection(market, selection)
                 ix = tokens[(market, selection)] = bets.setdefault(bet, len(bets))
-            # An empty odds cell means that side is absent (NaN).
-            back = _number(back_s, "back decimal") if back_s else math.nan
-            lay = _number(lay_s, "lay decimal") if lay_s else math.nan
-            if back < 1.0 or lay < 1.0:
-                log.warning("%s:%d: decimal odds below 1, row rejected", path, reader.line_num)
+            # An empty side (NaN) passes as 1.0 unless both are empty; a row
+            # that fails is checked again cell by cell, the back cell first.
+            try:
+                back = float(back_s) if back_s else 1.0 if lay_s else math.nan
+                lay = float(lay_s) if lay_s else 1.0
+            except ValueError:
+                back = math.nan
+            if not (1.0 <= back < math.inf and 1.0 <= lay < math.inf):
+                back = _number(back_s, "back decimal") if back_s else math.nan
+                lay = _number(lay_s, "lay decimal") if lay_s else math.nan
+                why = "decimal odds below 1" if back < 1 or lay < 1 else "no odds on either side"
+                log.warning("%s:%d: %s, row rejected", path, reader.line_num, why)
                 continue
-            if back_s == "" and lay_s == "":
-                log.warning("%s:%d: no odds on either side, row rejected", path, reader.line_num)
-                continue
-            if has_scores and row[6:] != score_cells:
+            if home_s != home_cell or away_s != away_cell:
                 try:
-                    score = (int(row[6]), int(row[7]))
+                    score = (int(home_s), int(away_s))
                     if score[0] < 0 or score[1] < 0:
                         raise ValueError
                 except ValueError:
                     raise ValueError("bad score cells") from None
-                score_cells, rows = row[6:], None
-            if rows is None:
-                rows = groups.setdefault((ts, score), [])
-            rows.append(len(bet_ix))
+                home_cell, away_cell, key = home_s, away_s, None
+            if key is None:
+                key = (ts, score)
+                runs.append((key, len(backs)))
             bet_ix.append(ix)
-            backs.append(back)
-            lays.append(lay)
+            backs.append(back if back_s else math.nan)
+            lays.append(lay if lay_s else math.nan)
 
-    if not groups:
+    if not runs:
         raise QuotesParseError(f"{path}: no snapshots")
     if len(match_ids) > 1:
         raise QuotesParseError(f"{path}: multiple match ids {sorted(match_ids)}")
 
-    # Same-second snapshots run in the order of the goals their score counts.
-    keys = sorted(groups, key=lambda k: (k[0], sum(k[1] or ())))
-    order = np.fromiter(chain.from_iterable(groups[k] for k in keys), np.intp, len(bet_ix))
-    table = QuoteTable(
-        tuple(bets), np.array(bet_ix)[order], np.array(backs)[order], np.array(lays)[order]
-    )
-    lengths = np.array([len(groups[k]) for k in keys], dtype=np.intp)
-    stops = np.cumsum(lengths)
+    # A key's runs join into one snapshot.  Same-second snapshots run in the
+    # order of the goals their score counts, then of their first row.
+    keys, firsts = zip(*runs)
+    seen: dict[tuple, int] = {}
+    key_ix = np.array([seen.setdefault(k, len(seen)) for k in keys])
     ts = np.array([k[0] for k in keys])
     home, away = np.array([k[1] or (-1, -1) for k in keys], dtype=np.intp).T
+    by = np.lexsort((key_ix, home + away, ts))
+    n = len(backs)
+    lengths = np.diff(firsts, append=n)[by]
+    stops = np.cumsum(lengths)
+    # Each sorted run's rows move from its first row to stops - lengths.
+    order = np.arange(n) + np.repeat(np.take(firsts, by) - stops + lengths, lengths)
+    table = QuoteTable(tuple(bets), *(np.array(c)[order] for c in (bet_ix, backs, lays)))
+    at = np.flatnonzero(np.diff(key_ix[by], prepend=-1))  # each snapshot's first run
+    starts = (stops - lengths)[at]
+    stops = np.append(starts[1:], n)
+    ts, home, away = ts[by[at]], home[by[at]], away[by[at]]
     clocks = clocks_of(ts, match_length_min)
-    return match_ids.pop(), SnapshotColumns(table, ts, home, away, clocks, stops - lengths, stops)
+    return match_ids.pop(), SnapshotColumns(table, ts, home, away, clocks, starts, stops)
 
 
 def parse_events_csv(

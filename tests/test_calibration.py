@@ -88,6 +88,12 @@ class TestObjective:
 
 
 class TestCalibrateSnapshot:
+    def test_snapshot_without_a_score_is_an_error(self):
+        snap = model_snapshot(ts=1080.0)
+        snap = QuoteSnapshot(snap.timestamp_s, None, snap.quotes)
+        with pytest.raises(ValueError, match="^the snapshot at 1080s has no score$"):
+            calibrate_snapshot(snap)
+
     def test_round_trip_recovers_the_intensities(self):
         result = calibrate_snapshot(model_snapshot())
         assert result.converged
@@ -212,6 +218,12 @@ class TestCalibrateSeries:
         bad = Quote(MATCH_ODDS_HOME, value_buy=0.5, value_sell=0.5)
         snaps.append(QuoteSnapshot(60.0, STATE.at_clock(0.011), (bad,) + snaps[0].quotes))
         with pytest.raises(ValueError, match="zero spread"):
+            calibrate_series(snaps, step_s=60.0)
+
+    def test_snapshot_without_a_score_names_the_earliest(self):
+        snaps = [model_snapshot(ts=0.0, state=STATE.at_clock(0.0))]
+        snaps += [QuoteSnapshot(t, None, snaps[0].quotes) for t in (60.0, 120.0)]
+        with pytest.raises(ValueError, match="^the snapshot at 60s has no score$"):
             calibrate_series(snaps, step_s=60.0)
 
     def test_empty_timeline_rejected(self):

@@ -29,6 +29,7 @@ from inplay.contracts import (
     ScoreState,
     Team,
 )
+from inplay import io as io_module
 from inplay.hedging import GoalRecord, HedgeReport, HedgeStep, replay_hedge
 from inplay.io import (
     EVENTS_HEADER,
@@ -50,7 +51,7 @@ from inplay.io import (
 )
 from inplay.oracle import SimulatedPath
 from inplay.synthetic import make_model_timeline
-from inplay.timeline import GoalEvent, clock_of, goal_counts, score_path
+from inplay.timeline import GoalEvent, clock_of, clocks_of, goal_counts, score_path
 
 
 QUOTES_EXAMPLE = """match_id,timestamp_s,market,selection,back_decimal,lay_decimal
@@ -171,8 +172,6 @@ class TestParseQuotes:
             parse_quotes_csv(f)
 
     def test_each_token_parsed_once_per_file(self, tmp_path, monkeypatch):
-        import inplay.io as io_module
-
         parsed = []
         real = io_module._bet_from_market_selection
 
@@ -243,6 +242,38 @@ class TestParseQuotes:
         with pytest.raises(QuotesParseError, match=message):
             parse_quotes_csv(f)
 
+    @pytest.mark.parametrize(
+        "odds, message",
+        [
+            # The back cell alone would reject the row, but the lay cell is malformed.
+            ("0.5,abc", r":3: bad lay decimal 'abc'"),
+            ("x,y", r":3: bad back decimal 'x'"),
+            ("1e400,2.54", r":3: bad back decimal '1e400'"),
+            ("2.5,-inf", r":3: bad lay decimal '-inf'"),
+        ],
+    )
+    def test_a_malformed_odds_cell_is_an_error_before_any_rejection(
+        self, tmp_path, caplog, odds, message
+    ):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal\n"
+            f"g1,600,MATCH_ODDS,DRAW,3.1,3.2\ng1,600,MATCH_ODDS,HOME,{odds}\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            with pytest.raises(QuotesParseError, match=message):
+                parse_quotes_csv(f)
+        assert not caplog.records
+
+    def test_padded_decimals_parse(self, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            "match_id,timestamp_s,market,selection,back_decimal,lay_decimal\n"
+            "g1,600,MATCH_ODDS,HOME, 2.5,2.54 \n"
+        )
+        (quote,) = parse_quotes_csv(f)[0].quotes
+        assert (quote.back_decimal, quote.lay_decimal) == (2.5, 2.54)
+
     @pytest.mark.parametrize("cells", ["-1,0", "0,-2", "1,x", "1.0,0"])
     def test_bad_score_cells_name_their_line(self, tmp_path, cells):
         f = tmp_path / "q.csv"
@@ -292,6 +323,123 @@ class TestParseQuotes:
         )
         with pytest.raises(QuotesParseError, match="multiple match ids"):
             parse_quotes_csv(f)
+
+
+def _reference_parse(path):
+    """The quotes parser's rules, one row at a time: each cell parsed by
+    ``_number`` on every row, each snapshot's rows listed under its key, and
+    the keys sorted by (timestamp, goals).  Returns the parse and the
+    warnings it would log."""
+    bets, bet_ix, backs, lays, groups, warnings = {}, [], [], [], {}, []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            match_id, ts_s, market, selection, back_s, lay_s = row[:6]
+            ts = io_module._match_time(ts_s, "timestamp", 5400.0)
+            ix = bets.setdefault(io_module._bet_from_market_selection(market, selection), len(bets))
+            back = io_module._number(back_s, "back decimal") if back_s else math.nan
+            lay = io_module._number(lay_s, "lay decimal") if lay_s else math.nan
+            if back < 1.0 or lay < 1.0:
+                warnings.append(f"{path}:{reader.line_num}: decimal odds below 1, row rejected")
+                continue
+            if back_s == "" and lay_s == "":
+                warnings.append(f"{path}:{reader.line_num}: no odds on either side, row rejected")
+                continue
+            score = (int(row[6]), int(row[7])) if len(row) == 8 else None
+            groups.setdefault((ts, score), []).append(len(bet_ix))
+            bet_ix.append(ix)
+            backs.append(back)
+            lays.append(lay)
+    keys = sorted(groups, key=lambda k: (k[0], sum(k[1] or ())))
+    order = [i for k in keys for i in groups[k]]
+    stops = np.cumsum([len(groups[k]) for k in keys])
+    ts = np.array([k[0] for k in keys])
+    home, away = np.array([k[1] or (-1, -1) for k in keys], dtype=np.intp).T
+    columns = {
+        "bet_ix": np.array(bet_ix)[order],
+        "back": np.array(backs)[order],
+        "lay": np.array(lays)[order],
+        "timestamps": ts,
+        "home": home,
+        "away": away,
+        "clocks": clocks_of(ts, 90.0),
+        "starts": stops - np.diff(stops, prepend=0),
+        "stops": stops,
+    }
+    return match_id, tuple(bets), columns, warnings
+
+
+_TOKENS = [("MATCH_ODDS", "HOME"), ("MATCH_ODDS", "DRAW"), ("TOTAL_PARITY", "ODD"), ("UNDER", "2_5")]
+# Odds cells by what they make of a row; the first kinds are accepted.
+_ODDS = {
+    "two-sided": ["2.5,2.54", "1,1.02", "1.0,1.01", "17,18.5", "3.1,3.2"],
+    "back only": ["2.5,", "1,"],
+    "lay only": [",2.54", ",1.0"],
+    "no odds": [","],
+    "below 1": ["0.9,2.54", "2.5,0.5", "0,", ",0.99"],
+}
+
+
+def _random_quotes_file(path, seed, scores):
+    """A quotes file of random snapshot blocks; returns how often it wrote
+    each case the parser must treat like the reference."""
+    rng = np.random.default_rng(seed)
+    cases = dict.fromkeys(
+        ["blank line", *_ODDS, "key comes back", "600 and 600.0", "new second's first row rejected"]
+        + ["same-second scores"] * scores, 0
+    )
+    lines = [",".join(QUOTES_HEADER + SCORE_COLUMNS * scores)]
+    ts, home, away, seen = 600, 0, 0, []
+    for _ in range(60):
+        move = rng.choice(["next second", "spelt with .0", "new score", "come back"])
+        if move == "come back" and seen:
+            ts, home, away = seen[rng.integers(len(seen))]
+            cases["key comes back"] += 1
+        elif move == "new score" and scores:
+            home, away = (home + 1, away) if rng.random() < 0.5 else (home, away + 1)
+            cases["same-second scores"] += 1
+        elif move == "spelt with .0" and seen:
+            cases["600 and 600.0"] += 1
+        else:
+            ts, move = ts + int(rng.integers(1, 3)), "next second"
+        seen.append((ts, home, away))
+        ts_cell = f"{ts}.0" if move == "spelt with .0" else str(ts)
+        for k in range(int(rng.integers(1, 5))):
+            kind = rng.choice(list(_ODDS))
+            if k == 0 and move == "next second" and rng.random() < 0.3:
+                kind = rng.choice(["no odds", "below 1"])
+                cases["new second's first row rejected"] += 1
+            cases[kind] += 1
+            market, selection = _TOKENS[rng.integers(len(_TOKENS))]
+            odds = rng.choice(_ODDS[kind])
+            score = f",{home},{away}" if scores else ""
+            lines.append(f"g1,{ts_cell},{market},{selection},{odds}{score}")
+            if rng.random() < 0.05:
+                lines.append("")
+                cases["blank line"] += 1
+    path.write_text("\n".join(lines) + "\n")
+    return cases
+
+
+class TestParserEquivalence:
+    @pytest.mark.parametrize("scores", [False, True], ids=["no score columns", "score columns"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_files_parse_as_the_reference(self, tmp_path, caplog, seed, scores):
+        f = tmp_path / "q.csv"
+        cases = _random_quotes_file(f, seed, scores)
+        assert all(cases.values()), cases
+        match_id, bets, want, warnings = _reference_parse(f)
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            got_id, snaps = io_module._parse_quotes(f)
+        assert [r.getMessage() for r in caplog.records] == warnings
+        assert (got_id, snaps.table.bets) == (match_id, bets)
+        for name, column in want.items():
+            got = getattr(snaps.table if name in ("bet_ix", "back", "lay") else snaps, name)
+            assert got.dtype == column.dtype, name
+            assert np.array_equal(got, column, equal_nan=True), name
 
 
 class TestParseEvents:
