@@ -6,12 +6,13 @@ before the final whistle.  The replay keeps a strict self-financing ledger:
 portfolio value only ever changes through instrument price moves and
 settlement payouts, never through injected cash.
 
-Between goals, series points and half time the score and the intensities
-hold and only the clock moves, so the replay cuts its snapshots into such
-segments and takes each bet's deltas over a segment from one
-``pricing.segment_greeks`` call.  The 2x2 weight solves run once per replay,
-over every snapshot's deltas at once; only the ledger runs per snapshot, on
-the timeline's columns, and the report keeps the steps as columns.
+Between goals and half time only the clock and the intensities move, so
+the replay cuts its snapshots there alone and takes each bet's deltas over
+a segment from one ``pricing.segment_greeks`` call, one row per snapshot at
+the latest intensities stamped by then.  The 2x2 weight solves run once
+per replay, over every snapshot's deltas at once; only the ledger runs per
+snapshot, on the timeline's columns, and the report keeps the steps as
+columns.
 """
 
 from __future__ import annotations
@@ -191,28 +192,29 @@ def _segment_deltas(
     snaps: SnapshotColumns,
     bets: tuple[Bet, ...],
     at: np.ndarray,
-    lam_values: list[Intensities],
+    lam: np.ndarray,
     half_clock: float,
     ht_score: tuple[int, int] | None,
 ) -> np.ndarray:
     """Per snapshot, the bets' home deltas and their away deltas, shape
-    (snapshots, 2, bets) (NaN before the first intensities).
+    (snapshots, 2, bets), at the snapshot's (home, away) row ``at`` of
+    ``lam`` (NaN where ``at`` is -1: no intensities yet).
 
-    A segment is a run of snapshots with one score, one series point ``at``
-    and one side of half time; only the clock moves inside it, so each bet's
-    deltas over it are one ``pricing.segment_greeks`` call.
+    A segment is a run of snapshots with one score, on one side of half
+    time and with intensities at all of them or none; each bet's deltas
+    over it are one ``pricing.segment_greeks`` call.
     """
     home, away, clocks = snaps.home, snaps.away, snaps.clocks
-    key = np.column_stack((home, away, at, clocks >= half_clock))
+    key = np.column_stack((home, away, at >= 0, clocks >= half_clock))
     cuts = (np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1).tolist()
     out = np.full((len(snaps), 2, len(bets)), np.nan)  # (snapshot, team, bet)
     for lo, hi in zip([0, *cuts], [*cuts, len(snaps)]):
         if lo == hi or at[lo] < 0:
             continue
-        score = (int(home[lo]), int(away[lo]))
+        score, rows = (int(home[lo]), int(away[lo])), lam[at[lo:hi]]
         for b, bet in enumerate(bets):
             d1, d2, _ = pricing.segment_greeks(
-                bet, score, lam_values[at[lo]], clocks[lo:hi], half_clock, ht_score
+                bet, score, rows, clocks[lo:hi], half_clock, ht_score
             )
             out[lo:hi, 0, b], out[lo:hi, 1, b] = d1, d2
     return out
@@ -260,6 +262,7 @@ def replay_hedge(
             raise ValueError("intensity series has no valid points")
         lam_times = [p.timestamp_s for p in valid]
         lam_values = [p.result.intensities for p in valid]
+    lam_rows = np.array([(v.home, v.away) for v in lam_values])
     bets = (target, *instruments)
     snaps = SnapshotColumns.of(timeline.snapshots)
     if len(snaps) and _next_goal_payout(target, Team.HOME) is not None:
@@ -274,7 +277,7 @@ def replay_hedge(
 
     # The latest intensities stamped at or before each snapshot, -1 if none.
     at = np.searchsorted(lam_times, snaps.timestamps, side="right") - 1
-    deltas = _segment_deltas(snaps, bets, at, lam_values, half_clock, ht_score)
+    deltas = _segment_deltas(snaps, bets, at, lam_rows, half_clock, ht_score)
     psi1, psi2, singular = _stack_weights(deltas)
     flags = np.where(at < 0, "no intensity", np.where(singular, "singular", "")).tolist()
     psi1, psi2 = psi1.tolist(), psi2.tolist()

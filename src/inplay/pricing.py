@@ -10,20 +10,20 @@ Two independent pricing routes are deliberately kept for every European bet:
   the payoff table, which it therefore cross-checks.
 
 They must agree to 1e-10; the test suite enforces this on a dense grid.
-A reported bound sums the tails ``cap_for_tail`` returns with its caps;
-prices read cached ``poisson_pmf_vector`` rows of ``poisson_pmf_matrix``.
-``_contract`` evaluates p1 @ weights @ p2 with both goal-jump deltas: a goal
-shifts the scoring team's pmf by one step, so each delta swaps in that
-pmf's derivative.  :func:`segment_greeks` calls it on one value grid with
-a (T x cap) pmf matrix per team, one row per clock of a score segment, and
-never re-prices; :func:`greeks` is its one-clock case.
-:class:`EuropeanBoard` calls it on a stack of payoff masks and a segment's
-snapshots, so its intensity Jacobian is (1 - tau) times the same deltas,
-and calibration solves against it.  The forward equation makes theta the
-intensity-weighted sum of the deltas (``inplay.oracle`` holds the
-finite-difference check).
-All functions are pure and thread-safe; a board caches its payoff masks
-and belongs to one caller.
+Intensities are row data, as clocks are.  ``_rows`` is the one row set-up:
+per (home, away) row and horizon, a (T x cap) pmf matrix per team, each
+team's cap the one its largest mean needs, and a bound summing the tails
+``cap_for_tail`` returns with those caps.  ``_contract`` evaluates
+p1 @ weights @ p2 per row with both goal-jump deltas, each swapping in the
+scoring team's pmf derivative.  :func:`segment_greeks` calls it on one
+bet's value grid over a score segment's (intensities, clock) rows, never
+re-pricing; :func:`greeks` is its one-row case.  :class:`EuropeanBoard`
+calls it on a stack of payoff masks, so its intensity Jacobian is
+(1 - tau) times the same deltas, and calibration solves against it.  The
+forward equation makes theta the intensity-weighted sum of the deltas
+(``inplay.oracle`` holds the finite-difference check).  All functions are
+pure and thread-safe; a board caches its payoff masks and belongs to one
+caller.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .distributions import (
     cap_for_tail,
     poisson_pmf,
     poisson_pmf_matrix,
-    poisson_pmf_vector,
+    poisson_pmf_vector,  # noqa: F401 (unused; perfbench/tracer.py wraps it by this name)
     poisson_tail,
     skellam_pmf,
     skellam_pmf_range,
@@ -110,72 +110,74 @@ def _cap(mean: float) -> tuple[int, float]:
     return cap_for_tail(mean, TRUNCATION_TOL, TRUNCATION_FLOOR)
 
 
-def _value_grid(
-    bet: Bet,
-    state: ScoreState,
-    lam: Intensities,
-    half_clock: float = DEFAULT_HALF_CLOCK,
-    ht_score: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """(weights, end, bound) with value p1 @ weights @ p2 for a European or
-    HT/FT bet: p1 and p2 are the pmfs of the home and away goals still to
-    come in the stage ending at clock ``end`` (half time, for HT/FT before
-    it), cut at the caps weights.shape - 1, weights[i, j] is the bet's value
-    once i and j of them have come, and ``bound`` sums the tails the caps
-    omit.  A goal scored now shifts p1 or p2 and leaves the weights alone.
+def _rows(lam, horizon: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(p1, p2, bound) at one (home, away) row of ``lam`` and one horizon
+    each: the (T x cap) pmf matrices of each team's goals still to come, a
+    team's cap the one its largest mean needs, and the sum of the tails the
+    two caps omit."""
+    means = np.asarray(lam, dtype=float) * horizon[:, None]
+    m1, m2 = means.max(axis=0, initial=0.0).tolist()
+    (c1, t1), (c2, t2) = _cap(m1), _cap(m2)
+    return poisson_pmf_matrix(means[:, 0], c1), poisson_pmf_matrix(means[:, 1], c2), t1 + t2
+
+
+def _grid(bet: Bet, score, lam, clocks, half_clock=DEFAULT_HALF_CLOCK, ht_score=None) -> tuple:
+    """(p1, weights, p2, bound) with value p1[t] @ weights @ p2[t] of a
+    European or HT/FT bet at row t of ``lam`` and ``clocks``: p1, p2 and
+    bound are :func:`_rows` over the stage ending at half time (HT/FT before
+    it) or at full time, and weights[i, j] is the value once i and j more
+    goals have come in it, so a goal scored now shifts p1 or p2 and leaves
+    the weights alone.  Only HT/FT's first-half weights depend on the
+    intensities: one grid per run of equal rows, repeated to one per row
+    when there is more than one run.
     """
-    if bet.kind is not BetKind.HT_FT:
-        (c1, t1), (c2, t2) = map(_cap, _horizons(state, lam))
-        h = state.home_goals + np.arange(c1 + 1)[:, None]
-        a = state.away_goals + np.arange(c2 + 1)[None, :]
-        return payoff_grid(bet, h, a).astype(float), 1.0, t1 + t2
-
-    if not (0.0 < half_clock < 1.0):
+    ht_ft = bet.kind is BetKind.HT_FT
+    if ht_ft and not (0.0 < half_clock < 1.0):
         raise ValueError("half_clock must lie strictly inside (0, 1)")
-    if state.clock >= half_clock:
-        if ht_score is None:
-            raise ValueError("half-time score required once clock >= half_clock")
-        grid = _value_grid(MATCH_ODDS_FOR[bet.full_time], state, lam)
+    first_half = ht_ft and clocks.min() < half_clock
+    if first_half and clocks.max() >= half_clock:
+        raise ValueError("HT/FT clocks must lie on one side of half time")
+    if ht_ft and not first_half and ht_score is None:
+        raise ValueError("half-time score required once clock >= half_clock")
+    p1, p2, bound = _rows(lam, (half_clock if first_half else 1.0) - clocks)
+    h = score[0] + np.arange(p1.shape[1])[:, None]  # final or half-time scores
+    a = score[1] + np.arange(p2.shape[1])[None, :]
+    if not ht_ft:
+        return p1, payoff_grid(bet, h, a).astype(float), p2, bound
+    if not first_half:
         if payoff(MATCH_ODDS_FOR[bet.half_time], *ht_score):
-            return grid
+            return p1, payoff_grid(MATCH_ODDS_FOR[bet.full_time], h, a).astype(float), p2, bound
         # Half-time leg lost: worth exactly 0, with nothing omitted.
-        return np.zeros_like(grid[0]), grid[1], 0.0
+        return p1, np.zeros((h.shape[0], a.shape[1])), p2, 0.0
+    starts = np.r_[True, (lam[1:] != lam[:-1]).any(axis=1)]  # first rows of equal-row runs
+    tables = [_full_time(bet.full_time, h - a, b1, b2)
+              for b1, b2 in (lam[starts] * (1.0 - half_clock)).tolist()]
+    weights = payoff_grid(MATCH_ODDS_FOR[bet.half_time], h, a) * np.array([t for t, _ in tables])
+    bound += max(tail for _, tail in tables)
+    return p1, weights[0] if len(weights) == 1 else weights[np.cumsum(starts) - 1], p2, bound
 
-    h1 = half_clock - state.clock
-    (c1, t1), (c2, t2) = _cap(lam.home * h1), _cap(lam.away * h1)
-    hh = state.home_goals + np.arange(c1 + 1)[:, None]  # half-time scores
-    aa = state.away_goals + np.arange(c2 + 1)[None, :]
-    # Full-time outcome probability depends on the half-time score only
-    # through the goal difference d: tabulate over the reachable d range.
-    b1, b2 = _horizons(state.at_clock(half_clock), lam)
+
+def _full_time(ft: Outcome, d: np.ndarray, b1: float, b2: float) -> tuple[np.ndarray, float]:
+    """(P[full time is ft], omitted tail) given half-time goal differences
+    ``d`` and second-half means b1, b2: a full-time outcome depends on the
+    half-time score only through d, so one Skellam table serves them all."""
     j, tail_j = _cap(b1 + b2)
-    d_min = int(hh[0, 0] - aa[0, -1])
-    d_max = int(hh[-1, 0] - aa[0, 0])
-    lo = min(-j, -d_max)
-    hi = max(j, -d_min)
+    lo, hi = min(-j, -int(d.max())), max(j, -int(d.min()))
     sk = _skellam_table(lo, hi, b1, b2)
     suffix = np.concatenate([np.cumsum(sk[::-1])[::-1], [0.0]])  # suffix[i] = sum sk[i:]
-    ds = np.arange(d_min, d_max + 1)
-    idx = -ds - lo  # position of remaining-diff -d in the table
-    if bet.full_time is Outcome.HOME:
-        ft_by_d = suffix[idx + 1]  # P[D > -d]
-    elif bet.full_time is Outcome.DRAW:
-        ft_by_d = sk[idx]
-    else:
-        ft_by_d = 1.0 - suffix[idx] - tail_j  # P[D < -d]
-        np.clip(ft_by_d, 0.0, 1.0, out=ft_by_d)
-    ft_grid = ft_by_d[(hh - aa) - d_min]
-    ht_won = payoff_grid(MATCH_ODDS_FOR[bet.half_time], hh, aa)
-    return ht_won * ft_grid, half_clock, t1 + t2 + tail_j
+    idx = -d - lo  # position of remaining-diff -d in the table
+    if ft is Outcome.HOME:
+        return suffix[idx + 1], tail_j  # P[D > -d]
+    if ft is Outcome.DRAW:
+        return sk[idx], tail_j
+    return np.clip(1.0 - suffix[idx] - tail_j, 0.0, 1.0), tail_j  # P[D < -d]
 
 
 def _priced(bet: Bet, state: ScoreState, lam: Intensities, *half_time) -> PriceResult:
     """A European or HT/FT value; ``half_time`` is (half_clock, ht_score)."""
-    weights, end, bound = _value_grid(bet, state, lam, *half_time)
-    c1, c2 = weights.shape
-    p1 = poisson_pmf_vector(lam.home * (end - state.clock), c1 - 1)
-    p2 = poisson_pmf_vector(lam.away * (end - state.clock), c2 - 1)
-    return PriceResult(_clamp01(float(p1 @ weights @ p2)), bound)
+    score, rows = (state.home_goals, state.away_goals), np.array([[lam.home, lam.away]])
+    p1, weights, p2, bound = _grid(bet, score, rows, np.array([state.clock]), *half_time)
+    return PriceResult(_clamp01(float(p1[0] @ weights @ p2[0])), bound)
 
 
 def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult:
@@ -226,28 +228,26 @@ class EuropeanBoard:
                 )
         self.bets = tuple(bets)
         self.score = tuple(score)
-        self._caps: tuple[int, int] | None = None
+        self._shape: tuple[int, int] | None = None
         self._masks: np.ndarray | None = None
 
-    def _masks_for(self, c1: int, c2: int) -> np.ndarray:
-        if self._caps != (c1, c2):
-            h = self.score[0] + np.arange(c1 + 1)[:, None]
-            a = self.score[1] + np.arange(c2 + 1)[None, :]
+    def _masks_for(self, n1: int, n2: int) -> np.ndarray:
+        if self._shape != (n1, n2):
+            h = self.score[0] + np.arange(n1)[:, None]
+            a = self.score[1] + np.arange(n2)[None, :]
             masks = [payoff_grid(b, h, a) for b in self.bets]
-            self._masks = np.array(masks, dtype=float).reshape(len(self.bets), c1 + 1, c2 + 1)
-            self._caps = (c1, c2)
+            self._masks = np.array(masks, dtype=float).reshape(len(self.bets), n1, n2)
+            self._shape = (n1, n2)
         return self._masks
 
     def evaluate(self, lam, clocks) -> BoardValues:
         """The board at one (home, away) row of ``lam`` and one clock each."""
         horizon = 1.0 - np.asarray(clocks, dtype=float)
-        means = np.asarray(lam, dtype=float) * horizon[:, None]
-        m1, m2 = means.max(axis=0, initial=0.0).tolist()
-        (c1, t1), (c2, t2) = _cap(m1), _cap(m2)
-        p1, p2 = poisson_pmf_matrix(means[:, 0], c1), poisson_pmf_matrix(means[:, 1], c2)
-        values, d1, d2 = _contract(p1, self._masks_for(c1, c2), p2)
+        p1, p2, bound = _rows(lam, horizon)
+        masks = self._masks_for(p1.shape[1], p2.shape[1])
+        values, d1, d2 = _contract(p1, masks, p2, stacked=True)
         jacobian = np.stack((d1.T, d2.T), axis=-1) * horizon[:, None, None]
-        return BoardValues(np.clip(values.T, 0.0, 1.0), jacobian, t1 + t2)
+        return BoardValues(np.clip(values.T, 0.0, 1.0), jacobian, bound)
 
 
 def _pmf_derivative(p: np.ndarray) -> np.ndarray:
@@ -257,25 +257,25 @@ def _pmf_derivative(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contract(p1: np.ndarray, weights: np.ndarray, p2: np.ndarray) -> tuple:
+def _contract(p1: np.ndarray, weights: np.ndarray, p2: np.ndarray, stacked=False) -> tuple:
     """(value, delta_home, delta_away) of p1 @ weights @ p2 per row of the
     (T, cap) pmf matrices p1 and p2.
 
     A goal shifts the scoring team's remaining-goals pmf by one step, so each
     delta is the same contraction with that pmf's derivative in its place.
-    ``weights`` is one value grid (a bet over a segment's clocks) or a stack
-    of them (a board of bets over a segment's snapshots); the results then
-    carry that leading bet axis before the row axis.
+    ``weights`` is one value grid or one per row; ``stacked`` weights are a
+    board's grids, one per bet, and the results then carry that leading bet
+    axis before the row axis.
     """
     # Stacked products: one matrix product per segment goes to multithreaded
     # BLAS, which took 5-8 ms for (5400 x 26) @ (26 x 26) on a loaded 2-vCPU
     # VM against about 1 ms for one matrix-vector product per clock.  A board
     # takes one (cap x cap) @ (cap x T) product per bet.
-    if weights.ndim == 2:
+    if stacked:
+        by_home, by_away = np.swapaxes(weights @ p2.T, -1, -2), p1 @ weights
+    else:
         by_home = (weights @ p2[..., None])[..., 0]  # home goals to come, away summed out
         by_away = (p1[..., None, :] @ weights)[..., 0, :]  # away goals to come, home summed out
-    else:
-        by_home, by_away = np.swapaxes(weights @ p2.T, -1, -2), p1 @ weights
     dp1, dp2 = _pmf_derivative(p1), _pmf_derivative(p2)
     pairs = ((by_home, p1), (by_home, dp1), (by_away, dp2))
     return tuple(np.einsum("...ti,ti->...t", u, v) for u, v in pairs)
@@ -362,16 +362,14 @@ def price_next_goal(team: Team, state: ScoreState, lam: Intensities) -> PriceRes
     Worth 0 with no time left or no intensity.
     """
     own = lam.home if team is Team.HOME else lam.away
-    return PriceResult(_clamp01(float(_next_goal_value(own, lam, 1.0 - state.clock))), 0.0)
+    return PriceResult(_clamp01(float(_next_goal_value(own, lam.total, 1.0 - state.clock))), 0.0)
 
 
-def _next_goal_value(own: float, lam: Intensities, horizon):
+def _next_goal_value(own, total, horizon):
     """own / total * (1 - exp(-total * horizon)) with total = lam_home +
-    lam_away, for one horizon or an array of them; 0 with no intensity."""
-    total = lam.total
-    if total == 0.0:
-        return 0.0 * horizon
-    return own / total * (1.0 - np.exp(-total * horizon))
+    lam_away, elementwise on numbers or arrays; 0 with no intensity."""
+    share = np.divide(own, total, out=np.zeros_like(horizon), where=np.greater(total, 0.0))
+    return share * (1.0 - np.exp(-total * horizon))
 
 
 def price_ht_ft(
@@ -413,44 +411,42 @@ def price(
 def segment_greeks(
     bet: Bet,
     score: tuple[int, int],
-    lam: Intensities,
+    lam,
     clocks,
     half_clock: float = DEFAULT_HALF_CLOCK,
     ht_score: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delta_home, delta_away, theta) arrays of one bet over the clocks of a
-    score segment: one score, one intensity pair, any number of clocks.
+    """(delta_home, delta_away, theta) arrays of one bet over a score
+    segment: one score and T clocks, with intensities per clock as a (T x 2)
+    (home, away) array or one ``Intensities`` for every clock.
 
-    Between goals only tau moves, so a European or HT/FT bet keeps one value
-    grid and each clock is one row of the (T x cap) pmf matrices; the deltas
-    are ``_contract`` with that leading time axis.  The grid is
-    ``_value_grid`` at the earliest clock, whose truncation caps are the
-    widest, so a later clock keeps up to about 1e-13 more of the tail than
-    :func:`greeks` at that clock alone.
-    Before half time HT/FT's full-time-given-d table is the same for every
-    clock, so HT/FT clocks must all lie on one side of ``half_clock``.  Next
-    Goal deltas are the closed-form settlement jumps.  theta is
-    -(lam_home * delta_home + lam_away * delta_away) throughout.
+    Each (intensities, clock) pair is one row of the (T x cap) pmf matrices
+    and the deltas are ``_contract`` over the rows.  A team's cap is the one
+    its largest mean needs, so a row keeps up to about 1e-13 more of the
+    tail than :func:`greeks` at that row alone.  HT/FT clocks must lie on
+    one side of ``half_clock``; before it the full-time-given-d table is
+    built once per run of equal intensity rows.  Next Goal deltas are the
+    closed-form settlement jumps.  theta is -(lam_home * delta_home +
+    lam_away * delta_away) per row.
     """
     clocks = np.asarray(clocks, dtype=float)
     if clocks.ndim != 1 or len(clocks) == 0:
         raise ValueError("clocks must be a nonempty 1-d array")
-    first = ScoreState(*score, float(clocks.min()))
+    ScoreState(*score, float(clocks.min()))
     ScoreState(*score, float(clocks.max()))  # validates the whole range
+    if isinstance(lam, Intensities):
+        lam = np.full((len(clocks), 2), (lam.home, lam.away))
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (len(clocks), 2) or not (np.isfinite(lam) & (lam >= 0.0)).all():
+        raise ValueError("intensities must be finite and >= 0, one (home, away) row per clock")
     if bet.kind in (BetKind.NEXT_GOAL_HOME, BetKind.NEXT_GOAL_AWAY):
         home = bet.kind is BetKind.NEXT_GOAL_HOME
-        base = _next_goal_value(lam.home if home else lam.away, lam, 1.0 - clocks)
+        base = _next_goal_value(lam[:, 0 if home else 1], lam[:, 0] + lam[:, 1], 1.0 - clocks)
         d1, d2 = (1.0 - base, -base) if home else (-base, 1.0 - base)
     else:
-        weights, end, _ = _value_grid(bet, first, lam, half_clock, ht_score)
-        if end < 1.0 and clocks.max() >= end:
-            raise ValueError("HT/FT clocks must lie on one side of half time")
-        c1, c2 = weights.shape
-        p1 = poisson_pmf_matrix(lam.home * (end - clocks), c1 - 1)
-        p2 = poisson_pmf_matrix(lam.away * (end - clocks), c2 - 1)
-        _, d1, d2 = _contract(p1, weights, p2)
+        _, d1, d2 = _contract(*_grid(bet, score, lam, clocks, half_clock, ht_score)[:3])
     # 0.0 - x keeps a frozen game's theta at +0.0 rather than -0.0.
-    return d1, d2, 0.0 - (lam.home * d1 + lam.away * d2)
+    return d1, d2, 0.0 - (lam[:, 0] * d1 + lam[:, 1] * d2)
 
 
 def greeks(

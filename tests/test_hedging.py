@@ -449,7 +449,8 @@ def test_no_step_reads_a_calibration_stamped_after_it(minutes, gaps):
     real = pricing.segment_greeks
 
     def spy(bet, score, lam, clocks, *args):
-        seen.extend((t, lam) for t in np.asarray(clocks) * 5400.0)
+        # One (home, away) intensity row per clock.
+        seen.extend((t, Intensities(*row)) for t, row in zip(np.asarray(clocks) * 5400.0, lam))
         return real(bet, score, lam, clocks, *args)
 
     with mock.patch.object(pricing, "segment_greeks", spy):
@@ -515,6 +516,35 @@ def test_series_points_inside_score_segments_set_each_steps_weights(which, stamp
         )
         assert abs(step.psi1 - w.psi1) <= 1e-12, snap.timestamp_s
         assert abs(step.psi2 - w.psi2) <= 1e-12, snap.timestamp_s
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_calibrated_replay_takes_each_bets_deltas_once_per_score_segment(which):
+    # A series point at every snapshot time: intensities change at each step,
+    # yet only a goal or half time cuts the rows one segment_greeks call takes.
+    target, tl = SEGMENT_TARGETS[which], SEGMENT_TIMELINES[which]
+    stamps = sorted({s.timestamp_s for s in tl.snapshots})
+    series = IntensitySeries(tuple(
+        SeriesPoint(t, CalibrationResult(
+            Intensities(1.0 + 0.1 * (i % 7), 0.5 + 0.05 * (i % 5)), 0.0, 0.0, 0.0, 1, True))
+        for i, t in enumerate(stamps)
+    ))
+    calls = []
+    real = pricing.segment_greeks
+
+    def spy(bet, score, lam, clocks, *args):
+        calls.append(bet)
+        return real(bet, score, lam, clocks, *args)
+
+    with mock.patch.object(pricing, "segment_greeks", spy):
+        rep = replay_hedge(tl, target, HEDGES, series)
+    keys = [
+        (s.state.home_goals, s.state.away_goals, s.state.clock >= tl.half_clock)
+        for s in tl.snapshots
+    ]
+    segments = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    assert len(calls) <= 3 * segments
+    assert not any(step.flag for step in rep.steps)
 
 
 class TestJumpStats:

@@ -391,18 +391,26 @@ class TestSegmentGreeks:
         if bet.kind is BetKind.HT_FT:
             side = PRE_HALF_CLOCKS if ht_score is None else POST_HALF_CLOCKS
             segments = [side, side[-2:]]
-        for lam in SEGMENT_LAMBDAS:
-            for score in SEGMENT_SCORES:
-                for clocks in segments:
+        for score in SEGMENT_SCORES:
+            for clocks in segments:
+                # One Intensities for every clock, the same as (T x 2) rows,
+                # and rows cycling through the lambdas in both directions.
+                n = len(clocks)
+                cycle = [SEGMENT_LAMBDAS[i % len(SEGMENT_LAMBDAS)] for i in range(n)]
+                cases = [(lam, [lam] * n) for lam in SEGMENT_LAMBDAS]
+                for rows in [*(r for _, r in cases), cycle, cycle[::-1]]:
+                    cases.append((np.array([(r.home, r.away) for r in rows]), rows))
+                for lam, rows in cases:
                     d1, d2, theta = pricing.segment_greeks(bet, score, lam, clocks, 0.5, ht_score)
-                    assert d1.shape == d2.shape == theta.shape == (len(clocks),)
-                    for tau, b1, b2, th in zip(clocks, d1, d2, theta):
-                        g = greeks(bet, ScoreState(*score, tau), lam, 0.5, ht_score)
-                        where = (lam, score, tau)
+                    assert d1.shape == d2.shape == theta.shape == (n,)
+                    assert not np.isnan([d1, d2, theta]).any()
+                    for row, tau, b1, b2, th in zip(rows, clocks, d1, d2, theta):
+                        g = greeks(bet, ScoreState(*score, tau), row, 0.5, ht_score)
+                        where = (row, score, tau)
                         assert abs(b1 - g.delta_home) <= 1e-12, where
                         assert abs(b2 - g.delta_away) <= 1e-12, where
                         # theta = -(lam . delta), so its bound scales with lam.
-                        assert abs(th - g.theta) <= 1e-12 * max(1.0, lam.total), where
+                        assert abs(th - g.theta) <= 1e-12 * max(1.0, row.total), where
                         if th == 0.0 or g.theta == 0.0:
                             assert math.copysign(1.0, th) == math.copysign(1.0, g.theta) == 1.0
 
@@ -415,6 +423,26 @@ class TestSegmentGreeks:
     def test_rejects_bad_clocks(self, clocks):
         with pytest.raises(ValueError):
             pricing.segment_greeks(MATCH_ODDS_HOME, (0, 0), Intensities(1.3, 0.7), clocks)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            [1.3, 0.7],
+            [[1.3, 0.7]],
+            [[1.3, 0.7, 0.1]] * 2,
+            [[1.3, 0.7]] * 3,
+            [[1.3, 0.7], [-0.1, 0.7]],
+            [[1.3, 0.7], [1.3, math.nan]],
+            [[math.inf, 0.7], [1.3, 0.7]],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bet", [MATCH_ODDS_HOME, NEXT_GOAL_AWAY, Bet.ht_ft(Outcome.HOME, Outcome.DRAW)]
+    )
+    def test_rejects_bad_intensity_rows(self, lam, bet):
+        # Two clocks, so an intensity array must be (2 x 2), finite and >= 0.
+        with pytest.raises(ValueError, match="intensities"):
+            pricing.segment_greeks(bet, (0, 0), lam, [0.2, 0.3])
 
 
 class TestKolmogorov:
