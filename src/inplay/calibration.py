@@ -48,10 +48,8 @@ from . import pricing
 
 __all__ = [
     "QuoteTable",
-    "QuoteRows",
     "QuoteSnapshot",
     "SnapshotColumns",
-    "quote_columns",
     "CalibrationResult",
     "SeriesPoint",
     "IntensitySeries",
@@ -132,56 +130,20 @@ class QuoteTable:
         return Quote(self.bets[self.bet_ix[i]], back, lay, buy, sell)
 
 
-class QuoteRows(Sequence):
-    """Rows ``start:stop`` of a :class:`QuoteTable`: one snapshot's quotes.
-
-    Its length costs nothing; indexing or iterating builds the
-    :class:`Quote` objects on demand.  Two views of the same rows are equal.
-    """
-
-    __slots__ = ("table", "start", "stop")
-
-    def __init__(self, table: QuoteTable, start: int, stop: int):
-        self.table, self.start, self.stop = table, start, stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __getitem__(self, i):
-        rows = range(self.start, self.stop)[i]
-        if isinstance(rows, range):
-            return tuple(map(self.table.quote, rows))
-        return self.table.quote(rows)
-
-    def __iter__(self):
-        return map(self.table.quote, range(self.start, self.stop))
-
-    def __eq__(self, other):
-        key = (self.table, self.start, self.stop)
-        return isinstance(other, QuoteRows) and key == (other.table, other.start, other.stop)
-
-    def __hash__(self) -> int:
-        return hash((self.table, self.start, self.stop))
-
-
 @dataclass(frozen=True)
 class QuoteSnapshot:
-    """All quotes observed at one timestamp, with the score in effect.
-
-    ``quotes`` is a tuple of :class:`Quote` for a snapshot built by hand,
-    or a :class:`QuoteRows` view for one read from a quotes file.
-    """
+    """All quotes observed at one timestamp, with the score in effect."""
 
     timestamp_s: float
     state: ScoreState
-    quotes: Sequence[Quote]
+    quotes: tuple[Quote, ...]
 
 
 class SnapshotColumns(Sequence):
     """Snapshots as columns: each one's rows ``starts[i]:stops[i]`` of one
     :class:`QuoteTable`, timestamp, home and away goals (-1 for no score) and
-    clock.  An integer index builds the :class:`QuoteSnapshot`; a slice or an
-    index array selects another view."""
+    clock.  An integer index builds the :class:`QuoteSnapshot` and its
+    :class:`Quote` objects; a slice or an index array selects another view."""
 
     __slots__ = ("table", "timestamps", "home", "away", "clocks", "starts", "stops")
 
@@ -192,11 +154,12 @@ class SnapshotColumns(Sequence):
     @classmethod
     def of(cls, snapshots: Sequence[QuoteSnapshot]) -> SnapshotColumns:
         """``snapshots`` as a view: a view as it is, any other sequence
-        converted by :func:`_snapshot_columns` and :func:`quote_columns`."""
+        converted, its quotes by :meth:`QuoteTable.from_quotes`."""
         if isinstance(snapshots, SnapshotColumns):
             return snapshots
-        table, starts, stops = quote_columns(snapshots)
-        return cls(table, *_snapshot_columns(snapshots), starts, stops)
+        bounds = np.cumsum([0, *(len(s.quotes) for s in snapshots)], dtype=np.intp)
+        table = QuoteTable.from_quotes([q for s in snapshots for q in s.quotes])
+        return cls(table, *_snapshot_columns(snapshots), bounds[:-1], bounds[1:])
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -207,8 +170,8 @@ class SnapshotColumns(Sequence):
         i = range(len(self))[i]
         home, away = int(self.home[i]), int(self.away[i])
         state = ScoreState(home, away, float(self.clocks[i])) if home >= 0 else None
-        rows = QuoteRows(self.table, int(self.starts[i]), int(self.stops[i]))
-        return QuoteSnapshot(float(self.timestamps[i]), state, rows)
+        quotes = tuple(map(self.table.quote, range(self.starts[i], self.stops[i])))
+        return QuoteSnapshot(float(self.timestamps[i]), state, quotes)
 
 
 def _snapshot_columns(snapshots: Sequence[QuoteSnapshot]) -> tuple[np.ndarray, ...]:
@@ -223,24 +186,6 @@ def _snapshot_columns(snapshots: Sequence[QuoteSnapshot]) -> tuple[np.ndarray, .
         np.array([-1 if st is None else st.away_goals for st in states], dtype=np.intp),
         np.array([math.nan if st is None else st.clock for st in states], dtype=float),
     )
-
-
-def quote_columns(
-    snapshots: Sequence[QuoteSnapshot],
-) -> tuple[QuoteTable, np.ndarray, np.ndarray]:
-    """The snapshots' quotes as one table, with each snapshot's start and stop rows.
-
-    Snapshots read from one quotes file already share a table; any others
-    are converted with :meth:`QuoteTable.from_quotes`.
-    """
-    views = [s.quotes for s in snapshots]
-    if views and isinstance(views[0], QuoteRows):
-        table = views[0].table
-        if all(isinstance(v, QuoteRows) and v.table is table for v in views):
-            return table, np.array([v.start for v in views]), np.array([v.stop for v in views])
-    lengths = [len(v) for v in views]
-    stops = np.cumsum(lengths, dtype=np.intp)
-    return QuoteTable.from_quotes([q for v in views for q in v]), stops - lengths, stops
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import hedging, io, oracle, pricing
-from .calibration import calibrate_series, estimate_drift_vol
+from .calibration import LAMBDA_BOX, calibrate_series, estimate_drift_vol
 from .contracts import Bet, BetKind, Intensities, ScoreState, parse_bet
 from .timeline import DEFAULT_HALF_MINUTES, DEFAULT_MATCH_MINUTES
 
@@ -86,7 +86,8 @@ def _build_parser() -> _Parser:
 
 
 def _check_numbers(args) -> None:
-    """Lengths, step and intensities within their ranges, where given."""
+    """Lengths, step and intensities within their ranges, where given.  An
+    intensity's cap is the calibrator's box: truncation grows with it."""
     match = getattr(args, "match_length", DEFAULT_MATCH_MINUTES)
     for flag, value in (("--match-length", match), ("--step-s", getattr(args, "step_s", 1.0))):
         if not 0.0 < value < math.inf:
@@ -94,8 +95,10 @@ def _check_numbers(args) -> None:
     if not 0.0 < getattr(args, "half_length", match / 2) < match:
         raise UsageError("--half-length must lie strictly between 0 and --match-length")
     for side in ("home", "away"):
-        if not 0.0 <= (getattr(args, f"lambda_{side}", None) or 0.0) < math.inf:
-            raise UsageError(f"--lambda-{side} must be finite and nonnegative")
+        if not 0.0 <= (getattr(args, f"lambda_{side}", None) or 0.0) <= LAMBDA_BOX[1]:
+            raise UsageError(
+                f"--lambda-{side} must be finite and nonnegative, at most {LAMBDA_BOX[1]:g}"
+            )
 
 
 def _parse_score(text: str) -> tuple[int, int]:

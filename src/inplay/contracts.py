@@ -44,21 +44,6 @@ class BetKind(Enum):
     HT_FT = "HT_FT"
 
 
-_EUROPEAN_KINDS = frozenset(
-    {
-        BetKind.MATCH_ODDS_HOME,
-        BetKind.MATCH_ODDS_AWAY,
-        BetKind.MATCH_ODDS_DRAW,
-        BetKind.CORRECT_SCORE,
-        BetKind.OVER,
-        BetKind.UNDER,
-        BetKind.ODD,
-        BetKind.EVEN,
-        BetKind.WINNING_MARGIN,
-    }
-)
-
-
 class NonEuropeanBetError(ValueError):
     """Raised when a path-dependent bet reaches a European-only code path."""
 
@@ -106,7 +91,7 @@ class Bet:
 
     @property
     def european(self) -> bool:
-        return self.kind in _EUROPEAN_KINDS
+        return self.kind in _PAYOFFS
 
     # Factories for the parametrised kinds.
     @staticmethod

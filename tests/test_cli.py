@@ -537,7 +537,7 @@ class TestLengths:
 class TestIntensityFlags:
     @pytest.mark.parametrize("command", ["price", "hedge-replay", "simulate"])
     @pytest.mark.parametrize("side", ["home", "away"])
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "51"])
     def test_intensity_must_be_finite_and_nonnegative(
         self, argvs, tmp_path, capsys, command, side, value
     ):
@@ -552,6 +552,9 @@ class TestIntensityFlags:
 
     def test_zero_intensity_is_accepted(self, argvs, capsys):
         assert main(argvs["price"] + ["--lambda-away", "0"]) == 0
+
+    def test_intensity_at_the_calibration_box_is_accepted(self, argvs, capsys):
+        assert main(argvs["price"] + ["--lambda-home", "50"]) == 0
 
     @pytest.mark.parametrize(
         "extra",

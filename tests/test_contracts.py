@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inplay.contracts import (
-    _EUROPEAN_KINDS,
     Bet,
+    BetKind,
     EVEN_TOTAL,
     Intensities,
     MATCH_ODDS_AWAY,
@@ -87,7 +87,15 @@ class TestPayoffs:
                 payoff(bet, 1, 0)
 
     def test_table_bets_cover_every_european_kind(self):
-        assert {b.kind for b in TABLE_BETS} == _EUROPEAN_KINDS
+        # Every kind but the Next Goal pair and HT_FT, which are path-dependent.
+        european = [
+            "MATCH_ODDS_HOME", "MATCH_ODDS_AWAY", "MATCH_ODDS_DRAW", "CORRECT_SCORE",
+            "OVER", "UNDER", "ODD", "EVEN", "WINNING_MARGIN",
+        ]
+        assert {b.kind for b in TABLE_BETS} == set(map(BetKind, european))
+        assert all(b.european for b in TABLE_BETS)
+        path_dependent = (NEXT_GOAL_HOME, NEXT_GOAL_AWAY, Bet.ht_ft(Outcome.HOME, Outcome.DRAW))
+        assert not any(b.european for b in path_dependent)
 
     @pytest.mark.parametrize("bet", TABLE_BETS, ids=str)
     def test_array_form_equals_scalar_payoff(self, bet):

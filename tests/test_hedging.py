@@ -14,7 +14,6 @@ from inplay.calibration import (
     IntensitySeries,
     SeriesPoint,
     SnapshotColumns,
-    quote_columns,
 )
 
 from inplay.contracts import (
@@ -611,15 +610,6 @@ class TestLoadedAndTupleRoutesAgree:
         assert rep == other and self._bits(rep) == self._bits(other)
         if target == NEXT_GOAL_HOME:
             assert rep.steps[-1].flag == "target settled" and rep.steps[-1].timestamp_s == 1200.0
-
-    def test_tuple_of_loaded_snapshots_keeps_the_table(self, tmp_path):
-        made = make_model_timeline(LAM, goals=self.GOALS, step_s=600.0, bets=list(HEDGES))
-        write_quotes_csv(made, tmp_path / "q.csv")
-        write_events_csv(list(made.events), tmp_path / "e.csv", made.match_id)
-        view = load_timeline(tmp_path / "q.csv", tmp_path / "e.csv").snapshots
-        table, starts, stops = quote_columns(tuple(view))
-        assert table is view.table
-        assert np.array_equal(starts, view.starts) and np.array_equal(stops, view.stops)
 
     def test_steps_equal_and_hash_as_their_tuple(self):
         bets = list(dict.fromkeys([MATCH_ODDS_HOME, *HEDGES]))

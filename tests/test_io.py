@@ -615,8 +615,9 @@ class TestBuildTimeline:
         assert "score column (0, 1) disagrees with events (1, 1)" in caplog.text
         first, second, replaced = tl.snapshots
         assert first == parsed[0] and second == parsed[2]
-        q, want = replaced.quotes, parsed[1].quotes
-        assert (q.table, q.start, q.stop) == (want.table, want.start, want.stop)
+        view = tl.snapshots
+        assert view.table is parsed.table
+        assert (view.starts[2], view.stops[2]) == (parsed.starts[1], parsed.stops[1])
         assert replaced.state == ScoreState(1, 1, 600 / 5400)
 
     def test_pre_and_post_goal_snapshots_interleave_with_events(self):
@@ -880,17 +881,19 @@ class TestQuoteColumns:
         return dataclasses.replace(tl, snapshots=tuple(snaps)), sub_unit
 
     @staticmethod
-    def _assert_rows_match(view, expected):
-        """Each row of a loaded view equals the Quote route on the written decimals."""
-        assert len(view) == len(expected)
-        table = view.table
-        for i, src in enumerate(expected):
+    def _assert_rows_match(view, i, expected):
+        """Each row of a loaded view's snapshot ``i`` equals the Quote route on
+        the written decimals."""
+        table, start = view.table, int(view.starts[i])
+        assert view.stops[i] - start == len(expected)
+        quotes = view[i].quotes
+        for k, src in enumerate(expected):
             want = Quote.from_decimals(
                 src.bet, _decimal_as_written(src.back_decimal), _decimal_as_written(src.lay_decimal)
             )
-            got = view[i]
+            got = quotes[k]
             assert got == want
-            row = view.start + i
+            row = start + k
             assert table.bets[table.bet_ix[row]] == want.bet
             assert bool(table.two_sided[row]) == want.two_sided
             for col, value in (
@@ -902,7 +905,6 @@ class TestQuoteColumns:
                 assert (np.isnan(col[row]) and value is None) or col[row] == value
             if src.value_buy is not None and src.value_sell is not None:
                 assert got.value_mid == pytest.approx(src.value_mid, rel=1e-8)
-        assert tuple(view) == tuple(view[i] for i in range(len(view)))
 
     def test_round_trip_matches_the_quote_route(self, source, tmp_path, caplog):
         tl, sub_unit = source
@@ -914,11 +916,12 @@ class TestQuoteColumns:
         assert "decimal odds below 1, row rejected" in caplog.text
         assert [s.timestamp_s for s in loaded.snapshots] == [s.timestamp_s for s in tl.snapshots]
         assert loaded.snapshots[2].timestamp_s == loaded.snapshots[3].timestamp_s == 600.0
-        for got, src in zip(loaded.snapshots, tl.snapshots):
+        view = loaded.snapshots
+        for i, (got, src) in enumerate(zip(view, tl.snapshots)):
             assert got.state == src.state
-            self._assert_rows_match(got.quotes, [q for q in src.quotes if q is not sub_unit])
+            self._assert_rows_match(view, i, [q for q in src.quotes if q is not sub_unit])
         written = len(quotes.read_text().splitlines()) - 1
-        assert sum(len(s.quotes) for s in loaded.snapshots) == written - 1
+        assert (view.stops - view.starts).sum() == written - 1
 
     def test_file_without_score_columns(self, source, tmp_path):
         tl, sub_unit = source
@@ -934,10 +937,10 @@ class TestQuoteColumns:
         for snap in tl.snapshots:
             groups.setdefault(snap.timestamp_s, []).append(snap)
         assert [s.timestamp_s for s in loaded.snapshots] == list(groups)
-        for got, group in zip(loaded.snapshots, groups.values()):
+        for i, (got, group) in enumerate(zip(loaded.snapshots, groups.values())):
             assert got.state == group[-1].state
             expected = [q for s in group for q in s.quotes if q is not sub_unit]
-            self._assert_rows_match(got.quotes, expected)
+            self._assert_rows_match(loaded.snapshots, i, expected)
 
     def test_load_and_replay_build_no_quote(self, tmp_path, monkeypatch):
         from inplay.hedging import replay_hedge
@@ -960,8 +963,9 @@ class TestQuoteColumns:
         monkeypatch.setattr(Quote, "__init__", counting_init)
         loaded = load_timeline(quotes, events)
         rep = replay_hedge(loaded, MATCH_ODDS_HOME, (NEXT_GOAL_HOME, NEXT_GOAL_AWAY), lam)
-        assert sum(len(s.quotes) for s in loaded.snapshots) == 3 * len(tl.snapshots)
+        view = loaded.snapshots
+        assert (view.stops - view.starts).tolist() == [3] * len(tl.snapshots)
         assert built == []
         assert len(rep.steps) == len(tl.snapshots) and not any(s.flag for s in rep.steps)
-        assert loaded.snapshots[0].quotes[-1].bet == NEXT_GOAL_AWAY
-        assert len(built) == 1
+        assert view[0].quotes[-1].bet == NEXT_GOAL_AWAY
+        assert len(built) == 3
