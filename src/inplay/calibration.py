@@ -410,8 +410,8 @@ def calibrate_series(
     """
     if not snapshots:
         raise ValueError("empty timeline")
-    if not 0.0 < step_s < math.inf:
-        raise ValueError("step must be positive and finite")
+    if not 1.0 <= step_s < math.inf:  # timestamps are whole seconds
+        raise ValueError("step must be positive and finite, at least 1 s")
     view = SnapshotColumns.of(snapshots)
     ts = view.timestamps
     if (ts[1:] < ts[:-1]).any():

@@ -86,12 +86,14 @@ def _build_parser() -> _Parser:
 
 
 def _check_numbers(args) -> None:
-    """Lengths, step and intensities within their ranges, where given.  An
-    intensity's cap is the calibrator's box: truncation grows with it."""
+    """Lengths, step and intensities within their ranges, where given.  The
+    step is at least the timestamps' resolution of 1 s.  An intensity's cap
+    is the calibrator's box: truncation grows with it."""
     match = getattr(args, "match_length", DEFAULT_MATCH_MINUTES)
-    for flag, value in (("--match-length", match), ("--step-s", getattr(args, "step_s", 1.0))):
-        if not 0.0 < value < math.inf:
-            raise UsageError(f"{flag} must be positive and finite")
+    if not 0.0 < match < math.inf:
+        raise UsageError("--match-length must be positive and finite")
+    if not 1.0 <= getattr(args, "step_s", 1.0) < math.inf:
+        raise UsageError("--step-s must be positive and finite, at least 1 s")
     if not 0.0 < getattr(args, "half_length", match / 2) < match:
         raise UsageError("--half-length must lie strictly between 0 and --match-length")
     for side in ("home", "away"):
@@ -131,6 +133,8 @@ def _cmd_price(args) -> int:
     ht_score = _parse_score(args.ht_score) if args.ht_score else None
     if bet.kind is BetKind.HT_FT and clock >= half_clock and ht_score is None:
         raise UsageError("HT_FT bets after half time require --ht-score")
+    if ht_score is not None and not (ht_score[0] <= score[0] and ht_score[1] <= score[1]):
+        raise UsageError(f"--ht-score {args.ht_score} exceeds --score {args.score}")
     result = pricing.price(bet, state, lam, half_clock, ht_score)
     g = pricing.greeks(bet, state, lam, half_clock, ht_score)
     payload = {
@@ -181,6 +185,8 @@ def _cmd_hedge_replay(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.paths < 1:
         raise UsageError("--paths must be positive")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     lam = Intensities(args.lambda_home, args.lambda_away)
     paths = oracle.simulate_paths(lam, ScoreState(0, 0, 0.0), args.paths, args.seed)
     io.write_terminal_scores_csv(paths, args.out)

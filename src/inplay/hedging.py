@@ -27,7 +27,7 @@ from . import pricing
 from .calibration import IntensitySeries, SnapshotColumns
 from .contracts import Bet, BetKind, Intensities, Team
 from .pricing import Greeks
-from .timeline import MatchTimeline, clock_of, replay_order
+from .timeline import MatchTimeline, clocks_of, replay_order
 
 __all__ = [
     "SingularHedgeError",
@@ -75,7 +75,8 @@ class HedgeStep:
 class HedgeSteps(Sequence):
     """Steps as columns, one tuple per :class:`HedgeStep` field, named after
     it.  An integer index builds the :class:`HedgeStep`; a slice selects
-    another view.  A view equals, and hashes as, the tuple of its steps."""
+    another view.  A view equals another view with equal columns, and
+    hashes on its columns."""
 
     __slots__ = tuple(f.name for f in fields(HedgeStep))
 
@@ -91,13 +92,11 @@ class HedgeSteps(Sequence):
         return HedgeSteps(*cells) if isinstance(i, slice) else HedgeStep(*cells)
 
     def __eq__(self, other):
-        if isinstance(other, tuple):
-            return tuple(self) == other
         same = (getattr(self, n) == getattr(other, n) for n in self.__slots__)
         return isinstance(other, HedgeSteps) and all(same)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash(tuple(getattr(self, n) for n in self.__slots__))
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,6 @@ class HedgeReport:
     goals: tuple[GoalRecord, ...]
     terminal_error: float
     jump_correlation: float | None
-
-    def __post_init__(self) -> None:  # steps given as HedgeStep objects become columns
-        if not isinstance(self.steps, HedgeSteps):
-            columns = ([getattr(s, name) for s in self.steps] for name in HedgeSteps.__slots__)
-            object.__setattr__(self, "steps", HedgeSteps(*columns))
 
 
 def next_goal_delta_matrix(z1: float, z2: float) -> np.ndarray:
@@ -151,17 +145,14 @@ def solve_replication_weights(
     at the rebalance instant.
     """
     if isinstance(target, Greeks):
-        d1, d2 = target.delta_home, target.delta_away
-    else:
-        d1, d2 = float(target[0]), float(target[1])
-    (m00, m01), (m10, m11) = np.asarray(instrument_deltas, dtype=float).tolist()
-    det = m00 * m11 - m01 * m10
+        target = (target.delta_home, target.delta_away)
+    deltas = np.column_stack((target, np.asarray(instrument_deltas, dtype=float)))
+    (psi1,), (psi2,), (det,) = (x.tolist() for x in _stack_weights(deltas[None]))
     if abs(det) <= _DET_TOL:
         raise SingularHedgeError(
             "hedging instruments are linearly dependent: "
             f"|det| = {abs(det):.3e} <= {_DET_TOL}"
         )
-    psi1, psi2 = (d1 * m11 - m01 * d2) / det, (m00 * d2 - d1 * m10) / det
     cash = target_value - psi1 * instrument_values[0] - psi2 * instrument_values[1]
     return ReplicationWeights(psi1, psi2, cash)
 
@@ -221,13 +212,15 @@ def _segment_deltas(
 
 
 def _stack_weights(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per snapshot of a (snapshots, 2, 3) delta stack, psi1, psi2 and whether the
-    solve is singular, each as :func:`solve_replication_weights` computes it."""
+    """psi1, psi2 and the instruments' determinant per row of a (rows, 2, 3)
+    stack of (home, away) deltas of the target and the two instruments:
+    Cramer's rule for the 2x2 jump-matching system, singular where
+    |det| <= ``_DET_TOL``."""
     (d1, m00, m01), (d2, m10, m11) = deltas.transpose(1, 2, 0)
     det = m00 * m11 - m01 * m10
     with np.errstate(divide="ignore", invalid="ignore"):
         psi1, psi2 = (d1 * m11 - m01 * d2) / det, (m00 * d2 - d1 * m10) / det
-    return psi1, psi2, np.abs(det) <= _DET_TOL
+    return psi1, psi2, det
 
 
 def replay_hedge(
@@ -278,7 +271,8 @@ def replay_hedge(
     # The latest intensities stamped at or before each snapshot, -1 if none.
     at = np.searchsorted(lam_times, snaps.timestamps, side="right") - 1
     deltas = _segment_deltas(snaps, bets, at, lam_rows, half_clock, ht_score)
-    psi1, psi2, singular = _stack_weights(deltas)
+    psi1, psi2, det = _stack_weights(deltas)
+    singular = np.abs(det) <= _DET_TOL
     flags = np.where(at < 0, "no intensity", np.where(singular, "singular", "")).tolist()
     psi1, psi2 = psi1.tolist(), psi2.tolist()
     times, clocks = snaps.timestamps.tolist(), snaps.clocks.tolist()
@@ -323,7 +317,7 @@ def replay_hedge(
                 v_post = mark(last_z)
                 close_goal(x_post, v_post)
                 t = ev.timestamp_s
-                clock = clock_of(t, timeline.match_length_min)
+                clock = float(clocks_of(t, timeline.match_length_min))
                 add_step(t, clock, x_post, v_post, last_z, "target settled")
                 break
             continue

@@ -451,17 +451,13 @@ def parse_intensity_series_csv(path) -> IntensitySeries:
             else:
                 if row[6] not in ("true", "false"):
                     raise ValueError(f"converged must be true or false, got {row[6]!r}")
-                residual, *stderrs = map(float, row[3:6])
-                if math.isnan(residual):
-                    raise ValueError("residual is NaN")
+                numbers = [*map(float, row[3:6])]  # residual and the two stderrs
                 # inf is what the writer emits for a singular fit; NaN is not >= 0.
-                for name, se in zip(SERIES_HEADER[4:6], stderrs):
-                    if not se >= 0.0:
-                        raise ValueError(f"{name} must be nonnegative, got {se}")
+                for name, x in zip(SERIES_HEADER[3:6], numbers):
+                    if not x >= 0.0:
+                        raise ValueError(f"{name} must be nonnegative, got {x}")
                 lam = Intensities(float(row[1]), float(row[2]))
-                result = CalibrationResult(
-                    lam, residual, *stderrs, iterations=0, converged=row[6] == "true"
-                )
+                result = CalibrationResult(lam, *numbers, iterations=0, converged=row[6] == "true")
             points.append(SeriesPoint(ts, result))
     return IntensitySeries(tuple(points))
 

@@ -43,7 +43,6 @@ from .contracts import (
     NonEuropeanBetError,
     Outcome,
     ScoreState,
-    Team,
     format_bet,
     payoff,
     payoff_grid,
@@ -68,8 +67,6 @@ __all__ = [
     "price",
     "price_european",
     "price_closed_form",
-    "price_next_goal",
-    "price_ht_ft",
     "greeks",
     "segment_greeks",
     "intensity_sensitivity",
@@ -188,9 +185,7 @@ def price_european(bet: Bet, state: ScoreState, lam: Intensities) -> PriceResult
     omitted mass stays below ~2e-13 (reported in the result).
     """
     if not bet.european:
-        raise NonEuropeanBetError(
-            f"{format_bet(bet)} is path dependent; use price_next_goal/price_ht_ft"
-        )
+        raise NonEuropeanBetError(f"{format_bet(bet)} is path dependent; use price")
     return _priced(bet, state, lam)
 
 
@@ -313,9 +308,7 @@ def price_closed_form(bet: Bet, state: ScoreState, lam: Intensities) -> PriceRes
     Poisson probabilities.
     """
     if not bet.european:
-        raise NonEuropeanBetError(
-            f"{format_bet(bet)} is path dependent; use price_next_goal/price_ht_ft"
-        )
+        raise NonEuropeanBetError(f"{format_bet(bet)} is path dependent; use price")
     l1, l2 = _horizons(state, lam)
     k = bet.kind
 
@@ -355,39 +348,11 @@ def price_closed_form(bet: Bet, state: ScoreState, lam: Intensities) -> PriceRes
     raise NonEuropeanBetError(f"{format_bet(bet)} has no closed-form table row")
 
 
-def price_next_goal(team: Team, state: ScoreState, lam: Intensities) -> PriceResult:
-    """Value of the bet that the given team scores the next goal.
-
-    lam_team / (lam_home + lam_away) * (1 - exp(-(lam_home+lam_away)(1-tau))).
-    Worth 0 with no time left or no intensity.
-    """
-    own = lam.home if team is Team.HOME else lam.away
-    return PriceResult(_clamp01(float(_next_goal_value(own, lam.total, 1.0 - state.clock))), 0.0)
-
-
 def _next_goal_value(own, total, horizon):
     """own / total * (1 - exp(-total * horizon)) with total = lam_home +
     lam_away, elementwise on numbers or arrays; 0 with no intensity."""
     share = np.divide(own, total, out=np.zeros_like(horizon), where=np.greater(total, 0.0))
     return share * (1.0 - np.exp(-total * horizon))
-
-
-def price_ht_ft(
-    ht: Outcome,
-    ft: Outcome,
-    state: ScoreState,
-    lam: Intensities,
-    half_clock: float = DEFAULT_HALF_CLOCK,
-    ht_score: tuple[int, int] | None = None,
-) -> PriceResult:
-    """Value of a joint half-time / full-time outcome bet.
-
-    Before half time this is a two-stage sum over half-time scores and the
-    conditional full-time outcome; from half time onwards the bet is either
-    worthless (half-time leg lost) or equal to the matching full-time match
-    odds bet.  The half-time score must be supplied once clock >= half_clock.
-    """
-    return _priced(Bet.ht_ft(ht, ft), state, lam, half_clock, ht_score)
 
 
 def price(
@@ -397,15 +362,23 @@ def price(
     half_clock: float = DEFAULT_HALF_CLOCK,
     ht_score: tuple[int, int] | None = None,
 ) -> PriceResult:
-    """Value any catalogue bet, dispatching to the matching pricer."""
-    k = bet.kind
-    if k is BetKind.NEXT_GOAL_HOME:
-        return price_next_goal(Team.HOME, state, lam)
-    if k is BetKind.NEXT_GOAL_AWAY:
-        return price_next_goal(Team.AWAY, state, lam)
-    if k is BetKind.HT_FT:
-        return price_ht_ft(bet.half_time, bet.full_time, state, lam, half_clock, ht_score)
-    return price_closed_form(bet, state, lam)
+    """Value any catalogue bet.
+
+    A European bet takes :func:`price_closed_form`.  The bet that a team
+    scores the next goal is worth lam_team / (lam_home + lam_away) *
+    (1 - exp(-(lam_home+lam_away)(1-tau))), and 0 with no time left or no
+    intensity.  Before half time an HT/FT bet is a two-stage sum over
+    half-time scores and the conditional full-time outcome; from half time
+    onwards it is either worthless (half-time leg lost) or equal to the
+    matching full-time match odds bet, so the half-time score must be
+    supplied once clock >= half_clock.
+    """
+    if bet.european:
+        return price_closed_form(bet, state, lam)
+    if bet.kind is BetKind.HT_FT:
+        return _priced(bet, state, lam, half_clock, ht_score)
+    own = lam.home if bet.kind is BetKind.NEXT_GOAL_HOME else lam.away
+    return PriceResult(_clamp01(float(_next_goal_value(own, lam.total, 1.0 - state.clock))), 0.0)
 
 
 def segment_greeks(

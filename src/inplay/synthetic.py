@@ -33,7 +33,7 @@ from .timeline import (
     DEFAULT_MATCH_MINUTES,
     GoalEvent,
     MatchTimeline,
-    clock_of,
+    clocks_of,
     goal_counts,
     score_path,
 )
@@ -124,7 +124,7 @@ def make_model_timeline(
     times = sorted(set(grid) | {ev.timestamp_s for ev in events if ev.timestamp_s <= end_s})
     snapshots = [
         make_snapshot(
-            ScoreState(*path[k], clock_of(t, match_length_min)),
+            ScoreState(*path[k], float(clocks_of(t, match_length_min))),
             lam,
             timestamp_s=t,
             bets=bets,

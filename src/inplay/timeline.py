@@ -14,7 +14,7 @@ raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,13 +27,9 @@ DEFAULT_MATCH_MINUTES = 90.0
 DEFAULT_HALF_MINUTES = 45.0
 
 
-def clock_of(timestamp_s: float, match_length_min: float) -> float:
-    """Playing-time seconds as the clock tau in [0, 1]."""
-    return min(max(timestamp_s / (match_length_min * 60.0), 0.0), 1.0)
-
-
-def clocks_of(stamps: np.ndarray, match_length_min: float) -> np.ndarray:
-    """:func:`clock_of` of each stamp, rounded the same way."""
+def clocks_of(stamps, match_length_min: float) -> np.ndarray:
+    """Playing-time seconds as the clock tau in [0, 1], for one stamp or an
+    array of them."""
     return np.clip(stamps / (match_length_min * 60.0), 0.0, 1.0)
 
 
@@ -41,9 +37,6 @@ def clocks_of(stamps: np.ndarray, match_length_min: float) -> np.ndarray:
 class GoalEvent:
     timestamp_s: float
     team: Team
-
-
-Record = tuple[Literal["snapshot", "goal"], QuoteSnapshot | GoalEvent]
 
 
 def score_path(events: Sequence[GoalEvent]) -> list[tuple[int, int]]:
@@ -130,9 +123,3 @@ class MatchTimeline:
         """Score at the end of the first half: goals stamped at or before it."""
         _, (through,) = goal_counts(self.events, [self.half_length_min * 60.0])
         return score_path(self.events)[through]
-
-    def records(self) -> Iterator[Record]:
-        """Snapshots and goals merged in replay order (:func:`replay_order`)."""
-        _, home, away, _ = _snapshot_columns(self.snapshots)
-        for kind, i in replay_order((home + away).tolist(), len(self.events)):
-            yield kind, self.events[i] if kind == "goal" else self.snapshots[i]

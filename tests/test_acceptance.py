@@ -50,10 +50,9 @@ from inplay.oracle import enumerate_price, kolmogorov_residual, mc_price
 from inplay.pricing import (
     greeks,
     intensity_sensitivity,
+    price,
     price_closed_form,
     price_european,
-    price_ht_ft,
-    price_next_goal,
 )
 from inplay.synthetic import calibration_catalogue, make_model_timeline, make_snapshot
 
@@ -130,19 +129,19 @@ def test_criterion_2_monte_carlo_consistency():
         state = ScoreState(1, 0, 0.2)
         n = 1_000_000
         targets = [
-            (NEXT_GOAL_HOME, price_next_goal(Team.HOME, state, lam).value),
-            (NEXT_GOAL_AWAY, price_next_goal(Team.AWAY, state, lam).value),
+            (NEXT_GOAL_HOME, price(NEXT_GOAL_HOME, state, lam).value),
+            (NEXT_GOAL_AWAY, price(NEXT_GOAL_AWAY, state, lam).value),
             (
                 Bet.ht_ft(Outcome.HOME, Outcome.HOME),
-                price_ht_ft(Outcome.HOME, Outcome.HOME, state, lam).value,
+                price(Bet.ht_ft(Outcome.HOME, Outcome.HOME), state, lam).value,
             ),
             (
                 Bet.ht_ft(Outcome.DRAW, Outcome.HOME),
-                price_ht_ft(Outcome.DRAW, Outcome.HOME, state, lam).value,
+                price(Bet.ht_ft(Outcome.DRAW, Outcome.HOME), state, lam).value,
             ),
             (
                 Bet.ht_ft(Outcome.AWAY, Outcome.AWAY),
-                price_ht_ft(Outcome.AWAY, Outcome.AWAY, state, lam).value,
+                price(Bet.ht_ft(Outcome.AWAY, Outcome.AWAY), state, lam).value,
             ),
         ]
         for seed in (1, 2, 3):
@@ -318,8 +317,8 @@ def test_criterion_8_degeneracy_behaviour():
                 for l2 in LAMBDA_GRID:
                     lam_ = Intensities(l1, l2)
                     st = ScoreState(2, 1, tau)
-                    z1 = price_next_goal(Team.HOME, st, lam_).value
-                    z2 = price_next_goal(Team.AWAY, st, lam_).value
+                    z1 = price(NEXT_GOAL_HOME, st, lam_).value
+                    z2 = price(NEXT_GOAL_AWAY, st, lam_).value
                     det = float(np.linalg.det(next_goal_delta_matrix(z1, z2)))
                     expected = math.exp(-lam_.total * (1 - tau))
                     assert abs(det - expected) <= 1e-12

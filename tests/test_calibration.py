@@ -230,7 +230,8 @@ class TestCalibrateSeries:
         with pytest.raises(ValueError, match="empty"):
             calibrate_series([], step_s=60.0)
 
-    @pytest.mark.parametrize("step_s", [0.0, -60.0, math.nan, math.inf])
+    # A step under the timestamps' 1 s resolution would only add empty buckets.
+    @pytest.mark.parametrize("step_s", [0.0, -60.0, math.nan, math.inf, 0.5])
     def test_step_must_be_positive_and_finite(self, step_s):
         snaps = [model_snapshot(ts=0.0, state=STATE.at_clock(0.0))]
         with pytest.raises(ValueError, match="step must be positive and finite"):

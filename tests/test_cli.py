@@ -104,6 +104,16 @@ class TestPrice:
         assert main(args) == 1
         assert main(args + ["--ht-score", "1:0"]) == 0
 
+    # Goals are never taken back: neither side of the half-time score may
+    # exceed the current score.
+    @pytest.mark.parametrize("ht_score, code", [("2:1", 1), ("1:2", 1), ("1:1", 0)])
+    def test_ht_score_must_not_exceed_the_score(self, capsys, ht_score, code):
+        args = ["price", "--bet", "HT_FT_HOME_HOME", "--score", "1:1", "--minute", "60",
+                "--lambda-home", "1", "--lambda-away", "1", "--ht-score", ht_score]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --ht-score") if code else err == ""
+
 
 class TestCalibrate:
     def test_round_trip_series_is_flat(self, fixture_files, tmp_path, capsys):
@@ -407,6 +417,14 @@ class TestSimulate:
         header = a.read_text().splitlines()[0]
         assert header == "path,home_goals,away_goals"
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--lambda-home", "1.5", "--lambda-away", "0.9",
+                "--paths", "5", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: --seed must be nonnegative")
+        assert not out.exists()
+
 
 class TestReport:
     def test_drift_vol_from_series(self, tmp_path, capsys):
@@ -527,7 +545,7 @@ class TestLengths:
         assert err.startswith("usage error: --half-length must lie strictly between")
 
     @pytest.mark.parametrize("command", ["calibrate", "hedge-replay"])
-    @pytest.mark.parametrize("step", ["0", "inf", "nan"])
+    @pytest.mark.parametrize("step", ["0", "inf", "nan", "0.5"])
     def test_calibration_step_must_be_positive_and_finite(self, argvs, capsys, command, step):
         assert main(argvs[command] + ["--step-s", step]) == 1
         err = capsys.readouterr().err

@@ -30,7 +30,7 @@ from inplay.contracts import (
     Team,
 )
 from inplay import io as io_module
-from inplay.hedging import GoalRecord, HedgeReport, HedgeStep, replay_hedge
+from inplay.hedging import GoalRecord, HedgeReport, HedgeStep, HedgeSteps, replay_hedge
 from inplay.io import (
     EVENTS_HEADER,
     QUOTES_HEADER,
@@ -51,7 +51,7 @@ from inplay.io import (
 )
 from inplay.oracle import SimulatedPath
 from inplay.synthetic import make_model_timeline
-from inplay.timeline import GoalEvent, clock_of, clocks_of, goal_counts, score_path
+from inplay.timeline import GoalEvent, clocks_of, goal_counts, replay_order, score_path
 
 
 QUOTES_EXAMPLE = """match_id,timestamp_s,market,selection,back_decimal,lay_decimal
@@ -560,7 +560,7 @@ class TestBuildTimeline:
             st = snap.state
             score = None if st is None else (st.home_goals, st.away_goals)
             score = score if score in path[lo : hi + 1] else path[hi]
-            clock = clock_of(snap.timestamp_s, match_length_min)
+            clock = float(clocks_of(snap.timestamp_s, match_length_min))
             rows.append((snap.timestamp_s, ScoreState(*score, clock), snap.quotes))
         return sorted(rows, key=lambda r: (r[0], r[1].home_goals + r[1].away_goals))
 
@@ -625,9 +625,10 @@ class TestBuildTimeline:
         tl = make_model_timeline(
             lam, goals=[(600.0, Team.HOME)], step_s=600.0, bets=[MATCH_ODDS_HOME]
         )
+        seen = [s.state.home_goals + s.state.away_goals for s in tl.snapshots]
         sequence = [
-            (kind, getattr(rec, "timestamp_s"))
-            for kind, rec in tl.records()
+            (kind, (tl.events if kind == "goal" else tl.snapshots)[i].timestamp_s)
+            for kind, i in replay_order(seen, len(tl.events))
         ]
         # pre snapshot at 600, then the goal, then the post snapshot at 600
         i = sequence.index(("goal", 600.0))
@@ -746,7 +747,9 @@ class TestRoundTrips:
             (SERIES_LINE + "0,,junk,x,,,maybe\n", r":2: a gap row must leave every cell"),
             (SERIES_LINE + "0,,,,,,false\n", r":2: a gap row must leave every cell"),
             (SERIES_LINE + "0,,,,,0.02,\n", r":2: a gap row must leave every cell"),
-            (SERIES_LINE + "0,1.3,0.7,nan,0.01,0.02,true\n", r":2: residual is NaN"),
+            (SERIES_LINE + "0,1.3,0.7,nan,0.01,0.02,true\n", r":2: residual must be nonneg.* got nan"),
+            (SERIES_LINE + "0,1.3,0.7,-5,0.01,0.02,true\n", r":2: residual .* got -5.0$"),
+            (SERIES_LINE + "0,1.3,0.7,-inf,0.01,0.02,true\n", r":2: residual .* got -inf$"),
             (SERIES_LINE + "0,1.3,0.7,0.25,nan,0.02,true\n", r":2: stderr_home .* got nan"),
             (SERIES_LINE + "0,1.3,0.7,0.25,0.01,NaN,true\n", r":2: stderr_away .* got nan"),
             (SERIES_LINE + "0,1.3,0.7,0.25,-0.01,0.02,true\n", r":2: stderr_home .* got -0.01"),
@@ -815,7 +818,8 @@ class TestRoundTrips:
             GoalRecord(t, team, *(floats[i:] + floats[:i])[:4])
             for i, (t, team) in enumerate(zip(stamps, [Team.HOME, Team.AWAY] * 5))
         )
-        report = HedgeReport(MATCH_ODDS_HOME, (NEXT_GOAL_HOME, NEXT_GOAL_AWAY), steps, goals,
+        columns = HedgeSteps(*zip(*map(dataclasses.astuple, steps)))
+        report = HedgeReport(MATCH_ODDS_HOME, (NEXT_GOAL_HOME, NEXT_GOAL_AWAY), columns, goals,
                              0.0, None)
         write_hedge_report(report, tmp_path / "out")
 

@@ -23,7 +23,7 @@ from inplay.oracle import (
     mc_price,
     simulate_paths,
 )
-from inplay.pricing import price_european, price_ht_ft, price_next_goal
+from inplay.pricing import price, price_european
 
 
 class TestSimulatePaths:
@@ -100,7 +100,7 @@ class TestMcPrice:
         lam = Intensities(1.0, 1.0)
         state = ScoreState(0, 0, 0.0)
         est, err = mc_price(NEXT_GOAL_HOME, state, lam, 200_000, seed=2)
-        exact = price_next_goal(Team.HOME, state, lam).value
+        exact = price(NEXT_GOAL_HOME, state, lam).value
         assert abs(est - exact) <= 3 * err
 
     def test_match_odds_consistency(self):
@@ -115,12 +115,12 @@ class TestMcPrice:
         bet = Bet.ht_ft(Outcome.HOME, Outcome.HOME)
         pre = ScoreState(0, 0, 0.2)
         est, err = mc_price(bet, pre, lam, 200_000, seed=4)
-        exact = price_ht_ft(Outcome.HOME, Outcome.HOME, pre, lam).value
+        exact = price(Bet.ht_ft(Outcome.HOME, Outcome.HOME), pre, lam).value
         assert abs(est - exact) <= 3 * err
 
         post = ScoreState(2, 1, 0.7)
         est2, err2 = mc_price(bet, post, lam, 100_000, seed=5, ht_score=(1, 0))
-        exact2 = price_ht_ft(Outcome.HOME, Outcome.HOME, post, lam, ht_score=(1, 0)).value
+        exact2 = price(Bet.ht_ft(Outcome.HOME, Outcome.HOME), post, lam, ht_score=(1, 0)).value
         assert abs(est2 - exact2) <= 3 * max(err2, 1e-12)
 
 

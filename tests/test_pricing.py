@@ -39,8 +39,6 @@ from inplay.pricing import (
     price,
     price_closed_form,
     price_european,
-    price_ht_ft,
-    price_next_goal,
     static_replication,
 )
 
@@ -178,23 +176,23 @@ class TestNormalisation:
 
 class TestNextGoal:
     def test_worthless_at_the_whistle(self):
-        assert price_next_goal(Team.HOME, ScoreState(1, 0, 1.0), Intensities(2, 1)).value == 0.0
+        assert price(NEXT_GOAL_HOME, ScoreState(1, 0, 1.0), Intensities(2, 1)).value == 0.0
 
     def test_no_intensity_no_goal(self):
-        assert price_next_goal(Team.HOME, ScoreState(0, 0, 0.0), Intensities(0, 0)).value == 0.0
+        assert price(NEXT_GOAL_HOME, ScoreState(0, 0, 0.0), Intensities(0, 0)).value == 0.0
 
     def test_symmetric_value(self):
-        res = price_next_goal(Team.HOME, ScoreState(0, 0, 0.0), Intensities(1, 1))
+        res = price(NEXT_GOAL_HOME, ScoreState(0, 0, 0.0), Intensities(1, 1))
         assert res.value == pytest.approx(0.43233235838169365, abs=1e-14)
 
     def test_one_sided_limit(self):
-        res = price_next_goal(Team.HOME, ScoreState(0, 0, 0.0), Intensities(1, 0))
+        res = price(NEXT_GOAL_HOME, ScoreState(0, 0, 0.0), Intensities(1, 0))
         assert res.value == pytest.approx(0.63212055882855768, abs=1e-14)
 
     def test_value_is_score_independent(self):
         lam = Intensities(1.4, 0.6)
-        a = price_next_goal(Team.AWAY, ScoreState(0, 0, 0.3), lam).value
-        b = price_next_goal(Team.AWAY, ScoreState(3, 1, 0.3), lam).value
+        a = price(NEXT_GOAL_AWAY, ScoreState(0, 0, 0.3), lam).value
+        b = price(NEXT_GOAL_AWAY, ScoreState(3, 1, 0.3), lam).value
         assert a == b
 
 
@@ -235,37 +233,37 @@ class TestHalfTimeFullTime:
     LAM = Intensities(1.2, 0.8)
 
     def test_worthless_after_losing_the_half(self):
-        res = price_ht_ft(
-            Outcome.HOME, Outcome.DRAW, ScoreState(1, 1, 0.6), self.LAM, ht_score=(0, 1)
+        res = price(
+            Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(1, 1, 0.6), self.LAM, ht_score=(0, 1)
         )
         assert res.value == 0.0
 
     def test_becomes_the_full_time_bet_after_winning_the_half(self):
         state = ScoreState(1, 1, 0.6)
-        res = price_ht_ft(Outcome.HOME, Outcome.DRAW, state, self.LAM, ht_score=(1, 0))
+        res = price(Bet.ht_ft(Outcome.HOME, Outcome.DRAW), state, self.LAM, ht_score=(1, 0))
         expected = price_european(MATCH_ODDS_DRAW, state, self.LAM).value
         assert res.value == expected
 
     def test_requires_half_time_score_in_second_half(self):
         with pytest.raises(ValueError, match="half-time score"):
-            price_ht_ft(Outcome.HOME, Outcome.DRAW, ScoreState(1, 1, 0.6), self.LAM)
+            price(Bet.ht_ft(Outcome.HOME, Outcome.DRAW), ScoreState(1, 1, 0.6), self.LAM)
 
     def test_frozen_value_before_half(self):
-        res = price_ht_ft(Outcome.HOME, Outcome.HOME, ScoreState(0, 0, 0.0), self.LAM)
+        res = price(Bet.ht_ft(Outcome.HOME, Outcome.HOME), ScoreState(0, 0, 0.0), self.LAM)
         assert res.value == pytest.approx(0.28355440213845772, abs=1e-10)
 
     @pytest.mark.parametrize("ht", list(Outcome))
     @pytest.mark.parametrize("ft", list(Outcome))
     def test_matches_two_stage_enumeration(self, ht, ft):
         state = ScoreState(1, 0, 0.2)
-        got = price_ht_ft(ht, ft, state, self.LAM).value
+        got = price(Bet.ht_ft(ht, ft), state, self.LAM).value
         want = ht_ft_two_stage_oracle(ht, ft, state, self.LAM, half_clock=0.5)
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_nine_way_partition(self):
         state = ScoreState(0, 0, 0.1)
         total = sum(
-            price_ht_ft(ht, ft, state, self.LAM).value for ht in Outcome for ft in Outcome
+            price(Bet.ht_ft(ht, ft), state, self.LAM).value for ht in Outcome for ft in Outcome
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -361,7 +359,7 @@ class TestGreeks:
 
     def test_next_goal_deltas_are_settlements(self):
         lam = Intensities(1.0, 1.0)
-        z = price_next_goal(Team.HOME, ScoreState(0, 0, 0.0), lam).value
+        z = price(NEXT_GOAL_HOME, ScoreState(0, 0, 0.0), lam).value
         g = greeks(NEXT_GOAL_HOME, ScoreState(0, 0, 0.0), lam)
         assert g.delta_home == pytest.approx(1.0 - z, rel=1e-12)
         assert g.delta_away == pytest.approx(-z, rel=1e-12)
@@ -464,8 +462,8 @@ class TestKolmogorov:
         lam = Intensities(1.2, 0.8)
         state = ScoreState(0, 0, 0.3)
         target = greeks(Bet.over(2.5), state, lam)
-        z1 = price_next_goal(Team.HOME, state, lam).value
-        z2 = price_next_goal(Team.AWAY, state, lam).value
+        z1 = price(NEXT_GOAL_HOME, state, lam).value
+        z2 = price(NEXT_GOAL_AWAY, state, lam).value
         w = solve_replication_weights(target, next_goal_delta_matrix(z1, z2))
         theta_z1 = greeks(NEXT_GOAL_HOME, state, lam).theta
         theta_z2 = greeks(NEXT_GOAL_AWAY, state, lam).theta
@@ -677,10 +675,12 @@ class TestDispatcher:
         assert price(MATCH_ODDS_HOME, state, lam).value == pytest.approx(
             price_closed_form(MATCH_ODDS_HOME, state, lam).value
         )
-        assert price(NEXT_GOAL_HOME, state, lam).value == pytest.approx(
-            price_next_goal(Team.HOME, state, lam).value
-        )
+        # Next Goal: lam_team / total * (1 - exp(-total * (1 - tau))).
+        for bet, own in ((NEXT_GOAL_HOME, 1.2), (NEXT_GOAL_AWAY, 0.8)):
+            assert price(bet, state, lam).value == pytest.approx(
+                own / 2.0 * (1.0 - math.exp(-2.0 * 0.8))
+            )
         bet = Bet.ht_ft(Outcome.HOME, Outcome.HOME)
         assert price(bet, state, lam).value == pytest.approx(
-            price_ht_ft(Outcome.HOME, Outcome.HOME, state, lam).value
+            ht_ft_two_stage_oracle(Outcome.HOME, Outcome.HOME, state, lam, half_clock=0.5)
         )

@@ -7,7 +7,7 @@ from inplay.calibration import QuoteSnapshot, SnapshotColumns
 from inplay.contracts import MATCH_ODDS_HOME, Intensities, ScoreState, Team
 from inplay.io import load_timeline, write_events_csv, write_quotes_csv
 from inplay.synthetic import make_model_timeline
-from inplay.timeline import GoalEvent, MatchTimeline, goal_counts, score_path
+from inplay.timeline import GoalEvent, MatchTimeline, goal_counts, replay_order, score_path
 
 HOME_AT_600 = (GoalEvent(600.0, Team.HOME),)
 
@@ -15,6 +15,13 @@ HOME_AT_600 = (GoalEvent(600.0, Team.HOME),)
 def _snap(t, score):
     state = None if score is None else ScoreState(*score, t / 5400.0)
     return QuoteSnapshot(t, state, ())
+
+
+def _records(tl):
+    """Snapshots and goals of ``tl`` in replay order, by the snapshots' goal counts."""
+    snaps = SnapshotColumns.of(tl.snapshots)
+    for kind, i in replay_order((snaps.home + snaps.away).tolist(), len(tl.events)):
+        yield kind, tl.events[i] if kind == "goal" else tl.snapshots[i]
 
 
 def _timeline(events, *snaps, view=False):
@@ -78,13 +85,14 @@ class TestMatchTimelineViewRejects(TestMatchTimelineRejects):
     view = True
 
 
-def test_records_put_each_goal_between_the_snapshots_that_straddle_it():
+def test_replay_order_puts_each_goal_between_the_snapshots_that_straddle_it():
     tl = _timeline(HOME_AT_600, (600.0, (0, 0)), (600.0, (1, 0)), (900.0, (1, 0)))
-    kinds = [kind for kind, _ in tl.records()]
+    kinds = [kind for kind, _ in _records(tl)]
     assert kinds == ["snapshot", "goal", "snapshot", "snapshot"]
     # Both same-second snapshots may stand alone: the goal goes where the score says.
-    assert [k for k, _ in _timeline(HOME_AT_600, (600.0, (0, 0))).records()] == ["snapshot", "goal"]
-    assert [k for k, _ in _timeline(HOME_AT_600, (600.0, (1, 0))).records()] == ["goal", "snapshot"]
+    pre, post = (_timeline(HOME_AT_600, (600.0, score)) for score in ((0, 0), (1, 0)))
+    assert [k for k, _ in _records(pre)] == ["snapshot", "goal"]
+    assert [k for k, _ in _records(post)] == ["goal", "snapshot"]
 
 
 def test_ht_score_counts_a_goal_stamped_on_the_half():
@@ -97,7 +105,7 @@ def test_ht_score_counts_a_goal_stamped_on_the_half():
 def _sequence(tl):
     return [
         (kind, rec) if kind == "goal" else (kind, rec.timestamp_s, rec.state)
-        for kind, rec in tl.records()
+        for kind, rec in _records(tl)
     ]
 
 
@@ -126,4 +134,4 @@ def test_written_and_reloaded_timeline_replays_the_same(
     loaded = load_timeline(out / "q.csv", out / "e.csv")
     assert _sequence(loaded) == _sequence(tl)
     assert loaded.ht_score() == tl.ht_score()
-    assert sum(kind == "goal" for kind, _ in tl.records()) == len(goals)
+    assert sum(kind == "goal" for kind, _ in _records(tl)) == len(goals)
