@@ -133,6 +133,8 @@ def _cmd_price(args) -> int:
     ht_score = _parse_score(args.ht_score) if args.ht_score else None
     if bet.kind is BetKind.HT_FT and clock >= half_clock and ht_score is None:
         raise UsageError("HT_FT bets after half time require --ht-score")
+    if ht_score is not None and clock < half_clock:
+        raise UsageError("--ht-score is known only from half time on")
     if ht_score is not None and not (ht_score[0] <= score[0] and ht_score[1] <= score[1]):
         raise UsageError(f"--ht-score {args.ht_score} exceeds --score {args.score}")
     result = pricing.price(bet, state, lam, half_clock, ht_score)

@@ -11,15 +11,15 @@ the replay cuts its snapshots there alone and takes each bet's deltas over
 a segment from one ``pricing.segment_greeks`` call, one row per snapshot at
 the latest intensities stamped by then.  The 2x2 weight solves run once
 per replay, over every snapshot's deltas at once; only the ledger runs per
-snapshot, on the timeline's columns, and the report keeps the steps as
-columns.
+goal, as array arithmetic over the snapshots in between, and the report
+keeps the steps as columns.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from . import pricing
 from .calibration import IntensitySeries, SnapshotColumns
 from .contracts import Bet, BetKind, Intensities, Team
 from .pricing import Greeks
-from .timeline import MatchTimeline, clocks_of, replay_order
+from .timeline import MatchTimeline, clocks_of, replay_runs
 
 __all__ = [
     "SingularHedgeError",
@@ -223,6 +223,28 @@ def _stack_weights(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return psi1, psi2, det
 
 
+def _ledger(cash, psi, last, mids, weights, rebalance) -> np.ndarray:
+    """One run of snapshots between goals, as HedgeStep's columns from
+    target_value to z2, shape (7, snapshots).  The run opens holding ``cash``
+    and ``psi``; ``last`` holds the (target, z1, z2) mids marked last.  A step
+    marks its ``mids`` if they have no NaN and the last marks otherwise
+    (stale), and takes its ``weights`` where it may ``rebalance``.  Only a
+    rebalance moves cash, by +psi_old.z1 +psi_old.z2 -psi_new.z1 -psi_new.z2,
+    and ``np.add.accumulate`` adds strictly left to right, so every mark and
+    cash equals a per-step loop's bit for bit."""
+    quoted = ~np.isnan(mids).any(axis=1)
+    held = np.maximum.accumulate(np.where(quoted, np.arange(1, len(mids) + 1), 0))
+    marks = np.vstack((last, mids))[held]
+    r = np.flatnonzero(rebalance)
+    psis, z = np.vstack((psi, weights[r])), marks[r, 1:]  # the weights held after each rebalance
+    chain = np.column_stack((psis[:-1] * z, -(psis[1:] * z)))
+    cashes = np.add.accumulate(np.append(cash, chain))[::4]
+    after = np.cumsum(rebalance)
+    before = after - rebalance
+    value = cashes[before] + psis[before, 0] * marks[:, 1] + psis[before, 1] * marks[:, 2]
+    return np.vstack((marks[:, 0], value, *psis[after].T, cashes[after], *marks[:, 1:].T))
+
+
 def replay_hedge(
     timeline: MatchTimeline,
     target: Bet,
@@ -262,31 +284,32 @@ def replay_hedge(
         # The ledger stops at the first goal after the first snapshot.
         seen = snaps.home + snaps.away
         snaps = snaps[: np.searchsorted(seen, seen[0], side="right")]
+    if not len(snaps):
+        raise ValueError("timeline contains no usable snapshots")
     mids = np.column_stack([_first_mids(snaps, b) for b in bets])
-    quoted = (~np.isnan(mids).any(axis=1)).tolist()
-    mids = mids.tolist()
-    half_clock = timeline.half_clock
+    quoted = ~np.isnan(mids).any(axis=1)
+    if not quoted[0]:
+        raise ValueError("first snapshot must quote the target and both instruments")
     ht_score = timeline.ht_score() if any(b.kind is BetKind.HT_FT for b in bets) else None
 
     # The latest intensities stamped at or before each snapshot, -1 if none.
     at = np.searchsorted(lam_times, snaps.timestamps, side="right") - 1
-    deltas = _segment_deltas(snaps, bets, at, lam_rows, half_clock, ht_score)
+    deltas = _segment_deltas(snaps, bets, at, lam_rows, timeline.half_clock, ht_score)
     psi1, psi2, det = _stack_weights(deltas)
-    singular = np.abs(det) <= _DET_TOL
-    flags = np.where(at < 0, "no intensity", np.where(singular, "singular", "")).tolist()
-    psi1, psi2 = psi1.tolist(), psi2.tolist()
-    times, clocks = snaps.timestamps.tolist(), snaps.clocks.tolist()
+    flags = np.where(at < 0, "no intensity", np.where(np.abs(det) <= _DET_TOL, "singular", ""))
+    flags = np.where(quoted, flags, "stale")
+    weights, rebalance = np.column_stack((psi1, psi2)), flags == ""
 
-    rows: list[tuple] = []  # one per step, in HedgeStep's field order
+    columns = np.empty((7, len(snaps)))  # HedgeStep's fields from target_value to z2
     goals: list[GoalRecord] = []
-    psi = [0.0, 0.0]
-    cash = 0.0
-    last_x: float | None = None  # target mid at the last usable snapshot
-    last_z = (0.0, 0.0)
+    # Fund the replication at the target's initial value; ``last`` holds the
+    # (target, z1, z2) mids marked last.
+    cash, psi, last = mids[0, 0].item(), [0.0, 0.0], [math.nan] * 3
     pending: tuple[float, Team, float, float] | None = None  # goal awaiting its marks
+    settled: tuple | None = None  # a Next Goal target's last step
 
-    def mark(z: tuple[float, float]) -> float:
-        return cash + psi[0] * z[0] + psi[1] * z[1]
+    def mark() -> float:
+        return cash + psi[0] * last[1] + psi[1] * last[2]
 
     def close_goal(x_post: float, v_post: float) -> None:
         nonlocal pending
@@ -295,73 +318,43 @@ def replay_hedge(
             goals.append(GoalRecord(t, team, x_pre, x_post, v_pre, v_post))
             pending = None
 
-    def add_step(t, clock, x, value, z, flag) -> None:
-        rows.append((t, clock, x, value, psi[0], psi[1], cash, z[0], z[1], flag))
-
-    for kind, k in replay_order((snaps.home + snaps.away).tolist(), len(timeline.events)):
-        if kind == "goal":
-            if last_x is None:
-                continue
-            ev = timeline.events[k]
-            v_pre = mark(last_z)
-            close_goal(last_x, v_pre)
+    for goals_in, run in replay_runs(snaps.home + snaps.away, len(timeline.events)):
+        for ev in timeline.events[goals_in] if run.start else ():  # none before the first snapshot
+            v_pre = mark()
+            close_goal(last[0], v_pre)
             for i, inst in enumerate(instruments):
                 payout = _next_goal_payout(inst, ev.team)
                 if payout is not None:
                     cash += psi[i] * payout
                     psi[i] = 0.0
-            pending = (ev.timestamp_s, ev.team, last_x, v_pre)
+            pending = (ev.timestamp_s, ev.team, last[0], v_pre)
             x_post = _next_goal_payout(target, ev.team)
             if x_post is not None:
                 # The replicated contract itself pays out and stops existing.
-                v_post = mark(last_z)
-                close_goal(x_post, v_post)
-                t = ev.timestamp_s
-                clock = float(clocks_of(t, timeline.match_length_min))
-                add_step(t, clock, x_post, v_post, last_z, "target settled")
+                close_goal(x_post, mark())
+                clock = float(clocks_of(ev.timestamp_s, timeline.match_length_min))
+                settled = (ev.timestamp_s, clock, x_post, mark(), *psi, cash, *last[1:])
                 break
-            continue
+        if settled or run.start == run.stop:
+            break
+        columns[:, run] = _ledger(cash, psi, last, mids[run], weights[run], rebalance[run])
+        for k in np.flatnonzero(quoted[run])[:1].tolist():  # the first usable snapshot
+            close_goal(*columns[:2, run.start + k].tolist())
+        last[0], _, psi[0], psi[1], cash, last[1], last[2] = columns[:, run.stop - 1].tolist()
+    close_goal(last[0], mark())
 
-        if not quoted[k]:
-            if last_x is None:
-                raise ValueError("first snapshot must quote the target and both instruments")
-            add_step(times[k], clocks[k], last_x, mark(last_z), last_z, "stale")
-            continue
+    steps = [snaps.timestamps.tolist(), snaps.clocks.tolist(), *columns.tolist(), flags.tolist()]
+    for column, cell in zip(steps, (*settled, "target settled") if settled else ()):
+        column.append(cell)
+    steps = HedgeSteps(*steps)
 
-        x, z1, z2 = mids[k]
-        z = (z1, z2)
-        if last_x is None:
-            cash = x  # fund the replication at the target's initial value
-        value = mark(z)
-        close_goal(x, value)
-
-        flag = flags[k]
-        if not flag:
-            psi = [psi1[k], psi2[k]]
-            cash = value - psi[0] * z1 - psi[1] * z2
-        add_step(times[k], clocks[k], x, value, z, flag)
-        last_x, last_z = x, z
-
-    if not rows:
-        raise ValueError("timeline contains no usable snapshots")
-    close_goal(last_x, mark(last_z))
-    steps = HedgeSteps(*zip(*rows))
-
-    goals_t = tuple(goals)
+    report = HedgeReport(target, instruments, steps, tuple(goals), 0.0, None)
     try:
-        correlation, _ = jump_scatter_stats(
-            HedgeReport(target, instruments, steps, goals_t, 0.0, None)
-        )
+        correlation, _ = jump_scatter_stats(report)
     except ValueError:  # fewer than two goals, or no jump variance
         correlation = None
-    return HedgeReport(
-        target=target,
-        instruments=instruments,
-        steps=steps,
-        goals=goals_t,
-        terminal_error=abs(steps.portfolio_value[-1] - steps.target_value[-1]),
-        jump_correlation=correlation,
-    )
+    error = abs(steps.portfolio_value[-1] - steps.target_value[-1])
+    return replace(report, terminal_error=error, jump_correlation=correlation)
 
 
 def jump_scatter_stats(

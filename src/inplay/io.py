@@ -216,20 +216,22 @@ def _parse_quotes(
 ) -> tuple[str, SnapshotColumns]:
     path = Path(path)
     length_s = match_length_min * 60.0
-    # Accepted rows as columns, and one (key, first row) entry per run of
-    # consecutive accepted rows that share a snapshot key (timestamp, score).
+    # Accepted rows as columns, and flat (timestamp, home goals, away goals,
+    # first row) entries, -1 goals for no score, one per run of consecutive
+    # accepted rows that share a snapshot key (timestamp, score).
     bet_ix, backs, lays = [], [], []
-    runs: list[tuple] = []
+    runs: list = []
     match_ids: set[str] = set()
     # A board repeats the same few tokens on every row: parse each once.
-    tokens: dict[tuple[str, str], int] = {}
+    tokens: dict[str, dict[str, int]] = {}
     bets: dict[Bet, int] = {}
     headers = (QUOTES_HEADER, QUOTES_HEADER + SCORE_COLUMNS)
     with _read_csv(path, headers, QuotesParseError) as (header, reader):
         has_scores, width = header == headers[1], len(header)
         # Rows of one snapshot share their id, timestamp and score cells, so
         # those are parsed, checked and looked up only when they change.
-        match_id = ts_cell = home_cell = away_cell = key = score = None
+        match_id = ts_cell = home_cell = away_cell = None
+        home, away, run = -1, -1, True
         for row in reader:
             if len(row) != width:
                 if not row:
@@ -242,11 +244,12 @@ def _parse_quotes(
                 match_id = row_id
             if ts_s != ts_cell:
                 ts = _match_time(ts_s, "timestamp", length_s)
-                ts_cell, key = ts_s, None
-            ix = tokens.get((market, selection))
-            if ix is None:
+                ts_cell, run = ts_s, True
+            try:
+                ix = tokens[market][selection]
+            except KeyError:
                 bet = _bet_from_market_selection(market, selection)
-                ix = tokens[(market, selection)] = bets.setdefault(bet, len(bets))
+                ix = tokens.setdefault(market, {})[selection] = bets.setdefault(bet, len(bets))
             # An empty side (NaN) passes as 1.0 unless both are empty; a row
             # that fails is checked again cell by cell, the back cell first.
             try:
@@ -262,15 +265,15 @@ def _parse_quotes(
                 continue
             if home_s != home_cell or away_s != away_cell:
                 try:
-                    score = (int(home_s), int(away_s))
-                    if score[0] < 0 or score[1] < 0:
+                    home, away = int(home_s), int(away_s)
+                    if home < 0 or away < 0:
                         raise ValueError
                 except ValueError:
                     raise ValueError("bad score cells") from None
-                home_cell, away_cell, key = home_s, away_s, None
-            if key is None:
-                key = (ts, score)
-                runs.append((key, len(backs)))
+                home_cell, away_cell, run = home_s, away_s, True
+            if run:
+                run = False
+                runs += (ts, home, away, len(backs))
             bet_ix.append(ix)
             backs.append(back if back_s else math.nan)
             lays.append(lay if lay_s else math.nan)
@@ -282,11 +285,10 @@ def _parse_quotes(
 
     # A key's runs join into one snapshot.  Same-second snapshots run in the
     # order of the goals their score counts, then of their first row.
-    keys, firsts = zip(*runs)
+    ts, home, away, firsts = (runs[i::4] for i in range(4))
     seen: dict[tuple, int] = {}
-    key_ix = np.array([seen.setdefault(k, len(seen)) for k in keys])
-    ts = np.array([k[0] for k in keys])
-    home, away = np.array([k[1] or (-1, -1) for k in keys], dtype=np.intp).T
+    key_ix = np.array([seen.setdefault(k, i) for i, k in enumerate(zip(ts, home, away))])
+    ts, home, away = np.array(ts), np.array(home), np.array(away)
     by = np.lexsort((key_ix, home + away, ts))
     n = len(backs)
     lengths = np.diff(firsts, append=n)[by]
@@ -468,12 +470,15 @@ def write_hedge_report(report: HedgeReport, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     # One format per row: %.9g is fmt_float, and no flag needs CSV quoting.
     s = report.steps
-    step_row = "%s" + ",%.9g" * 7 + ",%s\n"
+    # Integral stamps print as integers (_fmt_ts), then in one C-level pass.
+    integral = all(map(float.is_integer, map(float, s.timestamp_s)))
+    stamps = s.timestamp_s if integral else map(_fmt_ts, s.timestamp_s)
+    step_row = ("%d" if integral else "%s") + ",%.9g" * 7 + ",%s\n"
     goal_row = "%s,%s" + ",%.9g" * 4 + "\n"
     with _open_write(out_dir / "steps.csv") as fh:
         fh.write(",".join(STEPS_HEADER) + "\n")
         numbers = (s.target_value, s.portfolio_value, s.psi1, s.psi2, s.cash, s.z1, s.z2)
-        fh.writelines(map(step_row.__mod__, zip(map(_fmt_ts, s.timestamp_s), *numbers, s.flag)))
+        fh.writelines(map(step_row.__mod__, zip(stamps, *numbers, s.flag)))
     with _open_write(out_dir / "goals.csv") as fh:
         fh.write(",".join(GOALS_HEADER) + "\n")
         fh.writelines(

@@ -14,14 +14,14 @@ raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .calibration import QuoteSnapshot, _snapshot_columns
 from .contracts import Team
 
-__all__ = ["GoalEvent", "MatchTimeline", "score_path", "goal_counts", "replay_order"]
+__all__ = ["GoalEvent", "MatchTimeline", "score_path", "goal_counts", "replay_runs"]
 
 DEFAULT_MATCH_MINUTES = 90.0
 DEFAULT_HALF_MINUTES = 45.0
@@ -59,16 +59,15 @@ def goal_counts(
     return left, right
 
 
-def replay_order(seen: Sequence[int], goals: int) -> Iterator[tuple[str, int]]:
-    """Snapshot and goal indices in replay order, for snapshots that have seen
-    ``seen[k]`` of ``goals`` goals: each snapshot follows the goals it counts."""
-    done = 0
-    for k, upto in enumerate([*seen, goals]):
-        for j in range(done, upto):
-            yield "goal", j
-        if k < len(seen):
-            yield "snapshot", k
-        done = upto
+def replay_runs(seen: Sequence[int], goals: int) -> list[tuple[slice, slice]]:
+    """Goal and snapshot index slices in replay order, for snapshots in (timestamp,
+    goals) order that have seen ``seen[k]`` of ``goals`` goals: each run of snapshots
+    that have seen the same goals follows the goals it counts, and the goals after
+    the last snapshot come last, with no snapshots."""
+    firsts = np.flatnonzero(np.diff(seen, prepend=-1)).tolist()  # each run's first snapshot
+    upto, bounds = [*np.take(seen, firsts).tolist(), goals], [*firsts, len(seen), len(seen)]
+    pairs = zip([0, *upto], upto, bounds, bounds[1:])
+    return [(slice(a, b), slice(lo, hi)) for a, b, lo, hi in pairs]
 
 
 def allowed_scores(events: Sequence[GoalEvent], stamps, home, away) -> tuple[np.ndarray, ...]:

@@ -114,6 +114,18 @@ class TestPrice:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --ht-score") if code else err == ""
 
+    # Before half time the half-time score is not known yet.
+    @pytest.mark.parametrize("minute, code", [(30, 1), (44.9, 1), (45, 0), (60, 0)])
+    def test_ht_score_before_half_time_is_a_usage_error(self, capsys, minute, code):
+        args = ["price", "--bet", "HT_FT_HOME_HOME", "--score", "0:0", "--minute", str(minute),
+                "--lambda-home", "1", "--lambda-away", "1"]
+        assert main(args + ["--ht-score", "0:0"]) == code
+        err = capsys.readouterr().err
+        want = "usage error: --ht-score is known only from half time on\n"
+        assert err == want if code else not err
+        if code:  # without the flag the same bet prices
+            assert main(args) == 0
+
 
 class TestCalibrate:
     def test_round_trip_series_is_flat(self, fixture_files, tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from inplay import pricing
 from inplay.calibration import (
@@ -18,6 +19,7 @@ from inplay.calibration import (
 
 from inplay.contracts import (
     Bet,
+    BetKind,
     Intensities,
     MATCH_ODDS_AWAY,
     MATCH_ODDS_HOME,
@@ -30,6 +32,9 @@ from inplay.contracts import (
 )
 from inplay.hedging import (
     _DET_TOL,
+    _first_mids,
+    _next_goal_payout,
+    _segment_deltas,
     GoalRecord,
     HedgeReport,
     HedgeSteps,
@@ -545,6 +550,161 @@ def test_calibrated_replay_takes_each_bets_deltas_once_per_score_segment(which):
     segments = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
     assert len(calls) <= 3 * segments
     assert not any(step.flag for step in rep.steps)
+
+
+def _reference_replay(tl, target, instruments, lam_source):
+    """The replay's ledger as a loop over snapshots and goals, one at a time,
+    on the replay's own weights and mids: (steps, goals)."""
+    if isinstance(lam_source, Intensities):
+        lam_times, lam_values = [-math.inf], [lam_source]
+    else:
+        lam_times = [p.timestamp_s for p in lam_source.valid()]
+        lam_values = [p.result.intensities for p in lam_source.valid()]
+    lam_rows = np.array([(v.home, v.away) for v in lam_values])
+    bets = (target, *instruments)
+    snaps = SnapshotColumns.of(tl.snapshots)
+    if len(snaps) and _next_goal_payout(target, Team.HOME) is not None:
+        seen = snaps.home + snaps.away
+        snaps = snaps[: np.searchsorted(seen, seen[0], side="right")]
+    mids = np.column_stack([_first_mids(snaps, b) for b in bets])
+    quoted = (~np.isnan(mids).any(axis=1)).tolist()
+    mids = mids.tolist()
+    ht_score = tl.ht_score() if any(b.kind is BetKind.HT_FT for b in bets) else None
+    at = np.searchsorted(lam_times, snaps.timestamps, side="right") - 1
+    deltas = _segment_deltas(snaps, bets, at, lam_rows, tl.half_clock, ht_score)
+    psi1, psi2, det = _stack_weights(deltas)
+    singular = np.abs(det) <= _DET_TOL
+    flags = np.where(at < 0, "no intensity", np.where(singular, "singular", "")).tolist()
+    psi1, psi2 = psi1.tolist(), psi2.tolist()
+    times, clocks = snaps.timestamps.tolist(), snaps.clocks.tolist()
+
+    # Each snapshot follows the goals its score counts.
+    order, done = [], 0
+    for k, upto in enumerate([*(snaps.home + snaps.away).tolist(), len(tl.events)]):
+        order += [("goal", j) for j in range(done, upto)]
+        order += [("snapshot", k)] if k < len(snaps) else []
+        done = upto
+
+    rows, goals = [], []
+    psi, cash = [0.0, 0.0], 0.0
+    last_x, last_z = None, (0.0, 0.0)
+    pending = None
+
+    def mark(z):
+        return cash + psi[0] * z[0] + psi[1] * z[1]
+
+    def close_goal(x_post, v_post):
+        nonlocal pending
+        if pending is not None:
+            t, team, x_pre, v_pre = pending
+            goals.append(GoalRecord(t, team, x_pre, x_post, v_pre, v_post))
+            pending = None
+
+    def add_step(t, clock, x, value, z, flag):
+        rows.append((t, clock, x, value, psi[0], psi[1], cash, z[0], z[1], flag))
+
+    for kind, k in order:
+        if kind == "goal":
+            if last_x is None:
+                continue
+            ev = tl.events[k]
+            v_pre = mark(last_z)
+            close_goal(last_x, v_pre)
+            for i, inst in enumerate(instruments):
+                payout = _next_goal_payout(inst, ev.team)
+                if payout is not None:
+                    cash += psi[i] * payout
+                    psi[i] = 0.0
+            pending = (ev.timestamp_s, ev.team, last_x, v_pre)
+            x_post = _next_goal_payout(target, ev.team)
+            if x_post is not None:
+                v_post = mark(last_z)
+                close_goal(x_post, v_post)
+                add_step(ev.timestamp_s, ev.timestamp_s / 5400.0, x_post, v_post, last_z,
+                         "target settled")
+                break
+            continue
+        if not quoted[k]:
+            if last_x is None:
+                raise ValueError("first snapshot must quote the target and both instruments")
+            add_step(times[k], clocks[k], last_x, mark(last_z), last_z, "stale")
+            continue
+        x, z1, z2 = mids[k]
+        z = (z1, z2)
+        if last_x is None:
+            cash = x
+        value = mark(z)
+        close_goal(x, value)
+        if not flags[k]:
+            psi = [psi1[k], psi2[k]]
+            cash = value - psi[0] * z1 - psi[1] * z2
+        add_step(times[k], clocks[k], x, value, z, flags[k])
+        last_x, last_z = x, z
+    if not rows:
+        raise ValueError("timeline contains no usable snapshots")
+    close_goal(last_x, mark(last_z))
+    return HedgeSteps(*zip(*rows)), tuple(goals)
+
+
+LEDGER_TARGETS = (
+    MATCH_ODDS_HOME, NEXT_GOAL_AWAY, Bet.over(2.5), Bet.ht_ft(Outcome.DRAW, Outcome.HOME)
+)
+# The Next Goal pair; a match odds pair, singular at a big lead; and a pair
+# that is singular once OVER 2.5 has settled.
+LEDGER_PAIRS = (HEDGES, (MATCH_ODDS_HOME, MATCH_ODDS_AWAY), (MATCH_ODDS_HOME, Bet.over(2.5)))
+GOAL_STAMPS = st.one_of(st.integers(0, 18).map(lambda i: 300.0 * i), st.integers(0, 5400))
+TEAM = st.sampled_from([Team.HOME, Team.AWAY])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=st.sampled_from(LEDGER_TARGETS),
+    pair=st.sampled_from(LEDGER_PAIRS),
+    goals=st.lists(st.tuples(GOAL_STAMPS.map(float), TEAM), max_size=5),
+    window=st.tuples(st.integers(0, 2400), st.integers(3000, 5400)),
+    stale=st.lists(st.integers(1, 40), max_size=6),
+    series=st.one_of(
+        st.none(),
+        st.lists(st.tuples(st.integers(0, 5400), st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+                 min_size=1, max_size=4, unique_by=lambda p: p[0]),
+    ),
+)
+# Stale and singular steps: a four-goal home lead against match odds.
+@example(MATCH_ODDS_HOME, LEDGER_PAIRS[1], [(600.0 * i, Team.HOME) for i in (1, 2, 3, 4)],
+         (0, 5400), [3, 9, 10, 20], None)
+# "no intensity" steps: the series starts after the first snapshot.
+@example(Bet.over(2.5), HEDGES, [(1500.0, Team.AWAY)], (0, 5400), [], [(1000, 1.4, 0.6)])
+# Pre- and post-goal snapshots in one second; goals before the first
+# snapshot and after the last.
+@example(MATCH_ODDS_HOME, HEDGES, [(600.0, Team.HOME), (1200.0, Team.AWAY), (1200.0, Team.HOME),
+                                   (4500.0, Team.AWAY)], (900, 3600), [2], None)
+# A Next Goal target settles at the first goal after the first snapshot.
+@example(NEXT_GOAL_AWAY, HEDGES, [(300.0, Team.HOME), (1800.0, Team.HOME)], (600, 5400), [1],
+         [(0, 1.3, 0.7), (1200, 1.1, 0.9)])
+def test_ledger_equals_the_per_step_loop(target, pair, goals, window, stale, series):
+    bets = list(dict.fromkeys([target, *pair]))
+    made = make_model_timeline(LAM, goals=goals, step_s=300.0, bets=bets)
+    snaps = [s for s in made.snapshots if window[0] <= s.timestamp_s <= window[1]]
+    for i in stale:  # drop one bet's quotes from a later snapshot
+        if i < len(snaps):
+            snaps[i] = _dropping_quote(snaps[i], bets[i % len(bets)])
+    tl = _with(made, snaps)
+    lam = LAM if series is None else IntensitySeries(tuple(
+        SeriesPoint(float(t), CalibrationResult(Intensities(h, a), 0.0, 0.0, 0.0, 1, True))
+        for t, h, a in sorted(series)
+    ))
+    try:
+        want_steps, want_goals = _reference_replay(tl, target, pair, lam)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            replay_hedge(tl, target, pair, lam)
+        return
+    rep = replay_hedge(tl, target, pair, lam)
+    for name in HedgeSteps.__slots__:
+        got, want = getattr(rep.steps, name), getattr(want_steps, name)
+        assert got == want and repr(got) == repr(want), name
+    assert rep.goals == want_goals and repr(rep.goals) == repr(want_goals)
+    assert rep.terminal_error == abs(want_steps.portfolio_value[-1] - want_steps.target_value[-1])
 
 
 class TestJumpStats:

@@ -51,7 +51,7 @@ from inplay.io import (
 )
 from inplay.oracle import SimulatedPath
 from inplay.synthetic import make_model_timeline
-from inplay.timeline import GoalEvent, clocks_of, goal_counts, replay_order, score_path
+from inplay.timeline import GoalEvent, clocks_of, goal_counts, replay_runs, score_path
 
 
 QUOTES_EXAMPLE = """match_id,timestamp_s,market,selection,back_decimal,lay_decimal
@@ -626,10 +626,10 @@ class TestBuildTimeline:
             lam, goals=[(600.0, Team.HOME)], step_s=600.0, bets=[MATCH_ODDS_HOME]
         )
         seen = [s.state.home_goals + s.state.away_goals for s in tl.snapshots]
-        sequence = [
-            (kind, (tl.events if kind == "goal" else tl.snapshots)[i].timestamp_s)
-            for kind, i in replay_order(seen, len(tl.events))
-        ]
+        sequence = []
+        for goals, run in replay_runs(seen, len(tl.events)):
+            sequence += [("goal", ev.timestamp_s) for ev in tl.events[goals]]
+            sequence += [("snapshot", s.timestamp_s) for s in tl.snapshots[run]]
         # pre snapshot at 600, then the goal, then the post snapshot at 600
         i = sequence.index(("goal", 600.0))
         assert sequence[i - 1] == ("snapshot", 600.0)
@@ -807,9 +807,19 @@ class TestRoundTrips:
         assert summary["jump_correlation"] == pytest.approx(1.0, abs=1e-9)
 
     def test_hedge_report_rows_match_the_csv_writer(self, tmp_path):
+        stamps = [0.0, 1234.5, 5400.0, 0.25, 1e-7, 2700.0, 999.999999999, 3.0, 60.0]
+        self._rows_match_the_csv_writer(tmp_path, stamps)
+
+    def test_integral_stamps_print_as_the_csv_writer_does(self, tmp_path):
+        # Every stamp integral, as on a replay of whole seconds: one format
+        # pass prints them, as ints where they are ints.
+        stamps = [0.0, 1234.0, 5400.0, -0.0, 1e15, 2700.0, 7, 3.0, 60.0]
+        self._rows_match_the_csv_writer(tmp_path, stamps)
+
+    @staticmethod
+    def _rows_match_the_csv_writer(tmp_path, stamps):
         floats = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 1.5e12, 0.1 + 0.2, -2.5]
         flags = ["", "stale", "singular", "no intensity", "target settled"]
-        stamps = [0.0, 1234.5, 5400.0, 0.25, 1e-7, 2700.0, 999.999999999, 3.0, 60.0]
         steps = tuple(
             HedgeStep(t, t / 5400.0, *(floats[i:] + floats[:i])[:7], flags[i % len(flags)])
             for i, t in enumerate(stamps)

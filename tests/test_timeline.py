@@ -7,7 +7,7 @@ from inplay.calibration import QuoteSnapshot, SnapshotColumns
 from inplay.contracts import MATCH_ODDS_HOME, Intensities, ScoreState, Team
 from inplay.io import load_timeline, write_events_csv, write_quotes_csv
 from inplay.synthetic import make_model_timeline
-from inplay.timeline import GoalEvent, MatchTimeline, goal_counts, replay_order, score_path
+from inplay.timeline import GoalEvent, MatchTimeline, goal_counts, replay_runs, score_path
 
 HOME_AT_600 = (GoalEvent(600.0, Team.HOME),)
 
@@ -20,8 +20,9 @@ def _snap(t, score):
 def _records(tl):
     """Snapshots and goals of ``tl`` in replay order, by the snapshots' goal counts."""
     snaps = SnapshotColumns.of(tl.snapshots)
-    for kind, i in replay_order((snaps.home + snaps.away).tolist(), len(tl.events)):
-        yield kind, tl.events[i] if kind == "goal" else tl.snapshots[i]
+    for goals, run in replay_runs(snaps.home + snaps.away, len(tl.events)):
+        yield from (("goal", ev) for ev in tl.events[goals])
+        yield from (("snapshot", tl.snapshots[k]) for k in range(run.start, run.stop))
 
 
 def _timeline(events, *snaps, view=False):
@@ -93,6 +94,18 @@ def test_replay_order_puts_each_goal_between_the_snapshots_that_straddle_it():
     pre, post = (_timeline(HOME_AT_600, (600.0, score)) for score in ((0, 0), (1, 0)))
     assert [k for k, _ in _records(pre)] == ["snapshot", "goal"]
     assert [k for k, _ in _records(post)] == ["goal", "snapshot"]
+
+
+def test_replay_runs_cut_at_each_goal_count_and_end_with_the_goals_after_the_last():
+    runs = replay_runs([1, 1, 2, 4, 4, 4], 6)
+    assert runs == [
+        (slice(0, 1), slice(0, 2)),  # the goal before the first snapshot
+        (slice(1, 2), slice(2, 3)),
+        (slice(2, 4), slice(3, 6)),  # two goals between snapshots
+        (slice(4, 6), slice(6, 6)),  # two goals after the last snapshot
+    ]
+    assert replay_runs([0, 0], 0) == [(slice(0, 0), slice(0, 2)), (slice(0, 0), slice(2, 2))]
+    assert replay_runs([], 2) == [(slice(0, 2), slice(0, 0))]
 
 
 def test_ht_score_counts_a_goal_stamped_on_the_half():
