@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     h.add_argument("--out-dir", required=True)
     h.add_argument("--lambda-home", type=float, help="fixed intensity; omit to calibrate")
     h.add_argument("--lambda-away", type=float)
-    h.add_argument("--step-s", type=float, default=60.0, help="calibration step when not fixed")
+    h.add_argument("--step-s", type=float, help="calibration step (default 60) when not fixed")
     h.add_argument("--match-length", type=float, default=DEFAULT_MATCH_MINUTES)
     h.add_argument("--half-length", type=float, default=DEFAULT_HALF_MINUTES)
 
@@ -92,7 +92,7 @@ def _check_numbers(args) -> None:
     match = getattr(args, "match_length", DEFAULT_MATCH_MINUTES)
     if not 0.0 < match < math.inf:
         raise UsageError("--match-length must be positive and finite")
-    if not 1.0 <= getattr(args, "step_s", 1.0) < math.inf:
+    if getattr(args, "step_s", None) is not None and not 1.0 <= args.step_s < math.inf:
         raise UsageError("--step-s must be positive and finite, at least 1 s")
     if not 0.0 < getattr(args, "half_length", match / 2) < match:
         raise UsageError("--half-length must lie strictly between 0 and --match-length")
@@ -168,11 +168,13 @@ def _cmd_hedge_replay(args) -> int:
     instruments = (_parse_bet_arg(tokens[0]), _parse_bet_arg(tokens[1]))
     if (args.lambda_home is None) != (args.lambda_away is None):
         raise UsageError("give both --lambda-home and --lambda-away or neither")
+    if args.lambda_home is not None and args.step_s is not None:
+        raise UsageError("--step-s applies only when calibrating; omit it with fixed intensities")
     tl = io.load_timeline(args.quotes, args.events, args.match_length, args.half_length)
     if args.lambda_home is not None:
         lam_source = Intensities(args.lambda_home, args.lambda_away)
     else:
-        series = calibrate_series(tl.snapshots, args.step_s)
+        series = calibrate_series(tl.snapshots, args.step_s or 60.0)
         if not series.valid():
             raise NumericalFailure("calibration produced no usable intensities")
         lam_source = series

@@ -41,7 +41,6 @@ from .contracts import (
     BetKind,
     Intensities,
     NonEuropeanBetError,
-    Outcome,
     ScoreState,
     format_bet,
     payoff,
@@ -124,9 +123,9 @@ def _grid(bet: Bet, score, lam, clocks, half_clock=DEFAULT_HALF_CLOCK, ht_score=
     bound are :func:`_rows` over the stage ending at half time (HT/FT before
     it) or at full time, and weights[i, j] is the value once i and j more
     goals have come in it, so a goal scored now shifts p1 or p2 and leaves
-    the weights alone.  Only HT/FT's first-half weights depend on the
-    intensities: one grid per run of equal rows, repeated to one per row
-    when there is more than one run.
+    the weights alone.  Only HT/FT's first-half weights, the half-time mask
+    times P[full time is ft | half-time score], depend on the intensities:
+    one grid per run of equal rows, repeated to one per row if runs differ.
     """
     ht_ft = bet.kind is BetKind.HT_FT
     if ht_ft and not (0.0 < half_clock < 1.0):
@@ -142,32 +141,19 @@ def _grid(bet: Bet, score, lam, clocks, half_clock=DEFAULT_HALF_CLOCK, ht_score=
     if not ht_ft:
         return p1, payoff_grid(bet, h, a).astype(float), p2, bound
     if not first_half:
-        if payoff(MATCH_ODDS_FOR[bet.half_time], *ht_score):
-            return p1, payoff_grid(MATCH_ODDS_FOR[bet.full_time], h, a).astype(float), p2, bound
-        # Half-time leg lost: worth exactly 0, with nothing omitted.
-        return p1, np.zeros((h.shape[0], a.shape[1])), p2, 0.0
+        # A lost half-time leg is worth exactly 0, with nothing omitted.
+        won = payoff(MATCH_ODDS_FOR[bet.half_time], *ht_score)
+        weights = won * payoff_grid(MATCH_ODDS_FOR[bet.full_time], h, a).astype(float)
+        return p1, weights, p2, bound if won else 0.0
     starts = np.r_[True, (lam[1:] != lam[:-1]).any(axis=1)]  # first rows of equal-row runs
-    tables = [_full_time(bet.full_time, h - a, b1, b2)
-              for b1, b2 in (lam[starts] * (1.0 - half_clock)).tolist()]
-    weights = payoff_grid(MATCH_ODDS_FOR[bet.half_time], h, a) * np.array([t for t, _ in tables])
-    bound += max(tail for _, tail in tables)
-    return p1, weights[0] if len(weights) == 1 else weights[np.cumsum(starts) - 1], p2, bound
-
-
-def _full_time(ft: Outcome, d: np.ndarray, b1: float, b2: float) -> tuple[np.ndarray, float]:
-    """(P[full time is ft], omitted tail) given half-time goal differences
-    ``d`` and second-half means b1, b2: a full-time outcome depends on the
-    half-time score only through d, so one Skellam table serves them all."""
-    j, tail_j = _cap(b1 + b2)
-    lo, hi = min(-j, -int(d.max())), max(j, -int(d.min()))
-    sk = _skellam_table(lo, hi, b1, b2)
-    suffix = np.concatenate([np.cumsum(sk[::-1])[::-1], [0.0]])  # suffix[i] = sum sk[i:]
-    idx = -d - lo  # position of remaining-diff -d in the table
-    if ft is Outcome.HOME:
-        return suffix[idx + 1], tail_j  # P[D > -d]
-    if ft is Outcome.DRAW:
-        return sk[idx], tail_j
-    return np.clip(1.0 - suffix[idx] - tail_j, 0.0, 1.0), tail_j  # P[D < -d]
+    q1, q2, tail = _rows(lam[starts], np.full(starts.sum(), 1.0 - half_clock))
+    diff = np.array([np.convolve(r1, r2[::-1]) for r1, r2 in zip(q1, q2)])  # second-half h - a pmf
+    k = np.arange(1 - q2.shape[1], q1.shape[1])
+    # A match odds payoff depends on the score only through h - a, so P[full
+    # time is ft | half-time h, a] is the pmf of k summed where h - a + k wins.
+    wins = payoff_grid(MATCH_ODDS_FOR[bet.full_time], (h - a)[..., None] + k, 0)
+    weights = payoff_grid(MATCH_ODDS_FOR[bet.half_time], h, a) * np.tensordot(diff, wins, (1, 2))
+    return p1, weights[0] if len(weights) == 1 else weights[np.cumsum(starts) - 1], p2, bound + tail
 
 
 def _priced(bet: Bet, state: ScoreState, lam: Intensities, *half_time) -> PriceResult:
@@ -397,9 +383,9 @@ def segment_greeks(
     and the deltas are ``_contract`` over the rows.  A team's cap is the one
     its largest mean needs, so a row keeps up to about 1e-13 more of the
     tail than :func:`greeks` at that row alone.  HT/FT clocks must lie on
-    one side of ``half_clock``; before it the full-time-given-d table is
-    built once per run of equal intensity rows.  Next Goal deltas are the
-    closed-form settlement jumps.  theta is -(lam_home * delta_home +
+    one side of ``half_clock``; before it the second half's goal-difference
+    pmf is built once per run of equal intensity rows.  Next Goal deltas are
+    the closed-form settlement jumps.  theta is -(lam_home * delta_home +
     lam_away * delta_away) per row.
     """
     clocks = np.asarray(clocks, dtype=float)

@@ -112,6 +112,8 @@ def make_model_timeline(
     The default quote list is the calibration catalogue plus the Next Goal
     pair, so the same timeline feeds both calibration and hedge replays.
     """
+    if not 0.0 < step_s < np.inf:
+        raise ValueError("step_s must be positive and finite")
     if bets is None:
         bets = calibration_catalogue() + [NEXT_GOAL_HOME, NEXT_GOAL_AWAY]
     end_s = match_length_min * 60.0 if end_s is None else end_s

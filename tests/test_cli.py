@@ -594,6 +594,7 @@ class TestIntensityFlags:
             ["--instruments", "NEXT_GOAL_HOME,NOT_A_BET"],
             ["--lambda-home", "1.3"],
             ["--lambda-home", "-1", "--lambda-away", "0.7"],
+            ["--lambda-home", "1.3", "--lambda-away", "0.7", "--step-s", "60"],
         ],
     )
     def test_hedge_replay_checks_arguments_before_reading_files(self, tmp_path, capsys, extra):

@@ -211,6 +211,22 @@ class TestReplay:
             errors.append(rep.terminal_error)
         assert errors[0] / errors[1] >= 2.0
 
+    @pytest.mark.parametrize(
+        "target", [MATCH_ODDS_HOME, Bet.over(2.5), Bet.correct_score(1, 1)], ids=str
+    )
+    def test_terminal_error_is_first_order_in_the_step(self, target):
+        # The Next Goal pair replicates the target in continuous time, so with
+        # rebalancing every dt the signed terminal error is c * dt + o(dt).
+        goals = [(1200.0, Team.AWAY), (2700.0, Team.HOME), (4500.0, Team.HOME)]
+        lam = Intensities(1.3, 0.7)
+        per_second = []
+        for step in (1.0, 2.0, 5.0, 10.0, 30.0, 60.0):
+            tl = make_model_timeline(lam, goals=goals, step_s=step, bets=[target, *HEDGES])
+            steps = replay_hedge(tl, target, HEDGES, lam).steps
+            per_second.append((steps.portfolio_value[-1] - steps.target_value[-1]) / step)
+        per_second = np.array(per_second)
+        assert np.abs(per_second / per_second.mean() - 1.0).max() <= 0.05
+
     def test_goal_jumps_match_exactly(self):
         tl = make_model_timeline(
             LAM,

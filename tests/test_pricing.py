@@ -260,6 +260,21 @@ class TestHalfTimeFullTime:
         want = ht_ft_two_stage_oracle(ht, ft, state, self.LAM, half_clock=0.5)
         assert got == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "state, lam",
+        [
+            (ScoreState(9, 0, 0.49), Intensities(1, 1)),
+            (ScoreState(8, 0, 0.4), Intensities(0.5, 0.5)),
+        ],
+    )
+    def test_far_tail_keeps_relative_accuracy(self, state, lam):
+        # Values of order 1e-10 and 1e-11: the full-time leg sums the small
+        # probabilities themselves, never 1 minus a near-1 sum.
+        got = price(Bet.ht_ft(Outcome.HOME, Outcome.AWAY), state, lam).value
+        want = ht_ft_two_stage_oracle(Outcome.HOME, Outcome.AWAY, state, lam, half_clock=0.5)
+        assert 0.0 < want < 1e-9
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
     def test_nine_way_partition(self):
         state = ScoreState(0, 0, 0.1)
         total = sum(

@@ -115,6 +115,12 @@ def test_ht_score_counts_a_goal_stamped_on_the_half():
     assert _timeline(events).ht_score() == (1, 1)
 
 
+@pytest.mark.parametrize("step_s", [0.0, -60.0, float("nan"), float("inf")])
+def test_model_timeline_step_must_be_positive_and_finite(step_s):
+    with pytest.raises(ValueError, match="step_s must be positive and finite"):
+        make_model_timeline(Intensities(1.3, 0.7), [(600.0, Team.HOME)], step_s=step_s)
+
+
 def _sequence(tl):
     return [
         (kind, rec) if kind == "goal" else (kind, rec.timestamp_s, rec.state)
