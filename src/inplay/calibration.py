@@ -7,16 +7,16 @@ bid-ask spread; usable quotes are two-sided European ones with a mid inside
 log lam_away) with the exact Jacobian dV/dlam_i = (1 - tau) * delta_i of a
 :class:`~inplay.pricing.EuropeanBoard`.
 
-A series is fitted one score segment at a time.  Its snapshots share one
-board over the union of their bets, where weight 0 marks a bet a snapshot
-has no usable quote on, and one loop fits them all: each evaluation prices
-every still-active snapshot at once, and each step solves their damped 2x2
-normal equations in closed form, moves at most 1 in either log intensity
-and is projected into :data:`LAMBDA_BOX`; damping, acceptance and the box
-hold are per snapshot.  The segment's first identifiable snapshot is fitted
-alone, from the last valid fit before the segment (or :data:`COLD_START`),
-and the rest start from its fit.  :func:`calibrate_snapshot` and
-:func:`objective` are the one-snapshot case.
+A series is fitted in one batched solve.  Its snapshots share one board over
+the union of their bets, where weight 0 marks a bet a snapshot has no usable
+quote on, and one loop fits them all: each evaluation prices every
+still-active snapshot at once, whatever its score, and each step solves
+their damped 2x2 normal equations in closed form, moves at most 1 in either
+log intensity and is projected into :data:`LAMBDA_BOX`; damping, acceptance
+and the box hold are per snapshot.  The first identifiable snapshot is
+fitted alone from :data:`COLD_START`, and every later one starts from its
+fit, so no start comes from a later snapshot.  :func:`calibrate_snapshot`
+and :func:`objective` are the one-snapshot case.
 
 A fit converges once the gradient vanishes, once the part of the residual
 the Jacobian can still explain is below 1e-14 of the cost, or once a step
@@ -230,14 +230,12 @@ class IntensitySeries:
 
 
 class _Segment:
-    """The usable quotes of snapshots sharing one score, on one board: a
-    snapshot's k-th quote of a bet is in that bet's k-th column.  ``weight``
-    is 1 / half-spread on a quote and 0 off one, where ``mid`` is 0 and so is
-    the residual.  No score or a zero spread raises, naming the earliest snapshot."""
+    """The usable quotes of a series' snapshots, on one board: a snapshot's
+    k-th quote of a bet is in that bet's k-th column.  ``weight`` is 1 /
+    half-spread on a quote and 0 off one, where ``mid`` is 0 and so is the
+    residual.  No score or a zero spread raises, naming the earliest snapshot."""
 
     def __init__(self, snaps: SnapshotColumns):
-        if snaps.home[0] < 0:
-            raise ValueError(f"the snapshot at {float(snaps.timestamps[0]):.15g}s has no score")
         t, starts, stops = snaps.table, snaps.starts, snaps.stops
         lengths, nb = stops - starts, len(t.bets)
         rows = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
@@ -245,11 +243,14 @@ class _Segment:
         mid = t.mid[rows]
         usable = t.two_sided[rows] & t.european[rows] & (MID_FILTER[0] < mid) & (mid < MID_FILTER[1])
         rows, snap = rows[usable], snap[usable]
-        for i in np.flatnonzero(t.spread[rows] == 0.0)[:1]:
+        unscored = np.flatnonzero(snaps.home < 0).tolist() + [len(snaps)]
+        for i in np.flatnonzero((t.spread[rows] == 0.0) & (snap < unscored[0]))[:1]:
             raise ValueError(
                 f"zero spread on quote for {t.bets[t.bet_ix[rows[i]]]} in the snapshot at "
                 f"{float(snaps.timestamps[snap[i]]):.15g}s"
             )
+        if (i := unscored[0]) < len(snaps):
+            raise ValueError(f"the snapshot at {float(snaps.timestamps[i]):.15g}s has no score")
         key = snap * nb + t.bet_ix[rows]
         order = np.argsort(key, kind="stable")
         repeat = np.empty_like(key)
@@ -258,9 +259,8 @@ class _Segment:
         self.mid, self.weight = np.zeros((2, len(snaps), len(cols)))
         self.mid[snap, col], self.weight[snap, col] = t.mid[rows], 2.0 / t.spread[rows]
         self.count = (self.weight > 0.0).sum(axis=1)
-        score = (int(snaps.home[0]), int(snaps.away[0]))
-        self.board = pricing.EuropeanBoard([t.bets[b] for b in cols % nb], score)
-        self.clocks = snaps.clocks
+        self.board = pricing.EuropeanBoard([t.bets[b] for b in cols % nb])
+        self.clocks, self.scores = snaps.clocks, np.column_stack((snaps.home, snaps.away))
 
     @classmethod
     def of(cls, snapshot: QuoteSnapshot) -> _Segment:
@@ -268,15 +268,16 @@ class _Segment:
 
     def residuals(self, idx: np.ndarray, lam: np.ndarray) -> tuple:
         """Residuals of snapshots ``idx`` at ``lam`` (a row each), their
-        Jacobian in lam, and the board values."""
-        fit = self.board.evaluate(lam, self.clocks[idx])
+        Jacobian in lam, and the board's truncation bound."""
         w = self.weight[idx]
-        return w * (self.mid[idx] - fit.values), -w[..., None] * fit.jacobian, fit
+        fit = self.board.evaluate(lam, self.clocks[idx], self.scores[idx], w > 0.0)
+        r = w * (self.mid[idx] - fit.values)
+        return r, -w[..., None] * fit.jacobian, fit.truncation_bound
 
 
 def _normal(j: np.ndarray) -> tuple:
     """(a, b, c, det) of [[a, b], [b, c]] = j^T j for a stack of j."""
-    (a, b), (_, c) = np.einsum("ski,skj->ijs", j, j)
+    (a, b), (_, c) = np.moveaxis(np.swapaxes(j, 1, 2) @ j, 0, -1)
     return a, b, c, a * c - b * b
 
 
@@ -299,19 +300,19 @@ def _uncertainty(jac: np.ndarray) -> tuple:
 
 
 def _solve(seg: _Segment, idx: np.ndarray, start: Intensities | None) -> list:
-    """Fit snapshots ``idx`` of a segment together, all from ``start`` (or
+    """Fit snapshots ``idx`` of a series together, all from ``start`` (or
     :data:`COLD_START` for none or a zero); a result per snapshot, None
     where not identifiable."""
     if start is None or start.home <= 0.0 or start.away <= 0.0:
         start = COLD_START
     lo, hi = math.log(LAMBDA_BOX[0]), math.log(LAMBDA_BOX[1])
     u = np.clip(np.log(np.full((len(idx), 2), (start.home, start.away))), lo, hi)
-    r, jac, fit = seg.residuals(idx, np.exp(u))
+    r, jac, tail = seg.residuals(idx, np.exp(u))
     ok = _uncertainty(jac)[2] < CONDITION_MAX
     idx, u, r, jac = idx[ok], u[ok], r[ok], jac[ok]
     n = len(idx)
     cost = np.einsum("sk,sk->s", r, r)
-    bound, damping = np.full(n, fit.truncation_bound), np.full(n, _DAMPING_START)
+    bound, damping = np.full(n, tail), np.full(n, _DAMPING_START)
     evaluations = np.ones(n, dtype=int)
     converged, active = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     while active.any() and evaluations.max() < _MAX_EVALUATIONS:
@@ -344,13 +345,13 @@ def _solve(seg: _Segment, idx: np.ndarray, start: Intensities | None) -> list:
         step = -_solve2(a + da, b, c + dc, np.maximum(det, 0.0) + a * dc + c * da + da * dc, grad)
         step /= np.maximum(1.0, np.abs(step).max(axis=1) / _MAX_LOG_STEP)[:, None]
         u_new = np.clip(u[act] + step, lo, hi)
-        r_new, jac_new, fit = seg.residuals(idx[act], np.exp(u_new))
+        r_new, jac_new, tail = seg.residuals(idx[act], np.exp(u_new))
         evaluations[act] += 1
         cost_new = np.einsum("sk,sk->s", r_new, r_new)
         better = cost_new < cost[act]
         take = act[better]
         u[take], r[take], jac[take] = u_new[better], r_new[better], jac_new[better]
-        cost[take], bound[take] = cost_new[better], fit.truncation_bound
+        cost[take], bound[take] = cost_new[better], tail
         damping[act] = np.where(better, damping[act] / 3.0, damping[act] * 4.0)
         flat = (explained <= rounding) & ~better
         converged[act] = flat & free.all(axis=1)
@@ -399,12 +400,15 @@ def calibrate_snapshot(
 def calibrate_series(
     snapshots: Sequence[QuoteSnapshot], step_s: float
 ) -> IntensitySeries:
-    """Calibrate a timeline on a fixed grid, one score segment at a time.
+    """Calibrate a timeline on a fixed grid, every score in one batched solve.
 
     Snapshots are bucketed to floor(t/step)*step, keeping the latest one per
     bucket.  Buckets with no snapshot, or whose snapshot cannot identify two
     intensities, become gap points rather than aborting the series; any
-    other error (a zero-spread quote, say) propagates.  Each point is logged
+    other error (a zero-spread quote, say) propagates.  The first
+    identifiable kept snapshot is fitted alone from :data:`COLD_START`, and
+    every later one, whatever its score, in one batched solve from that
+    fit; rows share only the board's truncation caps.  Each point is logged
     at DEBUG with its status, evaluations, residual, condition number and
     truncation bound.
     """
@@ -418,20 +422,14 @@ def calibrate_series(
         raise ValueError("snapshots must be ordered by timestamp")
 
     buckets = {int(t // step_s): i for i, t in enumerate(ts.tolist())}  # the latest per bucket
-    kept = view[list(buckets.values())]
-    scores = list(zip(kept.home.tolist(), kept.away.tolist()))
-    edges = [i for i in range(1, len(kept)) if scores[i] != scores[i - 1]]
-    fits: list[CalibrationResult | None] = []
-    warm = None
-    for begin, end in zip([0] + edges, edges + [len(kept)]):
-        seg = _Segment(kept[begin:end])
-        for first in range(end - begin):
-            (result,) = _solve(seg, np.array([first]), warm)
-            fits.append(result)
-            if result is not None:
-                fits += _solve(seg, np.arange(first + 1, end - begin), result.intensities)
-                warm = next(f for f in reversed(fits) if f is not None).intensities
-                break
+    seg = _Segment(view[list(buckets.values())])
+    fits: list[CalibrationResult | None] = [None] * len(buckets)
+    for first in range(len(fits)):
+        (fits[first],) = _solve(seg, np.array([first]), None)
+        if fits[first] is not None:
+            rest = np.arange(first + 1, len(fits))
+            fits[first + 1 :] = _solve(seg, rest, fits[first].intensities)
+            break
 
     fit_of = dict(zip(buckets, fits))
     span = range(min(buckets), max(buckets) + 1)

@@ -18,12 +18,13 @@ p1 @ weights @ p2 per row with both goal-jump deltas, each swapping in the
 scoring team's pmf derivative.  :func:`segment_greeks` calls it on one
 bet's value grid over a score segment's (intensities, clock) rows, never
 re-pricing; :func:`greeks` is its one-row case.  :class:`EuropeanBoard`
-calls it on a stack of payoff masks, so its intensity Jacobian is
-(1 - tau) times the same deltas, and calibration solves against it.  The
-forward equation makes theta the intensity-weighted sum of the deltas
-(``inplay.oracle`` holds the finite-difference check).  All functions are
-pure and thread-safe; a board caches its payoff masks and belongs to one
-caller.
+takes scores as row data too: one ``_rows`` call over all its rows, then
+``_contract`` on a stack of payoff masks per run of equal score, so its
+intensity Jacobian is (1 - tau) times the same deltas, and calibration
+solves a whole series against it.  The forward equation makes theta the
+intensity-weighted sum of the deltas (``inplay.oracle`` holds the
+finite-difference check).  All functions are pure and thread-safe; a board
+caches its payoff masks and belongs to one caller.
 """
 
 from __future__ import annotations
@@ -189,46 +190,55 @@ class BoardValues:
 
 
 class EuropeanBoard:
-    """European bets priced together on one score grid at the snapshots of
-    a score segment.
+    """European bets priced together at rows of (intensities, clock, score).
 
     Every value is the double sum of :func:`price_european`: one payoff mask
-    per bet from ``contracts.payoff_grid``, all contracted at once by the
-    ``_contract`` that :func:`greeks` uses.  The Jacobian is exact: the pmf
-    p(k; m) has d/dm = p(k-1; m) - p(k; m), so dV/dlam_i is (1 - tau) *
-    delta_i, as the forward equation requires.  A team's cap is the one its
-    largest mean needs.  Masks depend on the score and on the caps only, so
-    they are rebuilt only when a cap changes.
+    per bet from ``contracts.payoff_grid``, contracted by the ``_contract``
+    that :func:`greeks` uses.  One ``_rows`` call sets up every row, a
+    team's cap the one its largest mean needs; then each run of rows with
+    equal score takes one stacked ``_contract`` over the bets its rows
+    quote, and a bet none of them quotes reads 0.  The Jacobian is exact:
+    the pmf p(k; m) has d/dm = p(k-1; m) - p(k; m), so dV/dlam_i is
+    (1 - tau) * delta_i, as the forward equation requires.  Masks depend on
+    the score and on the caps only, so they are cached per (score, caps).
     """
 
-    def __init__(self, bets: list[Bet] | tuple[Bet, ...], score: tuple[int, int]):
+    def __init__(self, bets: list[Bet] | tuple[Bet, ...]):
         for bet in bets:
             if not bet.european:
                 raise NonEuropeanBetError(
                     f"{format_bet(bet)} is path dependent and has no board mask"
                 )
         self.bets = tuple(bets)
-        self.score = tuple(score)
-        self._shape: tuple[int, int] | None = None
-        self._masks: np.ndarray | None = None
+        self._masks: dict[tuple[int, int, int, int], np.ndarray] = {}
 
-    def _masks_for(self, n1: int, n2: int) -> np.ndarray:
-        if self._shape != (n1, n2):
-            h = self.score[0] + np.arange(n1)[:, None]
-            a = self.score[1] + np.arange(n2)[None, :]
-            masks = [payoff_grid(b, h, a) for b in self.bets]
-            self._masks = np.array(masks, dtype=float).reshape(len(self.bets), n1, n2)
-            self._shape = (n1, n2)
-        return self._masks
+    def _masks_for(self, key: tuple[int, int, int, int]) -> np.ndarray:
+        if key not in self._masks:
+            h, a, n1, n2 = key
+            grid = (h + np.arange(n1)[:, None], a + np.arange(n2)[None, :])
+            masks = [payoff_grid(b, *grid) for b in self.bets]
+            self._masks[key] = np.array(masks, dtype=float).reshape(len(self.bets), n1, n2)
+        return self._masks[key]
 
-    def evaluate(self, lam, clocks) -> BoardValues:
-        """The board at one (home, away) row of ``lam`` and one clock each."""
+    def evaluate(self, lam, clocks, scores, quoted=None) -> BoardValues:
+        """The board at one (home, away) row of ``lam``, one clock and one
+        (home, away) score each, or one score for every row; ``quoted[t]``
+        marks the bets row t needs, by default all of them."""
         horizon = 1.0 - np.asarray(clocks, dtype=float)
         p1, p2, bound = _rows(lam, horizon)
-        masks = self._masks_for(p1.shape[1], p2.shape[1])
-        values, d1, d2 = _contract(p1, masks, p2, stacked=True)
-        jacobian = np.stack((d1.T, d2.T), axis=-1) * horizon[:, None, None]
-        return BoardValues(np.clip(values.T, 0.0, 1.0), jacobian, bound)
+        n, nb, caps = len(horizon), len(self.bets), (p1.shape[1], p2.shape[1])
+        scores = np.broadcast_to(np.asarray(scores, dtype=np.intp), (n, 2))
+        quoted = np.ones((n, nb), dtype=bool) if quoted is None else quoted
+        values, jacobian = np.zeros((n, nb)), np.zeros((n, nb, 2))
+        edges = (np.flatnonzero((scores[1:] != scores[:-1]).any(axis=1)) + 1).tolist()
+        for lo, hi in zip([0, *edges], [*edges, n]):
+            cols = np.flatnonzero(quoted[lo:hi].any(axis=0))
+            if len(cols):
+                masks = self._masks_for((*scores[lo].tolist(), *caps))[cols]
+                v, d1, d2 = _contract(p1[lo:hi], masks, p2[lo:hi], stacked=True)
+                values[lo:hi, cols] = v.T
+                jacobian[lo:hi, cols] = np.dstack((d1.T, d2.T)) * horizon[lo:hi, None, None]
+        return BoardValues(np.clip(values, 0.0, 1.0, out=values), jacobian, bound)
 
 
 def _pmf_derivative(p: np.ndarray) -> np.ndarray:

@@ -117,6 +117,8 @@ def make_model_timeline(
     if bets is None:
         bets = calibration_catalogue() + [NEXT_GOAL_HOME, NEXT_GOAL_AWAY]
     end_s = match_length_min * 60.0 if end_s is None else end_s
+    if not 0.0 <= end_s <= match_length_min * 60.0:
+        raise ValueError("end_s must be finite and lie inside the match")
     events = tuple(GoalEvent(t, team) for t, team in sorted(goals, key=lambda g: g[0]))
     # The goals alone, checked to lie inside the match, give the half-time score.
     frame = MatchTimeline(match_id, events, (), match_length_min, half_length_min)

@@ -275,25 +275,41 @@ class TestSegmentSolve:
         snaps = mixed_series_snapshots()
         series = calibrate_series(snaps, step_s=60.0)
         assert [p.timestamp_s for p in series.points] == [s.timestamp_s for s in snaps]
-        # The warm-start rule, restated: a segment's first identifiable
-        # snapshot starts from the last valid fit before the segment, the
-        # rest of the segment from that first fit.
-        warm = first = score = None
+        # The start rule, restated: the first identifiable snapshot starts
+        # from COLD_START (init None), every later one, whatever its score,
+        # from that first fit.
+        first = None
         for snap, point in zip(snaps, series.points):
-            if (snap.state.home_goals, snap.state.away_goals) != score:
-                score, first = (snap.state.home_goals, snap.state.away_goals), None
-            init = warm if first is None else first
             if point.result is None:
                 with pytest.raises(IdentifiabilityError):
-                    calibrate_snapshot(snap, init=init)
+                    calibrate_snapshot(snap, init=first)
                 continue
-            assert_same_fit(point.result, calibrate_snapshot(snap, init=init))
+            assert_same_fit(point.result, calibrate_snapshot(snap, init=first))
             first = first or point.result.intensities
-            warm = point.result.intensities
         flags = [None if p.result is None else p.result.converged for p in series.points]
         assert flags == [True, True, False, True, True, None, True, True]
         held = series.points[2].result.intensities.away
         assert held == pytest.approx(LAMBDA_BOX[0], rel=1e-12)
+
+    def test_a_series_makes_two_solves(self, monkeypatch):
+        # The first identifiable snapshot alone, then every later one at once,
+        # across the three score segments.
+        calls = []
+        solve = calibration._solve
+        monkeypatch.setattr(calibration, "_solve", lambda *args: calls.append(args) or solve(*args))
+        calibrate_series(mixed_series_snapshots(), step_s=60.0)
+        assert [list(idx) for _, idx, _ in calls] == [[0], list(range(1, 8))]
+
+    def test_no_point_depends_on_a_later_snapshot(self):
+        snaps = mixed_series_snapshots()
+        full = calibrate_series(snaps, step_s=60.0).points
+        for k in range(1, len(snaps) + 1):
+            head = calibrate_series(snaps[:k], step_s=60.0).points
+            assert [p.timestamp_s for p in head] == [p.timestamp_s for p in full[:k]]
+            for got, want in zip(head, full):
+                assert (got.result is None) == (want.result is None), (k, got.timestamp_s)
+                if got.result is not None:
+                    assert_same_fit(got.result, want.result)
 
     def test_zero_spread_names_the_earliest_snapshot(self):
         snaps = mixed_series_snapshots()

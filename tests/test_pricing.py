@@ -607,9 +607,9 @@ class TestEuropeanBoard:
     def test_matches_closed_form_and_sensitivities(self, score, tau):
         bets = calibration_catalogue()
         state = ScoreState(score[0], score[1], tau)
-        board = EuropeanBoard(bets, score)
+        board = EuropeanBoard(bets)
         grid = [Intensities(l1, l2) for l1 in [0.1, 0.5, 1.0, 2.0, 5.0] for l2 in [0.1, 0.5, 1.0, 2.0, 5.0]]
-        out = board.evaluate([[lam.home, lam.away] for lam in grid], [tau] * len(grid))
+        out = board.evaluate([[lam.home, lam.away] for lam in grid], [tau] * len(grid), score)
         assert out.values.shape == (len(grid), len(bets))
         assert out.jacobian.shape == (len(grid), len(bets), 2)
         assert out.truncation_bound < 1e-12
@@ -624,10 +624,10 @@ class TestEuropeanBoard:
         # must rebuild the narrow masks, not reuse the wide ones.
         bets = calibration_catalogue()
         state = ScoreState(1, 0, 0.1)
-        board = EuropeanBoard(bets, (1, 0))
+        board = EuropeanBoard(bets)
         for lam in [Intensities(0.5, 0.5), Intensities(20.0, 0.1), Intensities(0.5, 0.5)]:
-            fresh = EuropeanBoard(bets, (1, 0)).evaluate([[lam.home, lam.away]], [0.1])
-            out = board.evaluate([[lam.home, lam.away]], [0.1])
+            fresh = EuropeanBoard(bets).evaluate([[lam.home, lam.away]], [0.1], (1, 0))
+            out = board.evaluate([[lam.home, lam.away]], [0.1], (1, 0))
             assert np.array_equal(out.values, fresh.values)
             assert np.array_equal(out.jacobian, fresh.jacobian)
             expected = [price_european(b, state, lam).value for b in bets]
@@ -639,7 +639,7 @@ class TestEuropeanBoard:
         bets = calibration_catalogue()
         lams = [Intensities(1.3, 0.7), Intensities(20.0, 0.1), Intensities(0.2, 4.0)]
         clocks = [0.0, 0.3, 0.95]
-        out = EuropeanBoard(bets, (2, 1)).evaluate([[l.home, l.away] for l in lams], clocks)
+        out = EuropeanBoard(bets).evaluate([[l.home, l.away] for l in lams], clocks, (2, 1))
         for row, lam, clock in zip(out.values, lams, clocks):
             expected = [price_european(b, ScoreState(2, 1, clock), lam).value for b in bets]
             assert np.max(np.abs(row - expected)) <= 1e-12
@@ -647,7 +647,40 @@ class TestEuropeanBoard:
 
     def test_rejects_path_dependent_bets(self):
         with pytest.raises(NonEuropeanBetError):
-            EuropeanBoard([MATCH_ODDS_HOME, NEXT_GOAL_HOME], (0, 0))
+            EuropeanBoard([MATCH_ODDS_HOME, NEXT_GOAL_HOME])
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.9])
+    def test_mixed_scores_price_as_one_score_boards(self, tau):
+        # Rows cycle through the scores, so runs of equal score are short and
+        # a score comes back after others; every score has the same
+        # intensity rows, so every board has the same caps.
+        bets = calibration_catalogue()
+        scores = [(0, 0), (1, 2), (3, 3)]
+        lams = [[0.2, 4.0], [1.3, 0.7], [1.3, 0.7], [5.0, 0.1]]
+        rows = [(score, lam) for lam in lams for score in scores for _ in range(2)]
+        row_scores = np.array([score for score, _ in rows])
+        row_lams = np.array([lam for _, lam in rows])
+        out = EuropeanBoard(bets).evaluate(row_lams, [tau] * len(rows), row_scores)
+        for score in scores:
+            mine = (row_scores == score).all(axis=1)
+            one = EuropeanBoard(bets).evaluate(row_lams[mine], [tau] * mine.sum(), score)
+            assert np.max(np.abs(out.values[mine] - one.values)) <= 1e-14
+            assert np.max(np.abs(out.jacobian[mine] - one.jacobian)) <= 1e-14
+
+    def test_an_unquoted_bet_leaves_the_other_columns_alone(self):
+        bets = calibration_catalogue()
+        lams, clocks = [[1.3, 0.7], [0.4, 2.0], [1.3, 0.7], [2.5, 1.1]], [0.1, 0.2, 0.3, 0.4]
+        scores = [(0, 0), (0, 0), (1, 2), (1, 2)]
+        full = EuropeanBoard(bets).evaluate(lams, clocks, scores)
+        quoted = np.ones((4, len(bets)), dtype=bool)
+        quoted[:2, 5] = False  # quoted in neither row of the first run
+        quoted[2, 7] = False  # quoted in one row of the second run
+        part = EuropeanBoard(bets).evaluate(lams, clocks, scores, quoted)
+        kept = np.ones_like(quoted)
+        kept[:2, 5] = False
+        assert np.max(np.abs(part.values - full.values)[kept]) <= 1e-15
+        assert np.max(np.abs(part.jacobian - full.jacobian)[kept]) <= 1e-15
+        assert not part.values[:2, 5].any() and not part.jacobian[:2, 5].any()
 
 
 class TestStaticReplication:

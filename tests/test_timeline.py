@@ -121,6 +121,12 @@ def test_model_timeline_step_must_be_positive_and_finite(step_s):
         make_model_timeline(Intensities(1.3, 0.7), [(600.0, Team.HOME)], step_s=step_s)
 
 
+@pytest.mark.parametrize("end_s", [-60.0, float("nan"), float("inf"), 6000.0])
+def test_model_timeline_end_must_lie_inside_the_match(end_s):
+    with pytest.raises(ValueError, match="^end_s must be finite and lie inside the match$"):
+        make_model_timeline(Intensities(1.3, 0.7), [], step_s=60.0, end_s=end_s)
+
+
 def _sequence(tl):
     return [
         (kind, rec) if kind == "goal" else (kind, rec.timestamp_s, rec.state)
