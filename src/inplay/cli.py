@@ -14,7 +14,7 @@ import sys
 
 from . import hedging, io, oracle, pricing
 from .calibration import LAMBDA_BOX, calibrate_series, estimate_drift_vol
-from .contracts import Bet, BetKind, Intensities, ScoreState, parse_bet
+from .contracts import Bet, BetKind, Intensities, ScoreState, format_bet, parse_bet
 from .timeline import DEFAULT_HALF_MINUTES, DEFAULT_MATCH_MINUTES
 
 __all__ = ["main", "run"]
@@ -140,7 +140,7 @@ def _cmd_price(args) -> int:
     result = pricing.price(bet, state, lam, half_clock, ht_score)
     g = pricing.greeks(bet, state, lam, half_clock, ht_score)
     payload = {
-        "bet": args.bet.upper(),
+        "bet": format_bet(bet),
         "value": result.value,
         "truncation_bound": result.truncation_bound,
         "delta_home": g.delta_home,
@@ -192,8 +192,8 @@ def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
     lam = Intensities(args.lambda_home, args.lambda_away)
-    paths = oracle.simulate_paths(lam, ScoreState(0, 0, 0.0), args.paths, args.seed)
-    io.write_terminal_scores_csv(paths, args.out)
+    scores = oracle.terminal_scores(lam, ScoreState(0, 0, 0.0), args.paths, args.seed)
+    io.write_terminal_scores_csv(scores, args.out)
     return 0
 
 

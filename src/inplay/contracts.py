@@ -1,19 +1,20 @@
 """Bet contract catalogue, payoff table and odds conversions.
 
-``_PAYOFFS`` is the one per-kind table of European payoffs.  The double-sum
-pricer, board masks, HT/FT legs and Monte Carlo all read it through
-:func:`payoff_grid`; ``pricing.price_closed_form`` never does, and so
-cross-checks it.
+``_PARAMETERS`` and ``_PAYOFFS`` are the one per-kind tables of parameter
+fields and of European payoffs.  The double-sum pricer, board masks, HT/FT
+legs and Monte Carlo all read payoffs through :func:`payoff_grid`;
+``pricing.price_closed_form`` never does, and so cross-checks it.
 
 All types are immutable value objects, freely shareable across threads.
-Canonical text tokens (``MATCH_ODDS_HOME``, ``UNDER_2_5``,
-``CORRECT_SCORE_2_1``, ``WINNING_MARGIN_-1``, ``ODD``, ``NEXT_GOAL_AWAY``,
-``HT_FT_HOME_DRAW``) are parsed case-insensitively.
+:func:`parse_bet` accepts exactly the tokens :func:`format_bet` writes, such
+as ``MATCH_ODDS_HOME``, ``UNDER_2_5``, ``CORRECT_SCORE_2_1``, ``ODD`` and
+``HT_FT_HOME_DRAW``, in any case.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +45,16 @@ class BetKind(Enum):
     HT_FT = "HT_FT"
 
 
+# The one table of parameter fields each kind sets; other kinds take none.
+_PARAMETERS = {
+    BetKind.CORRECT_SCORE: ("score",),
+    BetKind.OVER: ("line",),
+    BetKind.UNDER: ("line",),
+    BetKind.WINNING_MARGIN: ("margin",),
+    BetKind.HT_FT: ("half_time", "full_time"),
+}
+
+
 class NonEuropeanBetError(ValueError):
     """Raised when a path-dependent bet reaches a European-only code path."""
 
@@ -61,33 +72,15 @@ class Bet:
     full_time: Outcome | None = None
 
     def __post_init__(self) -> None:
-        k = self.kind
-        if k is BetKind.CORRECT_SCORE:
-            if self.score is None:
-                raise ValueError("CORRECT_SCORE needs a score")
-            h, a = self.score
-            if h < 0 or a < 0:
-                raise ValueError("CORRECT_SCORE goals must be nonnegative")
-        elif self.score is not None:
-            raise ValueError(f"{k.value} takes no score")
-        if k in (BetKind.OVER, BetKind.UNDER):
-            if self.line is None:
-                raise ValueError(f"{k.value} needs a line")
-            base = self.line - 0.5
-            if base < 0 or base != int(base):
-                raise ValueError(f"line must be X.5 with X >= 0, got {self.line}")
-        elif self.line is not None:
-            raise ValueError(f"{k.value} takes no line")
-        if k is BetKind.WINNING_MARGIN:
-            if self.margin is None:
-                raise ValueError("WINNING_MARGIN needs a margin")
-        elif self.margin is not None:
-            raise ValueError(f"{k.value} takes no margin")
-        if k is BetKind.HT_FT:
-            if self.half_time is None or self.full_time is None:
-                raise ValueError("HT_FT needs half-time and full-time outcomes")
-        elif self.half_time is not None or self.full_time is not None:
-            raise ValueError(f"{k.value} takes no half/full time outcomes")
+        needs = _PARAMETERS.get(self.kind, ())
+        for name in ("score", "line", "margin", "half_time", "full_time"):
+            if (getattr(self, name) is None) is (name in needs):
+                verb = "needs" if name in needs else "takes no"
+                raise ValueError(f"{self.kind.value} {verb} {name}")
+        if self.score is not None and min(self.score) < 0:
+            raise ValueError("CORRECT_SCORE goals must be nonnegative")
+        if self.line is not None and not (self.line >= 0.5 and self.line % 1 == 0.5):
+            raise ValueError(f"line must be X.5 with X >= 0, got {self.line}")
 
     @property
     def european(self) -> bool:
@@ -185,26 +178,14 @@ def format_bet(bet: Bet) -> str:
 
 
 def _parse_token(tok: str) -> Bet:
-    if tok in (
-        "MATCH_ODDS_HOME",
-        "MATCH_ODDS_AWAY",
-        "MATCH_ODDS_DRAW",
-        "ODD",
-        "EVEN",
-        "NEXT_GOAL_HOME",
-        "NEXT_GOAL_AWAY",
-    ):
-        return Bet(BetKind(tok))
+    if tok in BetKind.__members__ and BetKind[tok] not in _PARAMETERS:
+        return Bet(BetKind[tok])
     if tok.startswith("CORRECT_SCORE_"):
         h, a = tok[len("CORRECT_SCORE_"):].split("_")
         return Bet.correct_score(int(h), int(a))
     if tok.startswith("OVER_") or tok.startswith("UNDER_"):
-        kind, rest = tok.split("_", 1)
-        base, half = rest.split("_")
-        if half != "5":
-            raise ValueError(tok)
-        line = int(base) + 0.5
-        return Bet.over(line) if kind == "OVER" else Bet.under(line)
+        kind, base, _ = tok.split("_")
+        return Bet(BetKind(kind), line=int(base) + 0.5)
     if tok.startswith("WINNING_MARGIN_"):
         return Bet.winning_margin(int(tok[len("WINNING_MARGIN_"):]))
     if tok.startswith("HT_FT_"):
@@ -214,11 +195,14 @@ def _parse_token(tok: str) -> Bet:
 
 
 def parse_bet(token: str) -> Bet:
-    """Parse a canonical bet token (case-insensitive)."""
-    try:
-        return _parse_token(token.strip().upper())
-    except (ValueError, KeyError):
-        raise ValueError(f"unrecognised bet token {token!r}") from None
+    """The bet :func:`format_bet` writes as ``token``, up to case and
+    surrounding blanks: any other spelling of a number raises ValueError."""
+    tok = token.strip().upper()
+    with suppress(ValueError, OverflowError):
+        bet = _parse_token(tok)
+        if format_bet(bet) == tok:
+            return bet
+    raise ValueError(f"unrecognised bet token {token!r}")
 
 
 def value_from_decimal(d: float) -> float:

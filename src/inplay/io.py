@@ -6,9 +6,9 @@ kickoff (half-time break off the clock).
 
 Quotes CSV columns: ``match_id,timestamp_s,market,selection,back_decimal,
 lay_decimal`` with two optional trailing columns ``home_goals,away_goals``.
-An empty odds cell means that side is absent.  The bet token is
-``market_selection`` joined with an underscore, or the bare selection where
-that fails to parse (so parity bets can live under a TOTAL_PARITY market).
+An empty odds cell means that side is absent.  The reader accepts exactly
+the (market, selection) pairs the writer writes, up to case and blanks:
+parity bets whole under TOTAL_PARITY, other tokens split after the market.
 Accepted rows are parsed into one :class:`~inplay.calibration.QuoteTable`,
 and the snapshots into one :class:`~inplay.calibration.SnapshotColumns` view
 of its rows.  Rows sharing a timestamp and score form one snapshot;
@@ -29,6 +29,7 @@ import logging
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ from .calibration import (
 )
 from .contracts import Bet, Intensities, Team, format_bet, parse_bet
 from .hedging import HedgeReport
-from .oracle import SimulatedPath
 from .timeline import (
     DEFAULT_HALF_MINUTES,
     DEFAULT_MATCH_MINUTES,
@@ -175,9 +175,12 @@ def _match_time(cell: str, what: str, length_s: float) -> float:
 
 
 def _bet_from_market_selection(market: str, selection: str) -> Bet:
-    for token in (f"{market}_{selection}", selection):
-        with suppress(ValueError):
-            return parse_bet(token)
+    """The bet the writer writes as these cells, up to case and blanks."""
+    cells = market.strip().upper(), selection.strip().upper()
+    with suppress(ValueError):
+        bet = parse_bet(cells[1] if cells[0] == "TOTAL_PARITY" else "_".join(cells))
+        if _market_selection(bet) == cells:
+            return bet
     raise ValueError(f"unknown selection {market!r}/{selection!r}")
 
 
@@ -500,5 +503,8 @@ def write_hedge_report(report: HedgeReport, out_dir) -> dict:
     return summary
 
 
-def write_terminal_scores_csv(paths: list[SimulatedPath], path) -> None:
-    _write_csv(path, SCORES_HEADER, ([i, p.home_goals, p.away_goals] for i, p in enumerate(paths)))
+def write_terminal_scores_csv(batches, path) -> None:
+    """One row per path, numbered across batches of (home, away) final goal
+    arrays such as :func:`inplay.oracle.terminal_scores` yields."""
+    scores = chain.from_iterable(zip(home.tolist(), away.tolist()) for home, away in batches)
+    _write_csv(path, SCORES_HEADER, ((i, h, a) for i, (h, a) in enumerate(scores)))

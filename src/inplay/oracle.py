@@ -37,6 +37,7 @@ from .pricing import DEFAULT_HALF_CLOCK, greeks, price
 __all__ = [
     "SimulatedPath",
     "simulate_paths",
+    "terminal_scores",
     "mc_price",
     "enumerate_price",
     "enumeration_remainder",
@@ -90,6 +91,21 @@ def _arrival_batches(lam: Intensities, start_clock: float, n: int, seed: int):
         yield t_home, _arrival_matrix(rng, lam.away, start_clock, size)
 
 
+def _final_goals(start: ScoreState, t_home: np.ndarray, t_away: np.ndarray) -> tuple:
+    """Final (home, away) goals per path of one batch of goal-time matrices."""
+    return (
+        start.home_goals + np.isfinite(t_home).sum(axis=1),
+        start.away_goals + np.isfinite(t_away).sum(axis=1),
+    )
+
+
+def terminal_scores(lam: Intensities, start: ScoreState, n: int, seed: int):
+    """The final (home, away) goal arrays of the paths :func:`simulate_paths`
+    draws, one pair per batch, without building the paths."""
+    for t_home, t_away in _arrival_batches(lam, start.clock, n, seed):
+        yield _final_goals(start, t_home, t_away)
+
+
 def simulate_paths(
     lam: Intensities, start: ScoreState, n: int, seed: int
 ) -> list[SimulatedPath]:
@@ -98,19 +114,14 @@ def simulate_paths(
         raise ValueError("need at least one path")
     paths: list[SimulatedPath] = []
     for t_home, t_away in _arrival_batches(lam, start.clock, n, seed):
+        n_home, n_away = _final_goals(start, t_home, t_away)
         for i in range(len(t_home)):
             th = t_home[i][np.isfinite(t_home[i])]
             ta = t_away[i][np.isfinite(t_away[i])]
             events = sorted(
                 [(float(t), Team.HOME) for t in th] + [(float(t), Team.AWAY) for t in ta]
             )
-            paths.append(
-                SimulatedPath(
-                    events=tuple(events),
-                    home_goals=start.home_goals + len(th),
-                    away_goals=start.away_goals + len(ta),
-                )
-            )
+            paths.append(SimulatedPath(tuple(events), int(n_home[i]), int(n_away[i])))
     return paths
 
 
@@ -122,8 +133,7 @@ def _payoff_batch(
     half_clock: float,
     ht_score: tuple[int, int] | None,
 ) -> np.ndarray:
-    n_home = state.home_goals + np.isfinite(t_home).sum(axis=1)
-    n_away = state.away_goals + np.isfinite(t_away).sum(axis=1)
+    n_home, n_away = _final_goals(state, t_home, t_away)
 
     if bet.kind in (BetKind.NEXT_GOAL_HOME, BetKind.NEXT_GOAL_AWAY):
         first_home = t_home[:, 0]

@@ -258,10 +258,14 @@ def _contract(p1: np.ndarray, weights: np.ndarray, p2: np.ndarray, stacked=False
     board's grids, one per bet, and the results then carry that leading bet
     axis before the row axis.
     """
-    # Stacked products: one matrix product per segment goes to multithreaded
-    # BLAS, which took 5-8 ms for (5400 x 26) @ (26 x 26) on a loaded 2-vCPU
-    # VM against about 1 ms for one matrix-vector product per clock.  A board
-    # takes one (cap x cap) @ (cap x T) product per bet.
+    # One grid takes one matrix-vector product per row, not one stacked
+    # product, so that segment_greeks equals greeks row by row, down to +0.0
+    # thetas: summed in the stacked order, MATCH_ODDS_AWAY's theta came out
+    # -1.4e-17 against 0.0.  Speed does not decide it: for a 26 x 26 grid
+    # against 1800-5400 rows on a 2-vCPU VM the stacked product took
+    # 0.15-1.2 ms idle and 0.1-1.8 ms with one core busy, per-row products
+    # 0.46-2.3 and 0.5-4.0 ms.  A board takes one (cap x cap) @ (cap x T)
+    # product per bet.
     if stacked:
         by_home, by_away = np.swapaxes(weights @ p2.T, -1, -2), p1 @ weights
     else:

@@ -86,7 +86,8 @@ class MatchTimeline:
     :class:`QuoteSnapshot` or a :class:`~inplay.calibration.SnapshotColumns`
     view, checked on its columns either way.  Construction raises ValueError
     at the first snapshot that has no score, has one its goals do not allow,
-    or breaks (timestamp, goals) order, naming its timestamp."""
+    has a clock other than its stamp's (:func:`clocks_of`) or breaks
+    (timestamp, goals) order, naming its timestamp."""
 
     match_id: str
     events: tuple[GoalEvent, ...]
@@ -99,10 +100,11 @@ class MatchTimeline:
         for ev in self.events:
             if not (0.0 <= ev.timestamp_s <= length_s):
                 raise ValueError(f"goal at {ev.timestamp_s}s is outside the match")
-        ts, home, away, _ = _snapshot_columns(self.snapshots)
+        ts, home, away, clocks = _snapshot_columns(self.snapshots)
         ok, seen = allowed_scores(self.events, ts, home, away)[0], home + away
+        stamped = clocks_of(ts, self.match_length_min)
         later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (seen[1:] < seen[:-1]))
-        for i in np.flatnonzero(~ok | np.append(False, later))[:1].tolist():
+        for i in np.flatnonzero(~ok | (clocks != stamped) | np.append(False, later))[:1].tolist():
             t = float(ts[i])
             if home[i] < 0:
                 raise ValueError(f"snapshot at {t}s has no score")
@@ -111,6 +113,10 @@ class MatchTimeline:
                 raise ValueError(
                     f"snapshot at {t}s: score {(int(home[i]), int(away[i]))} does not follow "
                     f"the goals, which allow {score_path(self.events)[lo : hi + 1]}"
+                )
+            if clocks[i] != stamped[i]:
+                raise ValueError(
+                    f"snapshot at {t}s has clock {clocks[i]}, not its stamp's {stamped[i]}"
                 )
             raise ValueError(f"snapshot at {t}s is out of (timestamp, goals) order")
 

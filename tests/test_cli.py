@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from inplay import calibration, hedging
+from inplay import calibration, hedging, oracle
 from inplay.cli import main
-from inplay.contracts import Intensities, MATCH_ODDS_DRAW, MATCH_ODDS_HOME, Team
+from inplay.contracts import Intensities, MATCH_ODDS_DRAW, MATCH_ODDS_HOME, ScoreState, Team
 from inplay.io import (
     parse_intensity_series_csv,
     write_events_csv,
@@ -83,6 +83,19 @@ class TestPrice:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("token", ["OVER_02_5", "WINNING_MARGIN_+1", "CORRECT_SCORE_+1_0"])
+    def test_a_token_the_writer_never_writes_is_a_usage_error(self, token, capsys):
+        argv = ["price", "--bet", token, "--score", "0:0", "--minute", "0",
+                "--lambda-home", "1.3", "--lambda-away", "0.7"]
+        assert main(argv) == 1
+        assert "unrecognised bet token" in capsys.readouterr().err
+
+    def test_the_bet_is_echoed_as_its_canonical_token(self, capsys):
+        argv = ["price", "--bet", " under_2_5 ", "--score", "0:0", "--minute", "0",
+                "--lambda-home", "1.3", "--lambda-away", "0.7"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["bet"] == "UNDER_2_5"
 
     def test_missing_argument_is_usage_error(self):
         assert main(["price", "--bet", "ODD"]) == 1
@@ -428,6 +441,23 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert header == "path,home_goals,away_goals"
+
+    def test_scores_come_without_building_paths(self, tmp_path, monkeypatch):
+        # 140,000 paths are three batches; the rows are numbered across them.
+        lam, n = Intensities(1.3, 0.7), 140_000
+        paths = oracle.simulate_paths(lam, ScoreState(0, 0, 0.0), n, seed=1)
+        want = ["path,home_goals,away_goals"]
+        want += [f"{i},{p.home_goals},{p.away_goals}" for i, p in enumerate(paths)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate built path objects")
+
+        monkeypatch.setattr(oracle, "simulate_paths", refuse)
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--lambda-home", "1.3", "--lambda-away", "0.7",
+                "--paths", str(n), "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines() == want
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -1,5 +1,7 @@
 """Tests for the bet catalogue, payoffs and odds conversions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,6 +29,7 @@ from inplay.contracts import (
     value_from_decimal,
     value_from_fractional,
 )
+from inplay.contracts import _PARAMETERS
 from inplay.synthetic import calibration_catalogue
 
 finals = st.tuples(st.integers(0, 12), st.integers(0, 12))
@@ -43,6 +46,28 @@ TABLE_BETS = list(
             *(Bet.under(x + 0.5) for x in range(21)),
         ]
     )
+)
+
+# One valid value per parameter field, and bets of every kind drawn from
+# values of each field.
+FIELD_SAMPLES = {
+    "score": (2, 1),
+    "line": 2.5,
+    "margin": -1,
+    "half_time": Outcome.HOME,
+    "full_time": Outcome.DRAW,
+}
+FIELD_VALUES = {
+    "score": st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    "line": st.integers(0, 2**52 - 1).map(lambda x: x + 0.5),
+    "margin": st.integers(-(10**6), 10**6),
+    "half_time": st.sampled_from(Outcome),
+    "full_time": st.sampled_from(Outcome),
+}
+BETS = st.sampled_from(BetKind).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {f: FIELD_VALUES[f] for f in _PARAMETERS.get(kind, ())}
+    ).map(lambda fields: Bet(kind, **fields))
 )
 
 
@@ -171,13 +196,26 @@ class TestTokens:
     def test_case_insensitive(self):
         assert parse_bet("match_odds_home") == MATCH_ODDS_HOME
         assert parse_bet("under_2_5") == Bet.under(2.5)
+        assert parse_bet(" UNDER_2_5 ") == Bet.under(2.5)  # surrounding blanks too
 
+    # After the first seven, numbers spelled otherwise than format_bet writes
+    # them: a sign, a non-ASCII digit, a leading zero, an inner blank, a line
+    # beyond float.
     @pytest.mark.parametrize(
-        "bad", ["", "MATCH_ODDS", "OVER_2", "OVER_2_4", "CORRECT_SCORE_X_1", "HT_FT_HOME", "NOPE"]
+        "bad",
+        ["", "MATCH_ODDS", "OVER_2", "OVER_2_4", "CORRECT_SCORE_X_1", "HT_FT_HOME", "NOPE",
+         "CORRECT_SCORE_+1_0", "OVER_\u0662_5", "OVER_02_5", "WINNING_MARGIN_+1",
+         "CORRECT_SCORE_1_ 0", "WINNING_MARGIN_-0",
+         pytest.param("UNDER_" + "9" * 400 + "_5", id="UNDER_9...9_5")],
     )
     def test_bad_tokens_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unrecognised bet token"):
             parse_bet(bad)
+
+    @given(bet=BETS)
+    def test_every_bet_round_trips(self, bet):
+        assert parse_bet(format_bet(bet)) == bet
+        assert parse_bet(format_bet(bet).lower()) == bet
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -186,6 +224,30 @@ class TestTokens:
             Bet.over(2.0)
         with pytest.raises(ValueError):
             Bet.under(-0.5)
+
+    @pytest.mark.parametrize("line", [math.inf, math.nan, 2.0**60])
+    def test_a_line_with_no_half_is_rejected(self, line):
+        with pytest.raises(ValueError, match=r"line must be X\.5 with X >= 0"):
+            Bet.over(line)
+
+
+class TestParameterFields:
+    @pytest.mark.parametrize("kind", BetKind)
+    def test_each_kind_constructs_with_exactly_its_fields(self, kind):
+        assert Bet(kind, **{f: FIELD_SAMPLES[f] for f in _PARAMETERS.get(kind, ())}).kind is kind
+
+    @pytest.mark.parametrize("field", FIELD_SAMPLES)
+    @pytest.mark.parametrize("kind", BetKind)
+    def test_a_missing_or_extra_field_is_rejected(self, kind, field):
+        fields = {f: FIELD_SAMPLES[f] for f in _PARAMETERS.get(kind, ())}
+        if field in fields:
+            del fields[field]
+            want = f"^{kind.value} needs {field}$"
+        else:
+            fields[field] = FIELD_SAMPLES[field]
+            want = f"^{kind.value} takes no {field}$"
+        with pytest.raises(ValueError, match=want):
+            Bet(kind, **fields)
 
 
 class TestStateAndIntensities:

@@ -49,7 +49,6 @@ from inplay.io import (
     write_quotes_csv,
     write_terminal_scores_csv,
 )
-from inplay.oracle import SimulatedPath
 from inplay.synthetic import make_model_timeline
 from inplay.timeline import GoalEvent, clocks_of, goal_counts, replay_runs, score_path
 
@@ -60,6 +59,8 @@ g1,600,MATCH_ODDS,DRAW,3.1,
 g1,600,TOTAL_PARITY,ODD,1.9,2.0
 g1,660,UNDER,2_5,1.8,1.85
 """
+
+QUOTES_HEADER_LINE = ",".join(QUOTES_HEADER) + "\n"
 
 SERIES_LINE = "timestamp_s,lambda_home,lambda_away,residual,stderr_home,stderr_away,converged\n"
 
@@ -158,6 +159,30 @@ class TestParseQuotes:
         )
         with pytest.raises(QuotesParseError, match=":3"):
             parse_quotes_csv(f)
+
+    @pytest.mark.parametrize(
+        "market,selection",
+        [("MATCH_ODDS", "UNDER_2_5"), ("CORRECT_SCORE", "OVER_3_5"), ("MATCH", "ODDS_HOME"),
+         ("TOTAL_PARITY", "MATCH_ODDS_HOME"), ("UNDER", "02_5"), ("TOTAL_PARITY", "TOTAL_PARITY")],
+    )
+    def test_a_pair_the_writer_never_writes_is_an_unknown_selection(
+        self, tmp_path, market, selection
+    ):
+        # Each cell pair is its bet's own (market, selection) or nothing: no
+        # fallback to the bare selection under a foreign market.
+        f = tmp_path / "q.csv"
+        f.write_text(QUOTES_HEADER_LINE + f"g1,600,{market},{selection},2.5,2.54\n")
+        with pytest.raises(QuotesParseError, match=r"q\.csv:2: unknown selection"):
+            parse_quotes_csv(f)
+
+    def test_case_and_blanks_around_the_cells_are_free(self, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text(
+            QUOTES_HEADER_LINE + "g1,600,match_odds,home,2.5,2.54\n"
+            "g1,600, total_parity ,Odd ,1.9,2.0\ng1,600,Under, 2_5,1.8,1.85\n"
+        )
+        [snap] = parse_quotes_csv(f)
+        assert [q.bet for q in snap.quotes] == [MATCH_ODDS_HOME, ODD_TOTAL, Bet.under(2.5)]
 
     def test_repeated_unknown_selection_raises_at_its_first_line(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -782,10 +807,10 @@ class TestRoundTrips:
 
     def test_terminal_scores_csv(self, tmp_path):
         f = tmp_path / "t.csv"
-        write_terminal_scores_csv(
-            [SimulatedPath((), 2, 1), SimulatedPath((), 0, 0)], f
-        )
-        assert f.read_text() == "path,home_goals,away_goals\n0,2,1\n1,0,0\n"
+        # Rows are numbered across batches.
+        batches = [(np.array([2, 1]), np.array([1, 3])), (np.array([0]), np.array([0]))]
+        write_terminal_scores_csv(batches, f)
+        assert f.read_text() == "path,home_goals,away_goals\n0,2,1\n1,1,3\n2,0,0\n"
 
     def test_hedge_report_files(self, tmp_path):
         from inplay.contracts import NEXT_GOAL_AWAY, NEXT_GOAL_HOME

@@ -1,5 +1,7 @@
 """Tests for the one rule that decides which goals a snapshot has seen."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,15 @@ class TestMatchTimelineRejects:
         with pytest.raises(ValueError, match=r"snapshot at 300.0s is out of"):
             _timeline((), (600.0, (0, 0)), (300.0, (0, 0)), view=self.view)
 
+    def test_a_clock_other_than_its_stamps(self):
+        # 600 s is the clock 1/9 of a 90-minute match, not 0.9.
+        snaps = (_snap(0.0, (0, 0)), QuoteSnapshot(600.0, ScoreState(0, 0, 0.9), ()))
+        if self.view:
+            snaps = SnapshotColumns.of(snaps)
+        want = r"^snapshot at 600.0s has clock 0.9, not its stamp's 0.111"
+        with pytest.raises(ValueError, match=want):
+            MatchTimeline("m", (), snaps)
+
     def test_the_first_bad_snapshot_is_named(self):
         with pytest.raises(ValueError, match=r"snapshot at 60.0s: score \(0, 1\)"):
             _timeline(HOME_AT_600, (0.0, (0, 0)), (60.0, (0, 1)), (30.0, None), view=self.view)
@@ -84,6 +95,17 @@ class TestMatchTimelineViewRejects(TestMatchTimelineRejects):
     """The same snapshots as a column view give the same messages."""
 
     view = True
+
+
+def test_a_model_timeline_with_one_clock_moved_is_rejected():
+    # Pricing reads the snapshot's clock, while intensities, goals and the
+    # half-time side go by its stamp: the two must agree.
+    tl = make_model_timeline(Intensities(1.3, 0.7), [(1200.0, Team.AWAY)], step_s=300.0)
+    snaps = list(tl.snapshots)
+    assert snaps[2].timestamp_s == 600.0
+    snaps[2] = dataclasses.replace(snaps[2], state=snaps[2].state.at_clock(0.9))
+    with pytest.raises(ValueError, match=r"^snapshot at 600.0s has clock 0.9"):
+        MatchTimeline(tl.match_id, tl.events, tuple(snaps))
 
 
 def test_replay_order_puts_each_goal_between_the_snapshots_that_straddle_it():
