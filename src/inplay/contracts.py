@@ -1,8 +1,8 @@
 """Bet contract catalogue, payoff table and odds conversions.
 
-``_PARAMETERS`` and ``_PAYOFFS`` are the one per-kind tables of parameter
-fields and of European payoffs.  The double-sum pricer, board masks, HT/FT
-legs and Monte Carlo all read payoffs through :func:`payoff_grid`;
+``_PARAMETERS`` and ``_PAYOFFS`` are the one per-kind tables of typed
+parameter fields and of European payoffs.  The double-sum pricer, board
+masks, HT/FT legs and Monte Carlo all read payoffs through :func:`payoff_grid`;
 ``pricing.price_closed_form`` never does, and so cross-checks it.
 
 All types are immutable value objects, freely shareable across threads.
@@ -45,13 +45,13 @@ class BetKind(Enum):
     HT_FT = "HT_FT"
 
 
-# The one table of parameter fields each kind sets; other kinds take none.
+# Each kind's parameter fields and their exact types; other kinds take none.
 _PARAMETERS = {
-    BetKind.CORRECT_SCORE: ("score",),
-    BetKind.OVER: ("line",),
-    BetKind.UNDER: ("line",),
-    BetKind.WINNING_MARGIN: ("margin",),
-    BetKind.HT_FT: ("half_time", "full_time"),
+    BetKind.CORRECT_SCORE: {"score": tuple},
+    BetKind.OVER: {"line": float},
+    BetKind.UNDER: {"line": float},
+    BetKind.WINNING_MARGIN: {"margin": int},
+    BetKind.HT_FT: {"half_time": Outcome, "full_time": Outcome},
 }
 
 
@@ -72,11 +72,16 @@ class Bet:
     full_time: Outcome | None = None
 
     def __post_init__(self) -> None:
-        needs = _PARAMETERS.get(self.kind, ())
+        needs = _PARAMETERS.get(self.kind, {})
         for name in ("score", "line", "margin", "half_time", "full_time"):
-            if (getattr(self, name) is None) is (name in needs):
+            value = getattr(self, name)
+            if (value is None) is (name in needs):
                 verb = "needs" if name in needs else "takes no"
                 raise ValueError(f"{self.kind.value} {verb} {name}")
+            if value is not None and type(value) is not needs[name]:
+                raise ValueError(f"{name} must be {needs[name].__name__}, got {value!r}")
+        if self.score is not None and [*map(type, self.score)] != [int, int]:
+            raise ValueError(f"score must be two ints, got {self.score!r}")
         if self.score is not None and min(self.score) < 0:
             raise ValueError("CORRECT_SCORE goals must be nonnegative")
         if self.line is not None and not (self.line >= 0.5 and self.line % 1 == 0.5):

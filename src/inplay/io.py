@@ -2,7 +2,9 @@
 
 File conventions: UTF-8, LF line endings, '.' decimal separator, floats at 9
 significant digits.  Timestamps are integer playing-time seconds from
-kickoff (half-time break off the clock).
+kickoff (half-time break off the clock).  The writers never quote a cell,
+so the readers split each line at every comma: they read LF, CRLF and CR
+line ends, and a ``"`` or NUL is an error naming its line.
 
 Quotes CSV columns: ``match_id,timestamp_s,market,selection,back_decimal,
 lay_decimal`` with two optional trailing columns ``home_goals,away_goals``.
@@ -29,7 +31,7 @@ import logging
 import math
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -119,34 +121,53 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _write_csv(path, header: list[str], rows, match_id: str = "") -> None:
+    """Write the rows; ``match_id`` must be a cell the readers read back."""
+    if any(c in match_id for c in ',"\0\r\n'):
+        raise ValueError(f"match id {match_id!r} holds a comma, quote, NUL or line break")
     with _open_write(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 
 
+# Characters read per block; every block is split into lines in one C call.
+_BLOCK_CHARS = 1 << 14
+
+
+def _lines(fh, path, error: type[ValueError]):
+    """The lines of a universal-newline text file, a list per block read; a
+    line holding a ``"`` or NUL raises ``error`` naming it, in file order."""
+    line = 1
+    # readline completes the block's last line, so no line spans two blocks.
+    while block := fh.read(_BLOCK_CHARS) + fh.readline():
+        lines = block.removesuffix("\n").split("\n")
+        for i, s in enumerate(lines if '"' in block or "\0" in block else ()):
+            if '"' in s or "\0" in s:
+                yield lines[:i]
+                raise error(f"{path}:{line + i}: a quote or NUL; cells are never quoted")
+        line += len(lines)
+        yield lines
+
+
 @contextmanager
 def _read_csv(path, headers: tuple[list[str], ...], error: type[ValueError] = ValueError):
     """Open a CSV file whose header is one of ``headers``; yield that header
-    and the reader of the rows after it.  A csv.Error or ValueError raised in
-    the caller's row loop comes out as ``error`` prefixed with ``path:line``;
-    bytes that are not UTF-8 come out as ``error`` prefixed with ``path``."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    and the (line number, cells) pairs of the lines after it, each line split
+    at every comma.  Each reader's row loop names ``path:line`` in its own
+    errors; bytes that are not UTF-8 come out as ``error`` prefixed with
+    ``path``."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            header = next(reader, None)
+            lines = chain.from_iterable(_lines(fh, path, error))
+            header = next(lines, None)
             if header is None:
                 raise error(f"{path}: empty file, no header")
+            header = header.split(",") if header else []
             if header not in headers:
                 want = " or ".join(map(str, headers))
                 raise error(f"{path}: unexpected header {header!r}; want {want}")
-            try:
-                yield header, reader
-            except UnicodeError:
-                raise
-            except (csv.Error, ValueError) as exc:
-                raise error(f"{path}:{reader.line_num}: {exc}") from None
+            yield header, enumerate(map(str.split, lines, repeat(",")), 2)
         except UnicodeError as exc:  # decoding reads ahead, so no line can be named
             raise error(f"{path}: {exc}") from None
 
@@ -229,57 +250,59 @@ def _parse_quotes(
     tokens: dict[str, dict[str, int]] = {}
     bets: dict[Bet, int] = {}
     headers = (QUOTES_HEADER, QUOTES_HEADER + SCORE_COLUMNS)
-    with _read_csv(path, headers, QuotesParseError) as (header, reader):
+    with _read_csv(path, headers, QuotesParseError) as (header, rows):
         has_scores, width = header == headers[1], len(header)
         # Rows of one snapshot share their id, timestamp and score cells, so
         # those are parsed, checked and looked up only when they change.
         match_id = ts_cell = home_cell = away_cell = None
         home, away, run = -1, -1, True
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ValueError(_width_message(header, row))
-            cells = row if has_scores else (*row, None, None)  # no score cells: None
-            row_id, ts_s, market, selection, back_s, lay_s, home_s, away_s = cells
-            if row_id != match_id:
-                match_ids.add(row_id)
-                match_id = row_id
-            if ts_s != ts_cell:
-                ts = _match_time(ts_s, "timestamp", length_s)
-                ts_cell, run = ts_s, True
+        for line, row in rows:
             try:
-                ix = tokens[market][selection]
-            except KeyError:
-                bet = _bet_from_market_selection(market, selection)
-                ix = tokens.setdefault(market, {})[selection] = bets.setdefault(bet, len(bets))
-            # An empty side (NaN) passes as 1.0 unless both are empty; a row
-            # that fails is checked again cell by cell, the back cell first.
-            try:
-                back = float(back_s) if back_s else 1.0 if lay_s else math.nan
-                lay = float(lay_s) if lay_s else 1.0
-            except ValueError:
-                back = math.nan
-            if not (1.0 <= back < math.inf and 1.0 <= lay < math.inf):
-                back = _number(back_s, "back decimal") if back_s else math.nan
-                lay = _number(lay_s, "lay decimal") if lay_s else math.nan
-                why = "decimal odds below 1" if back < 1 or lay < 1 else "no odds on either side"
-                log.warning("%s:%d: %s, row rejected", path, reader.line_num, why)
-                continue
-            if home_s != home_cell or away_s != away_cell:
+                if len(row) != width:
+                    if row == [""]:  # a blank line
+                        continue
+                    raise ValueError(_width_message(header, row))
+                cells = row if has_scores else (*row, None, None)  # no score cells: None
+                row_id, ts_s, market, selection, back_s, lay_s, home_s, away_s = cells
+                if row_id != match_id:
+                    match_ids.add(row_id)
+                    match_id = row_id
+                if ts_s != ts_cell:
+                    ts = _match_time(ts_s, "timestamp", length_s)
+                    ts_cell, run = ts_s, True
                 try:
-                    home, away = int(home_s), int(away_s)
-                    if home < 0 or away < 0:
-                        raise ValueError
+                    ix = tokens[market][selection]
+                except KeyError:
+                    bet = _bet_from_market_selection(market, selection)
+                    ix = tokens.setdefault(market, {})[selection] = bets.setdefault(bet, len(bets))
+                # An empty side (NaN) passes as 1.0 unless both are empty; a row
+                # that fails is checked again cell by cell, the back cell first.
+                try:
+                    back = float(back_s) if back_s else 1.0 if lay_s else math.nan
+                    lay = float(lay_s) if lay_s else 1.0
                 except ValueError:
-                    raise ValueError("bad score cells") from None
-                home_cell, away_cell, run = home_s, away_s, True
-            if run:
-                run = False
-                runs += (ts, home, away, len(backs))
-            bet_ix.append(ix)
-            backs.append(back if back_s else math.nan)
-            lays.append(lay if lay_s else math.nan)
+                    back = math.nan
+                if not (1.0 <= back < math.inf and 1.0 <= lay < math.inf):
+                    back = _number(back_s, "back decimal") if back_s else math.nan
+                    lay = _number(lay_s, "lay decimal") if lay_s else math.nan
+                    why = "decimal odds below 1" if back < 1 or lay < 1 else "no odds on either side"
+                    log.warning("%s:%d: %s, row rejected", path, line, why)
+                    continue
+                if home_s != home_cell or away_s != away_cell:
+                    home = away = -1
+                    with suppress(ValueError):
+                        home, away = int(home_s), int(away_s)
+                    if home < 0 or away < 0:
+                        raise ValueError("bad score cells")
+                    home_cell, away_cell, run = home_s, away_s, True
+                if run:
+                    run = False
+                    runs += (ts, home, away, len(backs))
+                bet_ix.append(ix)
+                backs.append(back if back_s else math.nan)
+                lays.append(lay if lay_s else math.nan)
+            except ValueError as exc:
+                raise QuotesParseError(f"{path}:{line}: {exc}") from None
 
     if not runs:
         raise QuotesParseError(f"{path}: no snapshots")
@@ -288,10 +311,11 @@ def _parse_quotes(
 
     # A key's runs join into one snapshot.  Same-second snapshots run in the
     # order of the goals their score counts, then of their first row.
-    ts, home, away, firsts = (runs[i::4] for i in range(4))
-    seen: dict[tuple, int] = {}
-    key_ix = np.array([seen.setdefault(k, i) for i, k in enumerate(zip(ts, home, away))])
-    ts, home, away = np.array(ts), np.array(home), np.array(away)
+    ts, home, away, firsts = (np.array(runs[i::4]) for i in range(4))
+    # Sorted by key, a key's runs stay in file order: the first names the key.
+    by = np.lexsort((away, home, ts))
+    first = np.diff(np.stack((ts, home, away))[:, by], prepend=np.nan).any(axis=0)
+    key_ix = by[first][np.cumsum(first) - 1][np.argsort(by)]
     by = np.lexsort((key_ix, home + away, ts))
     n = len(backs)
     lengths = np.diff(firsts, append=n)[by]
@@ -323,26 +347,27 @@ def _parse_events(
     length_s = match_length_min * 60.0
     match_id = None
     events: list[GoalEvent] = []
-    with _read_csv(path, (EVENTS_HEADER,)) as (header, reader):
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(_width_message(header, row))
-            row_id, ts_s, team_s, event_s = row
-            if events and row_id != match_id:
-                raise ValueError(f"match id {row_id!r} after {match_id!r}")
-            match_id = row_id
-            ts = _match_time(ts_s, "goal at", length_s)
-            if events and ts < events[-1].timestamp_s:
-                raise ValueError("timestamps must not decrease")
-            if event_s.strip().upper() != "GOAL":
-                raise ValueError(f"unknown event {event_s!r}")
+    with _read_csv(path, (EVENTS_HEADER,)) as (header, rows):
+        for line, row in rows:
             try:
-                team = Team(team_s.strip().upper())
-            except ValueError:
-                raise ValueError(f"unknown team {team_s!r}") from None
-            events.append(GoalEvent(ts, team))
+                if len(row) != len(header):
+                    if row == [""]:  # a blank line
+                        continue
+                    raise ValueError(_width_message(header, row))
+                row_id, ts_s, team_s, event_s = row
+                if events and row_id != match_id:
+                    raise ValueError(f"match id {row_id!r} after {match_id!r}")
+                match_id = row_id
+                ts = _match_time(ts_s, "goal at", length_s)
+                if events and ts < events[-1].timestamp_s:
+                    raise ValueError("timestamps must not decrease")
+                if event_s.strip().upper() != "GOAL":
+                    raise ValueError(f"unknown event {event_s!r}")
+                if (team := Team.__members__.get(team_s.strip().upper())) is None:
+                    raise ValueError(f"unknown team {team_s!r}")
+                events.append(GoalEvent(ts, team))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
     return match_id, events
 
 
@@ -391,13 +416,7 @@ def load_timeline(
     events_id, events = _parse_events(events_path, match_length_min)
     if events_id not in (None, match_id):
         raise ValueError(f"{events_path}: match id {events_id!r}, but the quotes are {match_id!r}")
-    return build_timeline(
-        snapshots,
-        events,
-        match_id=match_id,
-        match_length_min=match_length_min,
-        half_length_min=half_length_min,
-    )
+    return build_timeline(snapshots, events, match_id, match_length_min, half_length_min)
 
 
 def write_quotes_csv(timeline: MatchTimeline, path) -> None:
@@ -415,12 +434,12 @@ def write_quotes_csv(timeline: MatchTimeline, path) -> None:
         for snap in timeline.snapshots
         for q in snap.quotes
     )
-    _write_csv(path, QUOTES_HEADER + SCORE_COLUMNS, rows)
+    _write_csv(path, QUOTES_HEADER + SCORE_COLUMNS, rows, timeline.match_id)
 
 
 def write_events_csv(events: list[GoalEvent], path, match_id: str) -> None:
     rows = ([match_id, _fmt_ts(ev.timestamp_s), ev.team.value, "GOAL"] for ev in events)
-    _write_csv(path, EVENTS_HEADER, rows)
+    _write_csv(path, EVENTS_HEADER, rows, match_id)
 
 
 def write_intensity_series_csv(series: IntensitySeries, path) -> None:
@@ -440,30 +459,34 @@ def parse_intensity_series_csv(path) -> IntensitySeries:
     """Parse a series CSV; a malformed file or a timestamp not above the one
     before it raises ValueError naming its line."""
     points: list[SeriesPoint] = []
-    with _read_csv(path, (SERIES_HEADER,)) as (header, reader):
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(_width_message(header, row))
-            ts = _number(row[0], "timestamp")
-            if points and ts <= points[-1].timestamp_s:
-                raise ValueError("timestamps must strictly increase")
-            result = None
-            if row[1] == "":
-                if any(row[2:]):
-                    raise ValueError("a gap row must leave every cell after the timestamp empty")
-            else:
-                if row[6] not in ("true", "false"):
-                    raise ValueError(f"converged must be true or false, got {row[6]!r}")
-                numbers = [*map(float, row[3:6])]  # residual and the two stderrs
-                # inf is what the writer emits for a singular fit; NaN is not >= 0.
-                for name, x in zip(SERIES_HEADER[3:6], numbers):
-                    if not x >= 0.0:
-                        raise ValueError(f"{name} must be nonnegative, got {x}")
-                lam = Intensities(float(row[1]), float(row[2]))
-                result = CalibrationResult(lam, *numbers, iterations=0, converged=row[6] == "true")
-            points.append(SeriesPoint(ts, result))
+    with _read_csv(path, (SERIES_HEADER,)) as (header, rows):
+        for line, row in rows:
+            try:
+                if len(row) != len(header):
+                    if row == [""]:  # a blank line
+                        continue
+                    raise ValueError(_width_message(header, row))
+                ts = _number(row[0], "timestamp")
+                if points and ts <= points[-1].timestamp_s:
+                    raise ValueError("timestamps must strictly increase")
+                result = None
+                if row[1] == "":
+                    if any(row[2:]):
+                        raise ValueError("a gap row must leave every cell after the timestamp empty")
+                else:
+                    if row[6] not in ("true", "false"):
+                        raise ValueError(f"converged must be true or false, got {row[6]!r}")
+                    numbers = [*map(float, row[3:6])]  # residual and the two stderrs
+                    # inf is what the writer emits for a singular fit; NaN is not >= 0.
+                    for name, x in zip(SERIES_HEADER[3:6], numbers):
+                        if not x >= 0.0:
+                            raise ValueError(f"{name} must be nonnegative, got {x}")
+                    lam = Intensities(float(row[1]), float(row[2]))
+                    converged = row[6] == "true"
+                    result = CalibrationResult(lam, *numbers, iterations=0, converged=converged)
+                points.append(SeriesPoint(ts, result))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
     return IntensitySeries(tuple(points))
 
 

@@ -199,8 +199,9 @@ class EuropeanBoard:
     equal score takes one stacked ``_contract`` over the bets its rows
     quote, and a bet none of them quotes reads 0.  The Jacobian is exact:
     the pmf p(k; m) has d/dm = p(k-1; m) - p(k; m), so dV/dlam_i is
-    (1 - tau) * delta_i, as the forward equation requires.  Masks depend on
-    the score and on the caps only, so they are cached per (score, caps).
+    (1 - tau) * delta_i, as the forward equation requires.  A payoff depends
+    on the final score alone, so every score's masks are slices of one cached
+    grid per bet that starts at score (0, 0).
     """
 
     def __init__(self, bets: list[Bet] | tuple[Bet, ...]):
@@ -210,15 +211,16 @@ class EuropeanBoard:
                     f"{format_bet(bet)} is path dependent and has no board mask"
                 )
         self.bets = tuple(bets)
-        self._masks: dict[tuple[int, int, int, int], np.ndarray] = {}
+        self._grid = np.zeros((len(self.bets), 0, 0))
 
-    def _masks_for(self, key: tuple[int, int, int, int]) -> np.ndarray:
-        if key not in self._masks:
-            h, a, n1, n2 = key
-            grid = (h + np.arange(n1)[:, None], a + np.arange(n2)[None, :])
+    def _masks_for(self, h: int, a: int, n1: int, n2: int) -> np.ndarray:
+        """Each bet's mask on final scores (h + i, a + j), i < n1, j < n2."""
+        size = np.maximum(self._grid.shape[1:], (h + n1, a + n2))
+        if (size > self._grid.shape[1:]).any():
+            grid = np.ogrid[: size[0], : size[1]]
             masks = [payoff_grid(b, *grid) for b in self.bets]
-            self._masks[key] = np.array(masks, dtype=float).reshape(len(self.bets), n1, n2)
-        return self._masks[key]
+            self._grid = np.array(masks, dtype=float).reshape(len(self.bets), *size)
+        return self._grid[:, h : h + n1, a : a + n2]
 
     def evaluate(self, lam, clocks, scores, quoted=None) -> BoardValues:
         """The board at one (home, away) row of ``lam``, one clock and one
@@ -234,7 +236,7 @@ class EuropeanBoard:
         for lo, hi in zip([0, *edges], [*edges, n]):
             cols = np.flatnonzero(quoted[lo:hi].any(axis=0))
             if len(cols):
-                masks = self._masks_for((*scores[lo].tolist(), *caps))[cols]
+                masks = self._masks_for(*scores[lo].tolist(), *caps)[cols]
                 v, d1, d2 = _contract(p1[lo:hi], masks, p2[lo:hi], stacked=True)
                 values[lo:hi, cols] = v.T
                 jacobian[lo:hi, cols] = np.dstack((d1.T, d2.T)) * horizon[lo:hi, None, None]

@@ -250,6 +250,33 @@ class TestParameterFields:
             Bet(kind, **fields)
 
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind=BetKind.WINNING_MARGIN, margin=1.5), "margin must be int"),
+            (dict(kind=BetKind.WINNING_MARGIN, margin=True), "margin must be int"),
+            (dict(kind=BetKind.CORRECT_SCORE, score=(1.0, 0)), "score must be two ints"),
+            (dict(kind=BetKind.CORRECT_SCORE, score=(1, False)), "score must be two ints"),
+            (dict(kind=BetKind.CORRECT_SCORE, score=(1, 0, 0)), "score must be two ints"),
+            (dict(kind=BetKind.CORRECT_SCORE, score=[1, 0]), "score must be tuple"),
+            (dict(kind=BetKind.HT_FT, half_time="HOME", full_time=Outcome.DRAW),
+             "half_time must be Outcome"),
+            (dict(kind=BetKind.HT_FT, half_time=Outcome.HOME, full_time="DRAW"),
+             "full_time must be Outcome"),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_rejected(self, fields, message):
+        # Such a bet would price ("h - a == 1.5" never holds) and format as a
+        # token parse_bet rejects, or fail later with no useful message.
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Bet(**fields)
+
+    def test_the_factories_still_convert_their_arguments(self):
+        assert Bet.winning_margin(np.int64(2)) == Bet(BetKind.WINNING_MARGIN, margin=2)
+        assert Bet.correct_score(np.int64(1), 0.0) == Bet(BetKind.CORRECT_SCORE, score=(1, 0))
+        assert Bet.over(np.float32(2.5)) == Bet(BetKind.OVER, line=2.5)
+
+
 class TestStateAndIntensities:
     def test_clock_bounds(self):
         with pytest.raises(ValueError):

@@ -4,15 +4,20 @@ import csv
 import dataclasses
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from inplay.calibration import (
     CalibrationResult,
     IntensitySeries,
     QuoteSnapshot,
+    QuoteTable,
     SeriesPoint,
+    SnapshotColumns,
     _Segment,
 )
 from inplay.contracts import (
@@ -110,13 +115,31 @@ def test_every_reader_states_the_shared_rules_in_the_same_words(tmp_path, fmt, c
     assert isinstance(excinfo.value, QuotesParseError) == (fmt == "quotes")
 
 
+GOOD_ROWS = {
+    "quotes": "g1,600,MATCH_ODDS,HOME,2.5,2.54",
+    "events": "g1,540,HOME,GOAL",
+    "series": "0,1.3,0.7,0.25,0.01,0.02,true",
+}
+
+
 @pytest.mark.parametrize("fmt", sorted(READERS))
-def test_a_row_the_csv_module_cannot_read_names_its_line(tmp_path, fmt):
+@pytest.mark.parametrize("case", ["quoted cell", "NUL byte", "over-long row"])
+def test_a_quote_a_nul_or_an_over_long_row_names_its_line(tmp_path, fmt, case):
+    # Cells are split at every comma and never unquoted, and no cell has a
+    # size limit: a row of 200k characters is one cell of the wrong width.
     parse, header, _ = READERS[fmt]
+    first, rest = GOOD_ROWS[fmt].split(",", 1)
+    row, message = {
+        "quoted cell": (f'"{first}",{rest}', "a quote or NUL; cells are never quoted"),
+        "NUL byte": (f"{first}\0,{rest}", "a quote or NUL; cells are never quoted"),
+        "over-long row": ("x" * 200_000, f"expected {len(header)} cells, got 1"),
+    }[case]
     f = tmp_path / f"{fmt}.csv"
-    f.write_text(",".join(header) + "\n\n" + "x" * (csv.field_size_limit() + 1) + "\n")
-    with pytest.raises(ValueError, match=rf"^{f}:3: field larger than field limit"):
+    f.write_text(",".join(header) + "\n\n" + row + "\n" + GOOD_ROWS[fmt] + "\n")
+    with pytest.raises(ValueError) as excinfo:
         parse(f)
+    assert str(excinfo.value) == f"{f}:3: {message}"
+    assert isinstance(excinfo.value, QuotesParseError) == (fmt == "quotes")
 
 
 class TestParseQuotes:
@@ -467,6 +490,201 @@ class TestParserEquivalence:
             assert np.array_equal(got, column, equal_nan=True), name
 
 
+def _csv_reader_parse_quotes(path, match_length_min=90.0):
+    """The quotes parser as it was before the line splitter, whole: rows
+    from ``csv.reader``, errors named by its ``line_num``, each run's key
+    looked up in a dict.  The reference for :func:`io._parse_quotes` on
+    files that hold no ``"`` or NUL."""
+    path = Path(path)
+    length_s = match_length_min * 60.0
+    bet_ix, backs, lays, runs, match_ids, tokens, bets = [], [], [], [], set(), {}, {}
+    headers = (QUOTES_HEADER, QUOTES_HEADER + SCORE_COLUMNS)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise QuotesParseError(f"{path}: empty file, no header")
+        if header not in headers:
+            want = " or ".join(map(str, headers))
+            raise QuotesParseError(f"{path}: unexpected header {header!r}; want {want}")
+        has_scores, width = header == headers[1], len(header)
+        match_id = ts_cell = home_cell = away_cell = None
+        home, away, run = -1, -1, True
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ValueError(io_module._width_message(header, row))
+                cells = row if has_scores else (*row, None, None)
+                row_id, ts_s, market, selection, back_s, lay_s, home_s, away_s = cells
+                if row_id != match_id:
+                    match_ids.add(row_id)
+                    match_id = row_id
+                if ts_s != ts_cell:
+                    ts = io_module._match_time(ts_s, "timestamp", length_s)
+                    ts_cell, run = ts_s, True
+                try:
+                    ix = tokens[market][selection]
+                except KeyError:
+                    bet = io_module._bet_from_market_selection(market, selection)
+                    ix = tokens.setdefault(market, {})[selection] = bets.setdefault(bet, len(bets))
+                try:
+                    back = float(back_s) if back_s else 1.0 if lay_s else math.nan
+                    lay = float(lay_s) if lay_s else 1.0
+                except ValueError:
+                    back = math.nan
+                if not (1.0 <= back < math.inf and 1.0 <= lay < math.inf):
+                    back = io_module._number(back_s, "back decimal") if back_s else math.nan
+                    lay = io_module._number(lay_s, "lay decimal") if lay_s else math.nan
+                    why = "decimal odds below 1" if back < 1 or lay < 1 else "no odds on either side"
+                    io_module.log.warning("%s:%d: %s, row rejected", path, reader.line_num, why)
+                    continue
+                if home_s != home_cell or away_s != away_cell:
+                    try:
+                        home, away = int(home_s), int(away_s)
+                        if home < 0 or away < 0:
+                            raise ValueError
+                    except ValueError:
+                        raise ValueError("bad score cells") from None
+                    home_cell, away_cell, run = home_s, away_s, True
+                if run:
+                    run = False
+                    runs += (ts, home, away, len(backs))
+                bet_ix.append(ix)
+                backs.append(back if back_s else math.nan)
+                lays.append(lay if lay_s else math.nan)
+        except ValueError as exc:
+            raise QuotesParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if not runs:
+        raise QuotesParseError(f"{path}: no snapshots")
+    if len(match_ids) > 1:
+        raise QuotesParseError(f"{path}: multiple match ids {sorted(match_ids)}")
+    ts, home, away, firsts = (runs[i::4] for i in range(4))
+    seen = {}
+    key_ix = np.array([seen.setdefault(k, i) for i, k in enumerate(zip(ts, home, away))])
+    ts, home, away = np.array(ts), np.array(home), np.array(away)
+    by = np.lexsort((key_ix, home + away, ts))
+    n = len(backs)
+    lengths = np.diff(firsts, append=n)[by]
+    stops = np.cumsum(lengths)
+    order = np.arange(n) + np.repeat(np.take(firsts, by) - stops + lengths, lengths)
+    table = QuoteTable(tuple(bets), *(np.array(c)[order] for c in (bet_ix, backs, lays)))
+    at = np.flatnonzero(np.diff(key_ix[by], prepend=-1))
+    starts = (stops - lengths)[at]
+    stops = np.append(starts[1:], n)
+    ts, home, away = ts[by[at]], home[by[at]], away[by[at]]
+    clocks = clocks_of(ts, match_length_min)
+    return match_ids.pop(), SnapshotColumns(table, ts, home, away, clocks, starts, stops)
+
+
+def _columns(snaps):
+    """Every array of a parsed SnapshotColumns, by name."""
+    table = {"bet_ix": snaps.table.bet_ix, "back": snaps.table.back, "lay": snaps.table.lay}
+    names = ("timestamps", "home", "away", "clocks", "starts", "stops")
+    return {**table, **{name: getattr(snaps, name) for name in names}}
+
+
+def _parse_or_error(parse, path, caplog):
+    """(result or error text, logged warnings) of one parse."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="inplay.io"):
+        try:
+            out = parse(path)
+        except QuotesParseError as exc:
+            out = str(exc)
+    return out, [r.getMessage() for r in caplog.records]
+
+
+# One data fault: the cell it replaces, or a row cut short, and its value.
+_FAULTS = [
+    (1, "abc"), (1, "-30"), (1, "9000"), (1, "nan"), (3, "NOBODY"), (4, "x"), (5, "inf"),
+    (0, "g2"), (6, "-1"), (7, "x"), ("cut", None),
+]
+
+
+@st.composite
+def _quotes_files(draw):
+    """(text, line end) of a quotes file: runs of rows that keep their
+    second, move on, score a goal in the same second or come back to an
+    earlier key, with every kind of odds cells, blank lines and at most one
+    fault."""
+    scores = draw(st.booleans())
+    lines = [",".join(QUOTES_HEADER + SCORE_COLUMNS * scores)]
+    ts, home, away, seen = 600, 0, 0, []
+    odds = [o for cells in _ODDS.values() for o in cells]
+    for _ in range(draw(st.integers(1, 10))):
+        move = draw(st.sampled_from(["next second", "goal", "come back", "spelt with .0"]))
+        if move == "come back" and seen:
+            ts, home, away = draw(st.sampled_from(seen))
+        elif move == "goal":
+            home, away = draw(st.sampled_from([(home + 1, away), (home, away + 1)]))
+        elif move != "spelt with .0" or not seen:
+            ts += draw(st.integers(1, 2))
+        seen.append((ts, home, away))
+        ts_cell = f"{ts}.0" if move == "spelt with .0" else str(ts)
+        for _ in range(draw(st.integers(1, 4))):
+            market, selection = draw(st.sampled_from(_TOKENS))
+            score = f",{home},{away}" if scores else ""
+            lines.append(f"g1,{ts_cell},{market},{selection},{draw(st.sampled_from(odds))}{score}")
+            if draw(st.integers(0, 9)) == 0:
+                lines.append("")
+    fault = draw(st.none() | st.sampled_from([f for f in _FAULTS if scores or f[0] not in (6, 7)]))
+    if fault is not None:
+        at = draw(st.sampled_from([i for i, line in enumerate(lines) if i and line]))
+        cells = lines[at].split(",")
+        if fault[0] == "cut":
+            cells.pop()
+        else:
+            cells[fault[0]] = fault[1]
+        lines[at] = ",".join(cells)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), end
+
+
+class TestLineSplitter:
+    # _parse_or_error clears caplog before each parse.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_quotes_files())
+    def test_files_parse_as_the_csv_reader_parser(self, tmp_path_factory, caplog, case):
+        text, _ = case
+        f = tmp_path_factory.mktemp("q") / "q.csv"
+        f.write_bytes(text.encode())
+        want, want_log = _parse_or_error(_csv_reader_parse_quotes, f, caplog)
+        got, got_log = _parse_or_error(io_module._parse_quotes, f, caplog)
+        assert got_log == want_log
+        if isinstance(want, str):
+            assert got == want
+            return
+        (want_id, want_snaps), (got_id, got_snaps) = want, got
+        assert (got_id, got_snaps.table.bets) == (want_id, want_snaps.table.bets)
+        wanted = _columns(want_snaps)
+        for name, column in _columns(got_snaps).items():
+            assert column.dtype == wanted[name].dtype, name
+            assert np.array_equal(column, wanted[name], equal_nan=True), name
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_any_block_size_gives_the_same_columns(self, tmp_path, monkeypatch, block, end):
+        f = tmp_path / "q.csv"
+        _random_quotes_file(f, 3, True)
+        f.write_bytes(f.read_text().replace("\n", end).encode())
+        want_id, want = io_module._parse_quotes(f)
+        monkeypatch.setattr(io_module, "_BLOCK_CHARS", block)
+        got_id, got = io_module._parse_quotes(f)
+        assert (got_id, got.table.bets) == (want_id, want.table.bets)
+        wanted = _columns(want)
+        for name, column in _columns(got).items():
+            assert np.array_equal(column, wanted[name], equal_nan=True), name
+        # A quote deep in the file is named at its line whatever the block.
+        lines = f.read_text().splitlines()
+        lines[40] = lines[40].replace("g1", '"g1"')
+        f.write_bytes(end.join(lines).encode())
+        with pytest.raises(QuotesParseError, match=rf"^{f}:41: a quote or NUL"):
+            io_module._parse_quotes(f)
+
+
 class TestParseEvents:
     def test_events_and_case_insensitive_team(self, tmp_path):
         f = tmp_path / "e.csv"
@@ -719,6 +937,17 @@ class TestRoundTrips:
         f2 = tmp_path / "e2.csv"
         write_events_csv(parsed, f2, match_id="g1")
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("match_id", ["g,1", 'g"1', "g\x001", "g\r1", "g\n1"])
+    def test_a_match_id_the_readers_cannot_read_back_is_not_written(self, tmp_path, match_id):
+        tl = make_model_timeline(Intensities(1.3, 0.7), goals=[], step_s=600.0)
+        tl = dataclasses.replace(tl, match_id=match_id)
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        with pytest.raises(ValueError, match="holds a comma, quote, NUL or line break"):
+            write_quotes_csv(tl, quotes)
+        with pytest.raises(ValueError, match="holds a comma, quote, NUL or line break"):
+            write_events_csv([GoalEvent(540.0, Team.HOME)], events, match_id)
+        assert not quotes.exists() and not events.exists()
 
     def test_events_golden_bytes(self, tmp_path):
         f = tmp_path / "e.csv"

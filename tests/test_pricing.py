@@ -29,7 +29,7 @@ from inplay.contracts import (
 )
 from inplay.distributions import poisson_pmf_vector
 from inplay.hedging import next_goal_delta_matrix, solve_replication_weights
-from inplay import pricing
+from inplay import contracts, pricing
 from inplay.oracle import enumerate_price, kolmogorov_residual, theta_fd
 from inplay.synthetic import calibration_catalogue
 from inplay.pricing import (
@@ -632,6 +632,22 @@ class TestEuropeanBoard:
             assert np.array_equal(out.jacobian, fresh.jacobian)
             expected = [price_european(b, state, lam).value for b in bets]
             assert np.max(np.abs(out.values[0] - expected)) <= 1e-12
+
+    def test_masks_are_slices_of_one_grid_from_nil_nil(self):
+        # Scores up to 9-9 and caps from 25 to 40, in an order that makes the
+        # cached grid grow more than once: each slice equals the stack the
+        # board's payoffs give at that score, bit for bit.
+        bets = calibration_catalogue()
+        board = EuropeanBoard(bets)
+        keys = [(h, a, 25 + (7 * h + a) % 16, 25 + (5 * a + h) % 16)
+                for h in range(10) for a in range(10)]
+        for h, a, n1, n2 in sorted(keys, key=lambda k: (k[0] * 7 + k[1] * 3) % 11):
+            grid = (h + np.arange(n1)[:, None], a + np.arange(n2)[None, :])
+            want = np.array([contracts.payoff_grid(b, *grid) for b in bets], dtype=float)
+            got = board._masks_for(h, a, n1, n2)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert board._grid.shape == (len(bets), 9 + 40, 9 + 40)
 
     def test_snapshots_share_the_widest_cap(self):
         # The clocks and intensities of a segment's snapshots differ; each
