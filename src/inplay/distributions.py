@@ -4,11 +4,11 @@ Each quantity has one route:
 
 * the Poisson pmf is exp(n log m - log n! - m), with log n! read from a
   table of ``math.lgamma`` values that grows on demand; a pmf vector is a
-  cached row of the pmf matrix, and ``cap_for_tail`` returns a truncation
-  cap with its Poisson tail, the bound a pricer reports;
+  cached row of the pmf matrix;
 * a Poisson tail sums the side away from the mode as positive pmf terms, so
   both tails keep relative accuracy, and returns the side holding the mode
-  as 1 minus that sum;
+  as 1 minus that sum; ``cap_for_tail`` bisects that tail for a truncation
+  cap and returns the cap with its tail, the bound a pricer reports;
 * the Skellam law of N1 - N2 is exp(-(m1+m2)) (m1/m2)^(k/2) I_|k|(z) with
   z = 2 sqrt(m1 m2).  The Bessel values come in log space from Miller's
   backward recurrence for the ratios I_k/I_(k-1), normalised by
@@ -23,6 +23,7 @@ rounding never leaks into downstream normalisation checks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -153,14 +154,13 @@ def cap_for_tail(mean: float, tol: float = 1e-13, floor: int = 25) -> tuple[int,
     if tail < tol:
         return floor, tail
     # The Chernoff bound P[N >= m + x] <= exp(-x^2 / (2 (m + x/3))) puts the
-    # mass past `top` below tol * e^-40, so suffix sums of the pmf up to `top`
-    # are the tails P[N > n] for n = floor .. top - 1.
+    # tail past `top` below tol * e^-40, so the cap lies in (floor, top]:
+    # bisect there for the first tail below tol.
     log_ratio = 40.0 - math.log(tol)
     x = log_ratio / 3.0 + math.sqrt(log_ratio**2 / 9.0 + 2.0 * log_ratio * mean)
-    top = max(floor + 1, math.ceil(mean + x))
-    tails = np.cumsum(_pmf_range(floor + 1, top, mean)[::-1])[::-1]
-    cap = floor + int(np.argmax(tails < tol))
-    return cap, poisson_tail(cap, mean)  # the suffix sums only locate the cap
+    caps = range(floor + 1, max(floor + 1, math.ceil(mean + x)) + 1)
+    cap = caps[bisect_left(caps, True, key=lambda n: poisson_tail(n, mean) < tol)]
+    return cap, poisson_tail(cap, mean)
 
 
 def _log_scaled_bessel(top: int, z: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -270,16 +270,15 @@ def replay_hedge(
     refer to a fresh contract, not the one being replicated).
     """
     if isinstance(lam_source, Intensities):
-        lam_times, lam_values = [-math.inf], [lam_source]
+        lam_times, lam_rows = [-math.inf], np.array([[lam_source.home, lam_source.away]])
     else:
         valid = lam_source.valid()
         if not valid:
             raise ValueError("intensity series has no valid points")
         lam_times = [p.timestamp_s for p in valid]
-        lam_values = [p.result.intensities for p in valid]
-    lam_rows = np.array([(v.home, v.away) for v in lam_values])
+        lam_rows = np.array([(p.result.intensities.home, p.result.intensities.away) for p in valid])
     bets = (target, *instruments)
-    snaps = SnapshotColumns.of(timeline.snapshots)
+    snaps = timeline.snapshots
     if len(snaps) and _next_goal_payout(target, Team.HOME) is not None:
         # The ledger stops at the first goal after the first snapshot.
         seen = snaps.home + snaps.away
@@ -347,14 +346,12 @@ def replay_hedge(
     for column, cell in zip(steps, (*settled, "target settled") if settled else ()):
         column.append(cell)
     steps = HedgeSteps(*steps)
-
-    report = HedgeReport(target, instruments, steps, tuple(goals), 0.0, None)
     try:
-        correlation, _ = jump_scatter_stats(report)
+        correlation = _jump_stats(goals)[0]
     except ValueError:  # fewer than two goals, or no jump variance
         correlation = None
     error = abs(steps.portfolio_value[-1] - steps.target_value[-1])
-    return replace(report, terminal_error=error, jump_correlation=correlation)
+    return HedgeReport(target, instruments, steps, tuple(goals), error, correlation)
 
 
 def jump_scatter_stats(
@@ -367,17 +364,16 @@ def jump_scatter_stats(
     """
     if isinstance(reports, HedgeReport):
         reports = [reports]
-    pairs = [
-        (g.target_post - g.target_pre, g.portfolio_post - g.portfolio_pre)
-        for rep in reports
-        for g in rep.goals
-    ]
+    return _jump_stats([g for rep in reports for g in rep.goals])
+
+
+def _jump_stats(goals: Sequence[GoalRecord]) -> tuple[float, list[tuple[float, float]]]:
+    """The correlation and (target jump, portfolio jump) pairs of
+    :func:`jump_scatter_stats` over ``goals``."""
+    pairs = [(g.target_post - g.target_pre, g.portfolio_post - g.portfolio_pre) for g in goals]
     if len(pairs) < 2:
         raise ValueError("need at least two goal records for a correlation")
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
-    sx, sy = xs.std(), ys.std()
-    if sx == 0.0 or sy == 0.0:
+    xs, ys = np.array(pairs).T
+    if xs.std() == 0.0 or ys.std() == 0.0:
         raise ValueError("jump series has zero variance")
-    corr = float(np.corrcoef(xs, ys)[0, 1])
-    return corr, pairs
+    return float(np.corrcoef(xs, ys)[0, 1]), pairs

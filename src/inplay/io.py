@@ -2,9 +2,10 @@
 
 File conventions: UTF-8, LF line endings, '.' decimal separator, floats at 9
 significant digits.  Timestamps are integer playing-time seconds from
-kickoff (half-time break off the clock).  The writers never quote a cell,
-so the readers split each line at every comma: they read LF, CRLF and CR
-line ends, and a ``"`` or NUL is an error naming its line.
+kickoff (half-time break off the clock).  Every writer formats its rows as
+LF-ended lines for one routine that writes them under the header.  No cell
+is ever quoted, so the readers split each line at every comma: they read
+LF, CRLF and CR line ends, and a ``"`` or NUL is an error naming its line.
 
 Quotes CSV columns: ``match_id,timestamp_s,market,selection,back_decimal,
 lay_decimal`` with two optional trailing columns ``home_goals,away_goals``.
@@ -13,9 +14,9 @@ the (market, selection) pairs the writer writes, up to case and blanks:
 parity bets whole under TOTAL_PARITY, other tokens split after the market.
 Accepted rows are parsed into one :class:`~inplay.calibration.QuoteTable`,
 and the snapshots into one :class:`~inplay.calibration.SnapshotColumns` view
-of its rows.  Rows sharing a timestamp and score form one snapshot;
-same-second snapshots run in the order of the goals their score counts,
-whatever the file's row order.
+of its rows, the columns the writer writes from.  Rows sharing a timestamp
+and score form one snapshot; same-second snapshots run in the order of the
+goals their score counts, whatever the file's row order.
 
 Events CSV columns: ``match_id,timestamp_s,team,event`` with team HOME or
 AWAY (case-insensitive) and event GOAL.  A file with only the header means
@@ -25,7 +26,6 @@ malformed row in the same words, naming ``path:line``.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -117,18 +117,14 @@ def _fmt_ts(t: float) -> str:
     return str(int(t)) if float(t).is_integer() else fmt_float(t)
 
 
-def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _write_csv(path, header: list[str], rows, match_id: str = "") -> None:
-    """Write the rows; ``match_id`` must be a cell the readers read back."""
+def _write_csv(path, header: list[str], lines, match_id: str = "") -> None:
+    """Write the header, then ``lines``, each a row already formatted and
+    ended by LF; ``match_id`` must be a cell the readers read back."""
     if any(c in match_id for c in ',"\0\r\n'):
         raise ValueError(f"match id {match_id!r} holds a comma, quote, NUL or line break")
-    with _open_write(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 # Characters read per block; every block is split into lines in one C call.
@@ -420,39 +416,39 @@ def load_timeline(
 
 
 def write_quotes_csv(timeline: MatchTimeline, path) -> None:
-    """Write every snapshot's quotes, with the score columns."""
-    rows = (
-        [
-            timeline.match_id,
-            _fmt_ts(snap.timestamp_s),
-            *_market_selection(q.bet),
-            fmt_float(q.back_decimal) if q.back_decimal is not None else "",
-            fmt_float(q.lay_decimal) if q.lay_decimal is not None else "",
-            snap.state.home_goals,
-            snap.state.away_goals,
-        ]
-        for snap in timeline.snapshots
-        for q in snap.quotes
+    """Write every snapshot's quotes from the timeline's columns, with the score columns."""
+    s, t = timeline.snapshots, timeline.snapshots.table
+    bets = [",".join(_market_selection(bet)) for bet in t.bets]
+    lines = (
+        f"{timeline.match_id},{_fmt_ts(ts)},{bets[ix]},{_odds(back)},{_odds(lay)},{home},{away}\n"
+        for ts, home, away, lo, hi in zip(
+            *(c.tolist() for c in (s.timestamps, s.home, s.away, s.starts, s.stops))
+        )
+        for ix, back, lay in zip(*(c[lo:hi].tolist() for c in (t.bet_ix, t.back, t.lay)))
     )
-    _write_csv(path, QUOTES_HEADER + SCORE_COLUMNS, rows, timeline.match_id)
+    _write_csv(path, QUOTES_HEADER + SCORE_COLUMNS, lines, timeline.match_id)
+
+
+def _odds(decimal: float) -> str:
+    return "" if math.isnan(decimal) else fmt_float(decimal)  # NaN: an absent side
 
 
 def write_events_csv(events: list[GoalEvent], path, match_id: str) -> None:
-    rows = ([match_id, _fmt_ts(ev.timestamp_s), ev.team.value, "GOAL"] for ev in events)
-    _write_csv(path, EVENTS_HEADER, rows, match_id)
+    lines = (f"{match_id},{_fmt_ts(ev.timestamp_s)},{ev.team.value},GOAL\n" for ev in events)
+    _write_csv(path, EVENTS_HEADER, lines, match_id)
 
 
 def write_intensity_series_csv(series: IntensitySeries, path) -> None:
     """One row per step; gap steps leave every field after the timestamp empty."""
 
-    def cells(r: CalibrationResult | None) -> list[str]:
+    def cells(r: CalibrationResult | None) -> str:
         if r is None:
-            return [""] * 6
+            return ",,,,,"
         numbers = (r.intensities.home, r.intensities.away, r.residual, r.stderr_home, r.stderr_away)
-        return [*map(fmt_float, numbers), "true" if r.converged else "false"]
+        return ",".join([*map(fmt_float, numbers), "true" if r.converged else "false"])
 
-    rows = ([_fmt_ts(p.timestamp_s), *cells(p.result)] for p in series.points)
-    _write_csv(path, SERIES_HEADER, rows)
+    lines = (f"{_fmt_ts(p.timestamp_s)},{cells(p.result)}\n" for p in series.points)
+    _write_csv(path, SERIES_HEADER, lines)
 
 
 def parse_intensity_series_csv(path) -> IntensitySeries:
@@ -500,18 +496,16 @@ def write_hedge_report(report: HedgeReport, out_dir) -> dict:
     integral = all(map(float.is_integer, map(float, s.timestamp_s)))
     stamps = s.timestamp_s if integral else map(_fmt_ts, s.timestamp_s)
     step_row = ("%d" if integral else "%s") + ",%.9g" * 7 + ",%s\n"
+    numbers = (s.target_value, s.portfolio_value, s.psi1, s.psi2, s.cash, s.z1, s.z2)
+    step_lines = map(step_row.__mod__, zip(stamps, *numbers, s.flag))
+    _write_csv(out_dir / "steps.csv", STEPS_HEADER, step_lines)
     goal_row = "%s,%s" + ",%.9g" * 4 + "\n"
-    with _open_write(out_dir / "steps.csv") as fh:
-        fh.write(",".join(STEPS_HEADER) + "\n")
-        numbers = (s.target_value, s.portfolio_value, s.psi1, s.psi2, s.cash, s.z1, s.z2)
-        fh.writelines(map(step_row.__mod__, zip(stamps, *numbers, s.flag)))
-    with _open_write(out_dir / "goals.csv") as fh:
-        fh.write(",".join(GOALS_HEADER) + "\n")
-        fh.writelines(
-            goal_row % (_fmt_ts(g.timestamp_s), g.team.value, g.target_pre, g.target_post,
-                        g.portfolio_pre, g.portfolio_post)
-            for g in report.goals
-        )
+    goal_lines = (
+        goal_row % (_fmt_ts(g.timestamp_s), g.team.value, g.target_pre, g.target_post,
+                    g.portfolio_pre, g.portfolio_post)
+        for g in report.goals
+    )
+    _write_csv(out_dir / "goals.csv", GOALS_HEADER, goal_lines)
     summary = {
         "target": format_bet(report.target),
         "instruments": [format_bet(b) for b in report.instruments],
@@ -520,9 +514,7 @@ def write_hedge_report(report: HedgeReport, out_dir) -> dict:
         "terminal_error": report.terminal_error,
         "jump_correlation": report.jump_correlation,
     }
-    with _open_write(out_dir / "summary.json") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", "utf-8", newline="")
     return summary
 
 
@@ -530,4 +522,4 @@ def write_terminal_scores_csv(batches, path) -> None:
     """One row per path, numbered across batches of (home, away) final goal
     arrays such as :func:`inplay.oracle.terminal_scores` yields."""
     scores = chain.from_iterable(zip(home.tolist(), away.tolist()) for home, away in batches)
-    _write_csv(path, SCORES_HEADER, ((i, h, a) for i, (h, a) in enumerate(scores)))
+    _write_csv(path, SCORES_HEADER, (f"{i},{h},{a}\n" for i, (h, a) in enumerate(scores)))

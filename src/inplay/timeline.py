@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import QuoteSnapshot, _snapshot_columns
+from .calibration import SnapshotColumns
 from .contracts import Team
 
 __all__ = ["GoalEvent", "MatchTimeline", "score_path", "goal_counts", "replay_runs"]
@@ -82,16 +82,17 @@ def allowed_scores(events: Sequence[GoalEvent], stamps, home, away) -> tuple[np.
 
 @dataclass(frozen=True)
 class MatchTimeline:
-    """Goals and snapshots of one match; ``snapshots`` is a tuple of
-    :class:`QuoteSnapshot` or a :class:`~inplay.calibration.SnapshotColumns`
-    view, checked on its columns either way.  Construction raises ValueError
-    at the first snapshot that has no score, has one its goals do not allow,
+    """Goals and snapshots of one match.  ``snapshots`` is always a
+    :class:`~inplay.calibration.SnapshotColumns` view: objects are converted
+    by :meth:`~inplay.calibration.SnapshotColumns.of` on every construction,
+    ``dataclasses.replace`` included.  Construction raises ValueError at
+    the first snapshot that has no score, has one its goals do not allow,
     has a clock other than its stamp's (:func:`clocks_of`) or breaks
     (timestamp, goals) order, naming its timestamp."""
 
     match_id: str
     events: tuple[GoalEvent, ...]
-    snapshots: Sequence[QuoteSnapshot]
+    snapshots: SnapshotColumns
     match_length_min: float = DEFAULT_MATCH_MINUTES
     half_length_min: float = DEFAULT_HALF_MINUTES
 
@@ -100,7 +101,8 @@ class MatchTimeline:
         for ev in self.events:
             if not (0.0 <= ev.timestamp_s <= length_s):
                 raise ValueError(f"goal at {ev.timestamp_s}s is outside the match")
-        ts, home, away, clocks = _snapshot_columns(self.snapshots)
+        object.__setattr__(self, "snapshots", s := SnapshotColumns.of(self.snapshots))
+        ts, home, away, clocks = s.timestamps, s.home, s.away, s.clocks
         ok, seen = allowed_scores(self.events, ts, home, away)[0], home + away
         stamped = clocks_of(ts, self.match_length_min)
         later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (seen[1:] < seen[:-1]))

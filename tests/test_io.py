@@ -30,6 +30,7 @@ from inplay.contracts import (
     ODD_TOTAL,
     Bet,
     Intensities,
+    Outcome,
     Quote,
     ScoreState,
     Team,
@@ -55,7 +56,14 @@ from inplay.io import (
     write_terminal_scores_csv,
 )
 from inplay.synthetic import make_model_timeline
-from inplay.timeline import GoalEvent, clocks_of, goal_counts, replay_runs, score_path
+from inplay.timeline import (
+    GoalEvent,
+    MatchTimeline,
+    clocks_of,
+    goal_counts,
+    replay_runs,
+    score_path,
+)
 
 
 QUOTES_EXAMPLE = """match_id,timestamp_s,market,selection,back_decimal,lay_decimal
@@ -1121,6 +1129,73 @@ class TestRoundTrips:
         assert (tmp_path / "out" / "goals.csv").read_bytes() == want_goals
         assert b"nan" in want_steps and b"-inf" in want_steps and b",-0," in want_steps
 
+        # The other four writers, on cells from the same stamps and floats.
+        bets = [MATCH_ODDS_HOME, Bet.over(2.5), Bet.correct_score(1, 0), ODD_TOTAL,
+                Bet.winning_margin(-2), Bet.ht_ft(Outcome.DRAW, Outcome.HOME), NEXT_GOAL_AWAY]
+        odds = [None if math.isnan(x) else x for x in floats]  # an absent side is NaN
+        order = sorted(set(stamps))
+        snaps = tuple(
+            QuoteSnapshot(t, ScoreState(0, 0, float(clocks_of(t, 90.0))), tuple(
+                Quote(bets[(k + j) % len(bets)], odds[(k + j) % 9], odds[(k + 2 * j) % 9])
+                for j in range(k % 4)
+            ))
+            for k, t in enumerate(order)
+        )
+        events = [GoalEvent(t, team) for t, team in zip(order, [Team.AWAY, Team.HOME] * 5)]
+        tl = MatchTimeline("g-1", (), snaps)
+        write_quotes_csv(tl, tmp_path / "out" / "quotes.csv")
+        write_events_csv(events, tmp_path / "out" / "events.csv", "g-1")
+        fits = [
+            None if k % 3 == 1 else CalibrationResult(
+                Intensities((0.1 + 0.2) * k, 1e-300), *(floats[k:] + floats[:k])[:3],
+                iterations=k, converged=k % 2 == 0,
+            )
+            for k in range(len(order))
+        ]
+        write_intensity_series_csv(
+            IntensitySeries(tuple(map(SeriesPoint, order, fits))), tmp_path / "out" / "series.csv"
+        )
+        scores = [(np.array([2, 0, 11]), np.array([1, 3, 0])), (np.array([7]), np.array([9]))]
+        write_terminal_scores_csv(scores, tmp_path / "out" / "scores.csv")
+
+        def cell(x):
+            return "" if x is None else fmt_float(x)
+
+        want = {
+            "quotes.csv": reference(
+                "quotes.csv", ",".join(QUOTES_HEADER + SCORE_COLUMNS),
+                [
+                    ["g-1", ts(s.timestamp_s), *io_module._market_selection(q.bet),
+                     cell(q.back_decimal), cell(q.lay_decimal), s.state.home_goals,
+                     s.state.away_goals]
+                    for s in snaps
+                    for q in s.quotes
+                ],
+            ),
+            "events.csv": reference(
+                "events.csv", ",".join(EVENTS_HEADER),
+                [["g-1", ts(e.timestamp_s), e.team.value, "GOAL"] for e in events],
+            ),
+            "series.csv": reference(
+                "series.csv", ",".join(SERIES_HEADER),
+                [
+                    [ts(t)] + ([""] * 6 if r is None else [
+                        *map(fmt_float, (r.intensities.home, r.intensities.away, r.residual,
+                                         r.stderr_home, r.stderr_away)),
+                        "true" if r.converged else "false",
+                    ])
+                    for t, r in zip(order, fits)
+                ],
+            ),
+            "scores.csv": reference(
+                "scores.csv", "path,home_goals,away_goals",
+                [(0, 2, 1), (1, 0, 3), (2, 11, 0), (3, 7, 9)],
+            ),
+        }
+        for name, data in want.items():
+            assert (tmp_path / "out" / name).read_bytes() == data, name
+        assert b",," in want["quotes.csv"] and b",,,,,," in want["series.csv"]
+
 
 def _decimal_as_written(x):
     return None if x is None else float(fmt_float(x))
@@ -1187,7 +1262,7 @@ class TestQuoteColumns:
         view = loaded.snapshots
         for i, (got, src) in enumerate(zip(view, tl.snapshots)):
             assert got.state == src.state
-            self._assert_rows_match(view, i, [q for q in src.quotes if q is not sub_unit])
+            self._assert_rows_match(view, i, [q for q in src.quotes if q != sub_unit])
         written = len(quotes.read_text().splitlines()) - 1
         assert (view.stops - view.starts).sum() == written - 1
 
@@ -1207,8 +1282,38 @@ class TestQuoteColumns:
         assert [s.timestamp_s for s in loaded.snapshots] == list(groups)
         for i, (got, group) in enumerate(zip(loaded.snapshots, groups.values())):
             assert got.state == group[-1].state
-            expected = [q for s in group for q in s.quotes if q is not sub_unit]
+            expected = [q for s in group for q in s.quotes if q != sub_unit]
             self._assert_rows_match(loaded.snapshots, i, expected)
+
+    def test_timeline_from_objects_has_the_columns_of_its_csv(self, tmp_path):
+        # Decimals at the written 9 digits, so the file holds them exactly.
+        tl = make_model_timeline(
+            Intensities(1.3, 0.7), goals=[(600.0, Team.HOME), (600.0, Team.AWAY)],
+            step_s=300.0, bets=self.BETS + [Bet.ht_ft(Outcome.HOME, Outcome.DRAW)], end_s=3000.0,
+        )
+        snaps = tuple(
+            QuoteSnapshot(s.timestamp_s, s.state, tuple(
+                Quote.from_decimals(
+                    q.bet, _decimal_as_written(q.back_decimal), _decimal_as_written(q.lay_decimal)
+                )
+                for q in s.quotes
+            ))
+            for s in tl.snapshots
+        )
+        rebuilt = dataclasses.replace(tl, snapshots=snaps)
+        built = rebuilt.snapshots
+        assert isinstance(built, SnapshotColumns)
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        write_quotes_csv(rebuilt, quotes)
+        write_events_csv(list(tl.events), events, match_id=tl.match_id)
+        loaded = load_timeline(quotes, events).snapshots
+        for name in ("timestamps", "home", "away", "clocks", "starts", "stops"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name), name)
+        assert loaded.table.bets == built.table.bets
+        for name in ("bet_ix", "back", "lay", "buy", "sell", "mid", "spread", "two_sided"):
+            got, want = getattr(loaded.table, name), getattr(built.table, name)
+            np.testing.assert_array_equal(got, want, name)
+        assert np.isnan(built.table.lay).any()  # a one-sided quote
 
     def test_load_and_replay_build_no_quote(self, tmp_path, monkeypatch):
         from inplay.hedging import replay_hedge
