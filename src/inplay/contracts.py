@@ -17,6 +17,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 
 class Outcome(Enum):
@@ -239,6 +240,10 @@ class ScoreState:
     clock: float
 
     def __post_init__(self) -> None:
+        for name in ("home_goals", "away_goals"):
+            goals = getattr(self, name)
+            if type(goals) is not int and (type(goals) is bool or not isinstance(goals, Integral)):
+                raise ValueError(f"{name} must be a whole number of goals, got {goals!r}")
         if self.home_goals < 0 or self.away_goals < 0:
             raise ValueError("goals must be nonnegative")
         if not (0.0 <= self.clock <= 1.0) or not math.isfinite(self.clock):

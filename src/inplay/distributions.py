@@ -9,10 +9,10 @@ Each quantity has one route:
   both tails keep relative accuracy, and returns the side holding the mode
   as 1 minus that sum; ``cap_for_tail`` bisects that tail for a truncation
   cap and returns the cap with its tail, the bound a pricer reports;
-* the Skellam law of N1 - N2 is exp(-(m1+m2)) (m1/m2)^(k/2) I_|k|(z) with
-  z = 2 sqrt(m1 m2).  The Bessel values come in log space from Miller's
-  backward recurrence for the ratios I_k/I_(k-1), normalised by
-  e^-z (I_0 + 2 sum_k I_k) = 1, so nothing underflows.
+* the Skellam law of N1 - N2 comes from its own three-term recurrence,
+  k p_k = m1 p_(k-1) - m2 p_(k+1): Miller's backward recurrence for the
+  ratios p_k/p_(k-1), summed as logs and normalised to total 1, so nothing
+  cancels, overflows or underflows.
 
 Everything here is a pure function of scalars (or small integer ranges, or
 one array of means for the pmf matrix) and is safe to call concurrently.
@@ -163,52 +163,34 @@ def cap_for_tail(mean: float, tol: float = 1e-13, floor: int = 25) -> tuple[int,
     return cap, poisson_tail(cap, mean)
 
 
-def _log_scaled_bessel(top: int, z: float) -> np.ndarray:
-    """log(I_k(z) e^-z) for k = 0 .. top and z > 0.
-
-    The ratios r_k = I_k/I_(k-1) follow r_k = 1/(2k/z + r_(k+1)), run down
-    from zero at an order where the backward error has died out; summed
-    logs give log(I_k/I_0), and e^-z (I_0 + 2 sum_(k>=1) I_k) = 1 fixes
-    I_0 e^-z.
-    """
-    denominators = []
-    r = 0.0
-    for b in (np.arange(top + 8 + int(9.0 * math.sqrt(z)), 0, -1) * (2.0 / z)).tolist():
-        d = b + r  # b = 2k/z; inf only for subnormal z, and then r_k = 0
-        denominators.append(d)
-        r = 1.0 / d
-    denominators.append(1.0)  # order 0
-    log_ratios = -np.cumsum(np.log(denominators[::-1]))  # log(I_k/I_0), k >= 0
-    return log_ratios[: top + 1] - math.log(2.0 * float(np.exp(log_ratios).sum()) - 1.0)
-
-
 def skellam_pmf_range(k_lo: int, k_hi: int, mean1: float, mean2: float) -> np.ndarray:
     """P[N1 - N2 = k] for k = k_lo .. k_hi inclusive, N1 and N2 independent
     Poisson.
 
-    log p = (z - (m1+m2)) + (k/2) log(m1/m2) + log(I_|k|(z) e^-z), so large
-    intensity ratios cannot overflow.  A zero mean on either side
-    degenerates to a shifted one-sided Poisson pmf (the limit of the closed
-    form, which itself divides by the vanishing mean).
+    The pmf obeys k p_k = m1 p_(k-1) - m2 p_(k+1), so for k >= 1 the ratio
+    p_k/p_(k-1) is m1/d_k with d_k = k + m2 p_(k+1)/p_k = k + m1 m2/d_(k+1),
+    and p_-k/p_(-k+1) is m2/d_k.  The d_k run down from d_(n+1) = inf at an
+    order n past the range and the mass (Miller's recurrence); the summed
+    logs of the ratios give log(p_k/p_0), and the pmf's sum fixes p_0.  No
+    term is negative, so nothing cancels, and a zero mean's side is exactly
+    0.
     """
     mean1 = _check_mean(mean1, "mean1")
     mean2 = _check_mean(mean2, "mean2")
     k_lo, k_hi = int(k_lo), int(k_hi)
     if k_hi < k_lo:
         raise ValueError("k_hi must be >= k_lo")
-    ks = np.arange(k_lo, k_hi + 1)
-
-    if mean1 == 0.0 and mean2 == 0.0:
-        return (ks == 0).astype(float)
-    if mean1 == 0.0 or mean2 == 0.0:
-        n = ks if mean2 == 0.0 else -ks
-        pmf = _pmf_range(0, max(int(n.max()), 0), mean1 + mean2)
-        return np.where(n >= 0, np.minimum(pmf, 1.0)[np.maximum(n, 0)], 0.0)
-
-    z = 2.0 * math.sqrt(mean1) * math.sqrt(mean2)  # no underflow to 0
-    log_scaled = _log_scaled_bessel(max(-k_lo, k_hi), z)[np.abs(ks)]
-    log_p = (z - (mean1 + mean2)) + ks * (0.5 * math.log(mean1 / mean2)) + log_scaled
-    return np.minimum(np.exp(log_p), 1.0)
+    # n lies past the range and the mass, far enough for the start's error to die out.
+    total, product = mean1 + mean2, mean1 * mean2
+    n = max(k_hi, -k_lo, int(total)) + 8 + int(9.0 * math.sqrt(total))
+    d = math.inf
+    log_d = np.log([d := k + product / d for k in range(n, 0, -1)][::-1])  # d_k >= k
+    log_means = [math.log(m) if m else -math.inf for m in (mean2, mean1)]
+    # Rows k = -1 .. -n and k = 1 .. n.
+    log_q = np.add.accumulate(np.subtract.outer(log_means, log_d), axis=1)
+    log_p = np.concatenate((log_q[0, ::-1], [0.0], log_q[1]))  # k = -n .. n
+    p = np.exp(log_p - log_p.max())
+    return np.minimum(p[k_lo + n : k_hi + n + 1] / p.sum(), 1.0)
 
 
 def skellam_pmf(k: int, mean1: float, mean2: float) -> float:

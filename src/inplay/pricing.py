@@ -335,13 +335,9 @@ def price_closed_form(bet: Bet, state: ScoreState, lam: Intensities) -> PriceRes
         return PriceResult(_poisson_sides(need, l_tot)[0], 0.0)
 
     if k in (BetKind.ODD, BetKind.EVEN):
-        p_even_remaining = 0.5 * (1.0 + math.exp(-2.0 * l_tot))
-        p_odd_remaining = 0.5 * (1.0 - math.exp(-2.0 * l_tot))
-        if k is BetKind.EVEN:
-            value = p_even_remaining if current_total % 2 == 0 else p_odd_remaining
-        else:
-            value = p_odd_remaining if current_total % 2 == 0 else p_even_remaining
-        return PriceResult(_clamp01(value), 0.0)
+        odd = -0.5 * math.expm1(-2.0 * l_tot)  # an odd number of goals to come
+        value = odd if (k is BetKind.ODD) == (current_total % 2 == 0) else 1.0 - odd
+        return PriceResult(value, 0.0)
 
     if k is BetKind.WINNING_MARGIN:
         need = bet.margin - state.home_goals + state.away_goals

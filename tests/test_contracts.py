@@ -288,6 +288,14 @@ class TestStateAndIntensities:
         with pytest.raises(ValueError):
             ScoreState(-1, 0, 0.5)
 
+    @pytest.mark.parametrize("goals", [1.5, 2.0, np.float64(1.0), True, np.True_, "1"])
+    @pytest.mark.parametrize("field", ["home_goals", "away_goals"])
+    def test_goals_are_whole_numbers(self, goals, field):
+        with pytest.raises(ValueError, match=field):
+            ScoreState(**{"home_goals": 0, "away_goals": 0, field: goals}, clock=0.5)
+        for whole in (2, np.int64(2), np.int32(2)):
+            assert ScoreState(**{"home_goals": 0, "away_goals": 0, field: whole}, clock=0.5)
+
     def test_intensities_validated(self):
         with pytest.raises(ValueError):
             Intensities(-0.1, 1.0)

@@ -1,22 +1,22 @@
-"""Tests for the Poisson / Bessel / Skellam primitives.
+"""Tests for the Poisson and Skellam primitives.
 
 High-precision expected values were computed with an arbitrary-precision
 evaluator (mpmath, 40 digits) and frozen here.  ``scipy.special`` is a
 test-only reference: the incomplete gamma function for the Poisson tails,
-``ive`` and a log-space ascending series for the Bessel values.
+and a log-space ascending Bessel series as an independent route to the
+Skellam law (``ive`` shows where scaled Bessel values underflow).
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, gammaln, ive, logsumexp
 
 from inplay import Bet, Intensities, ScoreState, price
 from inplay.distributions import (
-    _log_scaled_bessel,
     _poisson_sides,
     cap_for_tail,
     poisson_pmf,
@@ -151,39 +151,6 @@ class TestPmfMatrix:
             poisson_pmf_matrix(means, 25)
 
 
-def scaled_bessel(order: int, z: float) -> float:
-    """I_order(z) e^-z from the production table."""
-    return math.exp(_log_scaled_bessel(order, z)[order])
-
-
-class TestBessel:
-    def test_frozen_value(self):
-        assert scaled_bessel(0, 2.0) * math.exp(2.0) == pytest.approx(
-            2.2795853023360673, rel=1e-15
-        )
-
-    def test_table_matches_ive(self):
-        orders = np.arange(81)
-        for z in np.geomspace(1e-10, 100.0, 80):
-            table = np.exp(_log_scaled_bessel(80, z))
-            ref = ive(orders, z)
-            ok = ref > 1e-290
-            assert np.all(np.abs(table[ok] / ref[ok] - 1.0) <= 1e-12), z
-
-    @given(
-        order=st.integers(min_value=0, max_value=12),
-        z=st.floats(min_value=0.0, max_value=40.0),
-    )
-    @settings(max_examples=60)
-    def test_recurrence_identity(self, order, z):
-        # I_{v-1}(z) - I_{v+1}(z) = (2v/z) I_v(z), here all scaled by e^-z
-        if z < 1e-6 or order == 0:
-            return
-        lhs = scaled_bessel(order - 1, z) - scaled_bessel(order + 1, z)
-        rhs = 2 * order / z * scaled_bessel(order, z)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-280)
-
-
 class TestSkellam:
     def test_frozen_symmetric_value(self):
         assert skellam_pmf(0, 1.0, 1.0) == pytest.approx(0.30850832255367104, rel=1e-13)
@@ -256,7 +223,7 @@ class TestSkellamTable:
     PAIRS = [(20.0, 1e-4), (1e-4, 20.0), (10.0, 10.0), (1e-3, 2e-3)]
 
     @pytest.mark.parametrize("mean1,mean2", PAIRS)
-    def test_scaled_bessel_route_matches_scalar_and_series(self, mean1, mean2):
+    def test_recurrence_route_matches_scalar_and_series(self, mean1, mean2):
         ks = np.arange(-60, 61)
         table = skellam_pmf_range(-60, 60, mean1, mean2)
         series = skellam_by_series(ks, mean1, mean2)

@@ -118,12 +118,33 @@ class TestPriceClosedForm:
         assert res.value == 1.0
         assert price_closed_form(ODD_TOTAL, ScoreState(1, 1, 0.3), Intensities(0.0, 0.0)).value == 0.0
 
+    @pytest.mark.parametrize("total_mean", [1e-20, 1e-9, 1e-5])
+    @pytest.mark.parametrize("score", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("bet", [ODD_TOTAL, EVEN_TOTAL])
+    def test_parity_keeps_relative_accuracy(self, bet, score, total_mean):
+        # Both parities of the current total, so the odd remainder, a value
+        # near total_mean, is priced on each bet.
+        state, lam = ScoreState(*score, 0.0), Intensities(total_mean, 0.0)
+        want = price_european(bet, state, lam).value
+        assert price_closed_form(bet, state, lam).value == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_winning_margin_is_skellam(self):
         res = price_closed_form(Bet.winning_margin(0), ScoreState(0, 0, 0.0), Intensities(1, 1))
         assert res.value == pytest.approx(0.30850832255367104, abs=1e-12)
 
     @pytest.mark.parametrize("bet", EURO_BETS)
-    @pytest.mark.parametrize("lam", [(0.1, 0.1), (1.0, 0.5), (5.0, 5.0)])
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            (0.1, 0.1),
+            (1.0, 0.5),
+            (5.0, 5.0),
+            (20.0, 1e-200),
+            (14.525685216847084, 1.807606e-317),
+            (1.0, 2.2250738585072e-309),
+            (0.0, 3.0),
+        ],
+    )
     @pytest.mark.parametrize("tau", [0.0, 0.5, 0.9])
     def test_agrees_with_double_sum(self, bet, lam, tau):
         for score in [(0, 0), (2, 1)]:

@@ -42,10 +42,8 @@ MEAN = 1.5
 _TAIL = 1e-17
 _FLOOR = 1e-17
 
-# Zero, or from the calibrator's lower box edge to 20.  At intensity ratios
-# of about 1e50 and beyond, the closed-form Skellam route drifts past 1e-13
-# (test_an_extreme_intensity_ratio_keeps_the_skellam_route_exact).
-INTENSITY = st.one_of(st.just(0.0), st.floats(1e-4, 20.0))
+# From zero, subnormals included, to 20.
+INTENSITY = st.floats(0.0, 20.0)
 
 HT_FT_BETS = [Bet.ht_ft(h, f) for h in Outcome for f in Outcome]
 
@@ -149,16 +147,17 @@ def test_price_is_the_expectation_of_a_later_price(kind, phase, data):
     assert abs(now.value - later) <= 1e-13 + now.truncation_bound + bound, (now, later, bound)
 
 
-@pytest.mark.xfail(strict=True, reason="the Skellam route loses log(m1/m2) at extreme intensity ratios")
 @pytest.mark.parametrize(
-    "lam, score, clock",
+    "bet, lam, score, clock",
     [
-        (Intensities(20.0, 1e-200), (0, 0), 0.0),  # 4.5e-13 off
-        (Intensities(1.0, 2.2250738585072e-309), (0, 1), 0.5),  # 1.0 and a RuntimeWarning; 0.09 is right
+        # An intensity ratio of 2e201, and two subnormal intensities.
+        (MATCH_ODDS_HOME, Intensities(20.0, 1e-200), (0, 0), 0.0),
+        (MATCH_ODDS_HOME, Intensities(1.0, 2.2250738585072e-309), (0, 1), 0.5),
+        (Bet.winning_margin(1), Intensities(14.525685216847084, 1.807606e-317), (4, 4), 0.0),
     ],
 )
-def test_an_extreme_intensity_ratio_keeps_the_skellam_route_exact(lam, score, clock):
+def test_an_extreme_intensity_ratio_keeps_the_skellam_route_exact(bet, lam, score, clock):
     # The double sum of price_european is the reference.
     state = ScoreState(*score, clock)
-    want = price_european(MATCH_ODDS_HOME, state, lam).value
-    assert abs(price(MATCH_ODDS_HOME, state, lam).value - want) <= 1e-13
+    want = price_european(bet, state, lam).value
+    assert abs(price(bet, state, lam).value - want) <= 1e-13
