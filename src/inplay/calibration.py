@@ -1,4 +1,5 @@
-"""Implied-intensity calibration against quote snapshots.
+"""Implied-intensity calibration against quote snapshots, held as one
+:class:`SnapshotColumns` grid with a quote per (snapshot, bet) cell at most.
 
 A snapshot is fitted by minimising the root-mean-square of its usable
 quotes' mid-versus-model differences, each in units of that quote's half
@@ -8,8 +9,8 @@ log lam_away) with the exact Jacobian dV/dlam_i = (1 - tau) * delta_i of a
 :class:`~inplay.pricing.EuropeanBoard`.
 
 A series is fitted in one batched solve.  Its snapshots share one board over
-the union of their bets, where weight 0 marks a bet a snapshot has no usable
-quote on, and one loop fits them all: each evaluation prices every
+the bets any of them quotes usably, where weight 0 marks a bet a snapshot
+has no usable quote on, and one loop fits them all: each evaluation prices every
 still-active snapshot at once, whatever its score, and each step solves
 their damped 2x2 normal equations in closed form, moves at most 1 in either
 log intensity and is projected into :data:`LAMBDA_BOX`; damping, acceptance
@@ -47,7 +48,6 @@ from .contracts import Bet, Intensities, Quote, ScoreState
 from . import pricing
 
 __all__ = [
-    "QuoteTable",
     "QuoteSnapshot",
     "SnapshotColumns",
     "CalibrationResult",
@@ -88,48 +88,6 @@ class IdentifiabilityError(ValueError):
     """Snapshot cannot pin down two intensities."""
 
 
-class QuoteTable:
-    """Quote rows as columns.
-
-    ``bets`` holds the distinct bets and ``bet_ix`` indexes it, one entry
-    per row.  The decimals and the buy and sell values are NaN where a side
-    is absent; ``mid``, ``spread``, ``two_sided`` and ``european`` are
-    derived per row with the same arithmetic as :class:`Quote`.  Values
-    default to ``1 / decimal``, the arithmetic of ``value_from_decimal``.
-    """
-
-    def __init__(self, bets, bet_ix, back, lay, buy=None, sell=None):
-        self.bets: tuple[Bet, ...] = tuple(bets)
-        self.bet_ix = np.asarray(bet_ix, dtype=np.intp)
-        self.back = np.asarray(back, dtype=float)
-        self.lay = np.asarray(lay, dtype=float)
-        self.buy = 1.0 / self.back if buy is None else np.asarray(buy, dtype=float)
-        self.sell = 1.0 / self.lay if sell is None else np.asarray(sell, dtype=float)
-        self.two_sided = ~(np.isnan(self.buy) | np.isnan(self.sell))
-        self.mid = 0.5 * (self.buy + self.sell)
-        self.spread = np.abs(self.buy - self.sell)
-        self.european = np.array([b.european for b in self.bets], dtype=bool)[self.bet_ix]
-
-    @classmethod
-    def from_quotes(cls, quotes) -> QuoteTable:
-        """The rows of a sequence of :class:`Quote` objects, in order."""
-        index: dict[Bet, int] = {}
-        ix, back, lay, buy, sell = [], [], [], [], []
-        for q in quotes:
-            ix.append(index.setdefault(q.bet, len(index)))
-            for col, v in zip(
-                (back, lay, buy, sell), (q.back_decimal, q.lay_decimal, q.value_buy, q.value_sell)
-            ):
-                col.append(math.nan if v is None else v)
-        return cls(tuple(index), ix, back, lay, buy, sell)
-
-    def quote(self, i: int) -> Quote:
-        """Row ``i`` as a :class:`Quote`."""
-        cells = (self.back[i], self.lay[i], self.buy[i], self.sell[i])
-        back, lay, buy, sell = (None if math.isnan(c) else float(c) for c in cells)
-        return Quote(self.bets[self.bet_ix[i]], back, lay, buy, sell)
-
-
 @dataclass(frozen=True)
 class QuoteSnapshot:
     """All quotes observed at one timestamp, with the score in effect."""
@@ -140,44 +98,94 @@ class QuoteSnapshot:
 
 
 class SnapshotColumns(Sequence):
-    """Snapshots as columns: each one's rows ``starts[i]:stops[i]`` of one
-    :class:`QuoteTable`, timestamp, home and away goals (-1 for no score) and
-    clock.  An integer index builds the :class:`QuoteSnapshot` and its
-    :class:`Quote` objects; a slice or an index array selects another view."""
+    """Snapshots as a grid, a row per snapshot and a column per bet of
+    ``bets``: a bet has at most one quote in a snapshot.
 
-    __slots__ = ("table", "timestamps", "home", "away", "clocks", "starts", "stops")
+    Per snapshot: timestamp, home and away goals (-1 for no score) and clock.
+    Per cell: the ``back`` and ``lay`` decimals and the ``buy`` and ``sell``
+    values, NaN where a side is absent; values default to ``1 / decimal``,
+    the arithmetic of ``value_from_decimal``.  ``two_sided``, ``mid`` and
+    ``spread`` per cell and ``european`` per column are derived once, with
+    the arithmetic of :class:`Quote`, and views share them.  An integer index
+    builds the :class:`QuoteSnapshot` and its :class:`Quote` objects, in
+    column order; a slice or an index array selects a view of those rows.
+    """
 
-    def __init__(self, table: QuoteTable, timestamps, home, away, clocks, starts, stops):
-        self.table, self.timestamps, self.home, self.away = table, timestamps, home, away
-        self.clocks, self.starts, self.stops = clocks, starts, stops
+    _ROWS = ("timestamps", "home", "away", "clocks", "back", "lay", "buy", "sell", "two_sided",
+             "mid", "spread")
+    __slots__ = ("bets", "european", *_ROWS)
+
+    def __init__(self, bets, timestamps, home, away, clocks, back, lay, buy=None, sell=None):
+        self.bets: tuple[Bet, ...] = tuple(bets)
+        self.european = np.array([b.european for b in self.bets], dtype=bool)
+        self.timestamps, self.home, self.away, self.clocks = timestamps, home, away, clocks
+        self.back = np.asarray(back, dtype=float)
+        self.lay = np.asarray(lay, dtype=float)
+        self.buy = 1.0 / self.back if buy is None else np.asarray(buy, dtype=float)
+        self.sell = 1.0 / self.lay if sell is None else np.asarray(sell, dtype=float)
+        self.two_sided = ~(np.isnan(self.buy) | np.isnan(self.sell))
+        self.mid = 0.5 * (self.buy + self.sell)
+        self.spread = np.abs(self.buy - self.sell)
+
+    @classmethod
+    def from_rows(cls, bets, timestamps, home, away, clocks, snap, col, *sides) -> SnapshotColumns:
+        """The grid with quote row k in cell (``snap[k]``, ``col[k]``); ``sides``
+        are the rows' back and lay decimals, then optionally their buy and
+        sell values.  A cell given twice raises ValueError naming the bet and
+        the snapshot's timestamp, the earliest first."""
+        shape = (len(timestamps), len(bets))
+        cell = np.asarray(snap, dtype=np.intp) * shape[1] + np.asarray(col, dtype=np.intp)
+        for c in np.flatnonzero(np.bincount(cell, minlength=math.prod(shape)) > 1)[:1].tolist():
+            i, j = divmod(c, shape[1])
+            raise ValueError(f"{bets[j]} is quoted twice in the snapshot at {timestamps[i]:.15g}s")
+        grids = np.full((len(sides), math.prod(shape)), np.nan)
+        for grid, side in zip(grids, sides):  # a side at a time: lists convert one by one
+            grid[cell] = side
+        return cls(bets, timestamps, home, away, clocks, *grids.reshape(len(sides), *shape))
 
     @classmethod
     def of(cls, snapshots: Sequence[QuoteSnapshot]) -> SnapshotColumns:
         """``snapshots`` as a view: a view as it is, any other sequence
-        converted, its quotes by :meth:`QuoteTable.from_quotes`."""
+        converted, its bets in the order they first appear."""
         if isinstance(snapshots, SnapshotColumns):
             return snapshots
+        index: dict[Bet, int] = {}
+        snap, col, sides = [], [], ([], [], [], [])
+        for i, s in enumerate(snapshots):
+            for q in s.quotes:
+                snap.append(i)
+                col.append(index.setdefault(q.bet, len(index)))
+                values = (q.back_decimal, q.lay_decimal, q.value_buy, q.value_sell)
+                for side, v in zip(sides, values):
+                    side.append(math.nan if v is None else v)
         states = [s.state for s in snapshots]
-        bounds = np.cumsum([0, *(len(s.quotes) for s in snapshots)], dtype=np.intp)
-        return cls(
-            QuoteTable.from_quotes([q for s in snapshots for q in s.quotes]),
+        return cls.from_rows(
+            tuple(index),
             np.array([s.timestamp_s for s in snapshots], dtype=float),
             np.array([-1 if st is None else st.home_goals for st in states], dtype=np.intp),
             np.array([-1 if st is None else st.away_goals for st in states], dtype=np.intp),
             np.array([math.nan if st is None else st.clock for st in states], dtype=float),
-            bounds[:-1], bounds[1:],
+            snap, col, *sides,
         )
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def __getitem__(self, i):
-        if not isinstance(i, (int, np.integer)):
-            return SnapshotColumns(self.table, *(getattr(self, n)[i] for n in self.__slots__[1:]))
+        if not isinstance(i, (int, np.integer)):  # a view: nothing is derived again
+            view = object.__new__(SnapshotColumns)
+            view.bets, view.european = self.bets, self.european
+            for name in self._ROWS:
+                setattr(view, name, getattr(self, name)[i])
+            return view
         i = range(len(self))[i]
         home, away = int(self.home[i]), int(self.away[i])
         state = ScoreState(home, away, float(self.clocks[i])) if home >= 0 else None
-        quotes = tuple(map(self.table.quote, range(self.starts[i], self.stops[i])))
+        cells = np.column_stack([getattr(self, n)[i] for n in ("back", "lay", "buy", "sell")])
+        quotes = tuple(
+            Quote(self.bets[j], *(None if math.isnan(c) else c for c in cells[j].tolist()))
+            for j in np.flatnonzero(~np.isnan(cells).all(axis=1)).tolist()
+        )
         return QuoteSnapshot(float(self.timestamps[i]), state, quotes)
 
 
@@ -223,41 +231,29 @@ class IntensitySeries:
 
 
 class _Segment:
-    """The usable quotes of a series' snapshots, on one board: a snapshot's
-    k-th quote of a bet is in that bet's k-th column.  ``weight`` is 1 /
-    half-spread on a quote and 0 off one, where ``mid`` is 0 and so is the
-    residual.  No score or a zero spread raises, naming the earliest snapshot."""
+    """The usable quotes of a series' snapshots, on one board over the bets
+    some snapshot quotes usably.  ``weight`` is 1 / half-spread on a quote
+    and 0 off one, where ``mid`` is 0 and so is the residual.  No score or a
+    zero spread raises, naming the earliest snapshot."""
 
     def __init__(self, snaps: SnapshotColumns):
-        t, starts, stops = snaps.table, snaps.starts, snaps.stops
-        lengths, nb = stops - starts, len(t.bets)
-        rows = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        snap = np.repeat(np.arange(len(snaps)), lengths)
-        mid = t.mid[rows]
-        usable = t.two_sided[rows] & t.european[rows] & (MID_FILTER[0] < mid) & (mid < MID_FILTER[1])
-        rows, snap = rows[usable], snap[usable]
+        mid = snaps.mid
+        usable = snaps.two_sided & snaps.european & (MID_FILTER[0] < mid) & (mid < MID_FILTER[1])
         unscored = np.flatnonzero(snaps.home < 0).tolist() + [len(snaps)]
-        for i in np.flatnonzero((t.spread[rows] == 0.0) & (snap < unscored[0]))[:1]:
+        for i, j in np.argwhere(usable[: unscored[0]] & (snaps.spread[: unscored[0]] == 0.0))[:1]:
             raise ValueError(
-                f"zero spread on quote for {t.bets[t.bet_ix[rows[i]]]} in the snapshot at "
-                f"{float(snaps.timestamps[snap[i]]):.15g}s"
+                f"zero spread on quote for {snaps.bets[j]} in the snapshot at "
+                f"{float(snaps.timestamps[i]):.15g}s"
             )
         if (i := unscored[0]) < len(snaps):
             raise ValueError(f"the snapshot at {float(snaps.timestamps[i]):.15g}s has no score")
-        key = snap * nb + t.bet_ix[rows]
-        order = np.argsort(key, kind="stable")
-        repeat = np.empty_like(key)
-        repeat[order] = np.arange(len(key)) - np.searchsorted(key[order], key[order])
-        cols, col = np.unique(repeat * nb + t.bet_ix[rows], return_inverse=True)
-        self.mid, self.weight = np.zeros((2, len(snaps), len(cols)))
-        self.mid[snap, col], self.weight[snap, col] = t.mid[rows], 2.0 / t.spread[rows]
-        self.count = (self.weight > 0.0).sum(axis=1)
-        self.board = pricing.EuropeanBoard([t.bets[b] for b in cols % nb])
+        cols = np.flatnonzero(usable.any(axis=0))
+        usable, spread = usable[:, cols], snaps.spread[:, cols]
+        self.mid = np.where(usable, mid[:, cols], 0.0)
+        self.weight = np.divide(2.0, spread, out=np.zeros_like(spread), where=usable)
+        self.count = usable.sum(axis=1)
+        self.board = pricing.EuropeanBoard([snaps.bets[j] for j in cols.tolist()])
         self.clocks, self.scores = snaps.clocks, np.column_stack((snaps.home, snaps.away))
-
-    @classmethod
-    def of(cls, snapshot: QuoteSnapshot) -> _Segment:
-        return cls(SnapshotColumns.of([snapshot]))
 
     def residuals(self, idx: np.ndarray, lam: np.ndarray) -> tuple:
         """Residuals of snapshots ``idx`` at ``lam`` (a row each), their
@@ -362,7 +358,7 @@ def _solve(seg: _Segment, idx: np.ndarray, start: Intensities | None) -> list:
 
 def objective(lam: Intensities, snapshot: QuoteSnapshot) -> float:
     """Root mean square of spread-weighted mid-versus-model differences."""
-    seg = _Segment.of(snapshot)
+    seg = _Segment(SnapshotColumns.of([snapshot]))
     if not seg.count[0]:
         raise ValueError("no usable quotes in snapshot")
     r, _, _ = seg.residuals(np.zeros(1, dtype=np.intp), np.array([[lam.home, lam.away]]))
@@ -381,7 +377,7 @@ def calibrate_snapshot(
     pass, or that ends held on :data:`LAMBDA_BOX`, still returns its best
     point, flagged ``converged=False``.
     """
-    (result,) = _solve(_Segment.of(snapshot), np.zeros(1, dtype=np.intp), init)
+    (result,) = _solve(_Segment(SnapshotColumns.of([snapshot])), np.zeros(1, dtype=np.intp), init)
     if result is None:
         raise IdentifiabilityError(
             "intensities are not identifiable: the usable quotes' goal sensitivities "

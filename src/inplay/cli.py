@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--step-s", type=float, default=60.0)
     c.add_argument("--out", required=True)
     c.add_argument("--match-length", type=float, default=DEFAULT_MATCH_MINUTES)
-    c.add_argument("--half-length", type=float, default=DEFAULT_HALF_MINUTES)
 
     h = sub.add_parser("hedge-replay", help="replay a dynamic hedge across a quote timeline")
     h.add_argument("--quotes", required=True)
@@ -152,7 +151,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    tl = io.load_timeline(args.quotes, args.events, args.match_length, args.half_length)
+    tl = io.load_timeline(args.quotes, args.events, args.match_length)
     series = calibrate_series(tl.snapshots, args.step_s)
     if not series.valid():
         raise NumericalFailure("no calibration step succeeded")

@@ -158,9 +158,10 @@ def cap_for_tail(mean: float, tol: float = 1e-13, floor: int = 25) -> tuple[int,
     # bisect there for the first tail below tol.
     log_ratio = 40.0 - math.log(tol)
     x = log_ratio / 3.0 + math.sqrt(log_ratio**2 / 9.0 + 2.0 * log_ratio * mean)
-    caps = range(floor + 1, max(floor + 1, math.ceil(mean + x)) + 1)
-    cap = caps[bisect_left(caps, True, key=lambda n: poisson_tail(n, mean) < tol)]
-    return cap, poisson_tail(cap, mean)
+    caps, tails = range(floor + 1, max(floor + 1, math.ceil(mean + x)) + 1), {}
+    # bisect_left evaluates the index it returns, so its tail is in ``tails``.
+    i = bisect_left(caps, True, key=lambda n: tails.setdefault(n, poisson_tail(n, mean)) < tol)
+    return caps[i], tails[caps[i]]
 
 
 def skellam_pmf_range(k_lo: int, k_hi: int, mean1: float, mean2: float) -> np.ndarray:

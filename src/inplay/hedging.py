@@ -166,17 +166,11 @@ def _next_goal_payout(bet: Bet, scorer: Team) -> float | None:
     return None
 
 
-def _first_mids(snaps: SnapshotColumns, bet: Bet) -> np.ndarray:
-    """Per snapshot, the mid of the bet's first two-sided quote; NaN where none is."""
-    table, out = snaps.table, np.full(len(snaps), np.nan)
-    if bet not in table.bets:
-        return out
-    rows = np.flatnonzero(table.two_sided & (table.bet_ix == table.bets.index(bet)))
-    # The first such row at or after each snapshot's start, if before its stop.
-    first = np.append(rows, len(table.mid))[np.searchsorted(rows, snaps.starts)]
-    found = first < snaps.stops
-    out[found] = table.mid[first[found]]
-    return out
+def _mids(snaps: SnapshotColumns, bet: Bet) -> np.ndarray:
+    """Per snapshot, the mid of the bet's quote; NaN where it is not two-sided."""
+    if bet not in snaps.bets:
+        return np.full(len(snaps), np.nan)
+    return snaps.mid[:, snaps.bets.index(bet)]
 
 
 def _segment_deltas(
@@ -253,8 +247,8 @@ def replay_hedge(
 ) -> HedgeReport:
     """Replay a dynamic hedge of ``target`` across the timeline.
 
-    At every snapshot the portfolio is marked from quoted mids (a bet's
-    first two-sided quote) and rebalanced to the weights solving the 2x2
+    At every snapshot the portfolio is marked from quoted mids (each bet's
+    quote, where it is two-sided) and rebalanced to the weights solving the 2x2
     jump-matching system, with deltas computed from the model at the
     supplied intensities.  Next Goal instruments settle at each goal (winner
     pays 1, loser 0, payout booked to cash) and are re-established at the
@@ -285,7 +279,7 @@ def replay_hedge(
         snaps = snaps[: np.searchsorted(seen, seen[0], side="right")]
     if not len(snaps):
         raise ValueError("timeline contains no usable snapshots")
-    mids = np.column_stack([_first_mids(snaps, b) for b in bets])
+    mids = np.column_stack([_mids(snaps, b) for b in bets])
     quoted = ~np.isnan(mids).any(axis=1)
     if not quoted[0]:
         raise ValueError("first snapshot must quote the target and both instruments")

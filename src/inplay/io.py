@@ -12,11 +12,12 @@ lay_decimal`` with two optional trailing columns ``home_goals,away_goals``.
 An empty odds cell means that side is absent.  The reader accepts exactly
 the (market, selection) pairs the writer writes, up to case and blanks:
 parity bets whole under TOTAL_PARITY, other tokens split after the market.
-Accepted rows are parsed into one :class:`~inplay.calibration.QuoteTable`,
-and the snapshots into one :class:`~inplay.calibration.SnapshotColumns` view
-of its rows, the columns the writer writes from.  Rows sharing a timestamp
-and score form one snapshot; same-second snapshots run in the order of the
-goals their score counts, whatever the file's row order.
+Rows sharing a timestamp and score form one snapshot; same-second
+snapshots run in the order of the goals their score counts, whatever the
+file's row order.  Each accepted row goes to its snapshot's cell for its
+bet in one :class:`~inplay.calibration.SnapshotColumns` grid, the cells the
+writer writes from; a second accepted row for a cell is an error naming the
+path, the bet and the second, and the writer never writes one.
 
 Events CSV columns: ``match_id,timestamp_s,team,event`` with team HOME or
 AWAY (case-insensitive) and event GOAL.  A file with only the header means
@@ -40,7 +41,6 @@ from .calibration import (
     CalibrationResult,
     IntensitySeries,
     QuoteSnapshot,
-    QuoteTable,
     SeriesPoint,
     SnapshotColumns,
 )
@@ -312,19 +312,18 @@ def _parse_quotes(
     by = np.lexsort((away, home, ts))
     first = np.diff(np.stack((ts, home, away))[:, by], prepend=np.nan).any(axis=0)
     key_ix = by[first][np.cumsum(first) - 1][np.argsort(by)]
-    by = np.lexsort((key_ix, home + away, ts))
-    n = len(backs)
-    lengths = np.diff(firsts, append=n)[by]
-    stops = np.cumsum(lengths)
-    # Each sorted run's rows move from its first row to stops - lengths.
-    order = np.arange(n) + np.repeat(np.take(firsts, by) - stops + lengths, lengths)
-    table = QuoteTable(tuple(bets), *(np.array(c)[order] for c in (bet_ix, backs, lays)))
-    at = np.flatnonzero(np.diff(key_ix[by], prepend=-1))  # each snapshot's first run
-    starts = (stops - lengths)[at]
-    stops = np.append(starts[1:], n)
-    ts, home, away = ts[by[at]], home[by[at]], away[by[at]]
-    clocks = clocks_of(ts, match_length_min)
-    return match_ids.pop(), SnapshotColumns(table, ts, home, away, clocks, starts, stops)
+    by = np.lexsort((key_ix, home + away, ts))  # snapshot order, a key's runs together
+    head = np.diff(key_ix[by], prepend=-1) != 0
+    # A row's snapshot is the rank of its run's key in that order.
+    rows = np.repeat((np.cumsum(head) - 1)[np.argsort(by)], np.diff(firsts, append=len(backs)))
+    ts, home, away = ts[by[head]], home[by[head]], away[by[head]]
+    try:
+        snaps = SnapshotColumns.from_rows(
+            tuple(bets), ts, home, away, clocks_of(ts, match_length_min), rows, bet_ix, backs, lays
+        )
+    except ValueError as exc:
+        raise QuotesParseError(f"{path}: {exc}") from None
+    return match_ids.pop(), snaps
 
 
 def parse_events_csv(
@@ -383,7 +382,7 @@ def build_timeline(
     score wins for downstream pricing and the snapshots are sorted again by
     (timestamp, goals scored).  Every clock is taken from its stamp.  The
     timeline's snapshots are a :class:`~inplay.calibration.SnapshotColumns`
-    view over the quotes' rows.
+    view of the quotes' grid.
     """
     given = SnapshotColumns.of(snapshots)
     ts, home, away = given.timestamps, given.home, given.away
@@ -396,9 +395,9 @@ def build_timeline(
         )
     home, away = np.where(ok, home, home_after), np.where(ok, away, away_after)
     clocks = clocks_of(ts, match_length_min)
-    view = SnapshotColumns(given.table, ts, home, away, clocks, given.starts, given.stops)
-    if replaced.any():
-        view = view[np.lexsort((home + away, ts))]
+    order = np.lexsort((home + away, ts)) if replaced.any() else slice(None)
+    view = given[order]  # a new view of the same grid: its rows may change
+    view.home, view.away, view.clocks = home[order], away[order], clocks[order]
     return MatchTimeline(match_id, tuple(events), view, match_length_min, half_length_min)
 
 
@@ -416,15 +415,21 @@ def load_timeline(
 
 
 def write_quotes_csv(timeline: MatchTimeline, path) -> None:
-    """Write every snapshot's quotes from the timeline's columns, with the score columns."""
-    s, t = timeline.snapshots, timeline.snapshots.table
-    bets = [",".join(_market_selection(bet)) for bet in t.bets]
+    """Write every cell with a decimal on either side, with the score
+    columns, snapshot by snapshot.  Within a snapshot the bets run in the
+    order the file first names them, the column order the reader gives it."""
+    s = timeline.snapshots
+    bets = [",".join(_market_selection(bet)) for bet in s.bets]
+    written = ~(np.isnan(s.back) & np.isnan(s.lay))
+    order = np.argsort(written.argmax(axis=0), kind="stable")  # by first written snapshot
+    i, j = np.nonzero(written[:, order])
+    j = order[j]
     lines = (
-        f"{timeline.match_id},{_fmt_ts(ts)},{bets[ix]},{_odds(back)},{_odds(lay)},{home},{away}\n"
-        for ts, home, away, lo, hi in zip(
-            *(c.tolist() for c in (s.timestamps, s.home, s.away, s.starts, s.stops))
+        f"{timeline.match_id},{_fmt_ts(ts)},{bets[b]},{_odds(back)},{_odds(lay)},{home},{away}\n"
+        for ts, home, away, b, back, lay in zip(
+            *(c[i].tolist() for c in (s.timestamps, s.home, s.away)),
+            j.tolist(), s.back[i, j].tolist(), s.lay[i, j].tolist(),
         )
-        for ix, back, lay in zip(*(c[lo:hi].tolist() for c in (t.bet_ix, t.back, t.lay)))
     )
     _write_csv(path, QUOTES_HEADER + SCORE_COLUMNS, lines, timeline.match_id)
 

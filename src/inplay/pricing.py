@@ -413,10 +413,10 @@ def segment_greeks(
     if bet.kind in (BetKind.NEXT_GOAL_HOME, BetKind.NEXT_GOAL_AWAY):
         home = bet.kind is BetKind.NEXT_GOAL_HOME
         base = _next_goal_value(lam[:, 0 if home else 1], lam[:, 0] + lam[:, 1], 1.0 - clocks)
-        d1, d2 = (1.0 - base, -base) if home else (-base, 1.0 - base)
+        d1, d2 = (1.0 - base, 0.0 - base) if home else (0.0 - base, 1.0 - base)
     else:
         _, d1, d2 = _contract(*_grid(bet, score, lam, clocks, half_clock, ht_score)[:3])
-    # 0.0 - x keeps a frozen game's theta at +0.0 rather than -0.0.
+    # 0.0 - x keeps a zero delta, and a frozen game's theta, at +0.0, not -0.0.
     return d1, d2, 0.0 - (lam[:, 0] * d1 + lam[:, 1] * d2)
 
 

@@ -87,8 +87,8 @@ class MatchTimeline:
     by :meth:`~inplay.calibration.SnapshotColumns.of` on every construction,
     ``dataclasses.replace`` included.  Construction raises ValueError at
     the first snapshot that has no score, has one its goals do not allow,
-    has a clock other than its stamp's (:func:`clocks_of`) or breaks
-    (timestamp, goals) order, naming its timestamp."""
+    has a clock other than its stamp's (:func:`clocks_of`) or does not follow
+    the one before in strict (timestamp, goals) order, naming its timestamp."""
 
     match_id: str
     events: tuple[GoalEvent, ...]
@@ -105,7 +105,7 @@ class MatchTimeline:
         ts, home, away, clocks = s.timestamps, s.home, s.away, s.clocks
         ok, seen = allowed_scores(self.events, ts, home, away)[0], home + away
         stamped = clocks_of(ts, self.match_length_min)
-        later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (seen[1:] < seen[:-1]))
+        later = (ts[1:] < ts[:-1]) | ((ts[1:] == ts[:-1]) & (seen[1:] <= seen[:-1]))
         for i in np.flatnonzero(~ok | (clocks != stamped) | np.append(False, later))[:1].tolist():
             t = float(ts[i])
             if home[i] < 0:

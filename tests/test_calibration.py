@@ -15,6 +15,7 @@ from inplay.calibration import (
     IntensitySeries,
     QuoteSnapshot,
     SeriesPoint,
+    SnapshotColumns,
     calibrate_series,
     calibrate_snapshot,
     estimate_drift_vol,
@@ -74,9 +75,17 @@ class TestObjective:
     def test_settled_quotes_are_filtered(self):
         locked = Quote.from_values(Bet.under(0.5), 0.9999, 0.02)
         snap = QuoteSnapshot(0.0, STATE, (locked,))
-        assert _Segment.of(snap).count[0] == 0
+        assert _Segment(SnapshotColumns.of([snap])).count[0] == 0
         with pytest.raises(ValueError, match="no usable quotes"):
             objective(LAM_TRUE, snap)
+
+    def test_an_empty_snapshot_has_no_usable_quotes(self):
+        # A grid with no bet column: nothing to fit, nothing to identify.
+        snap = QuoteSnapshot(0.0, STATE, ())
+        with pytest.raises(ValueError, match="no usable quotes"):
+            objective(LAM_TRUE, snap)
+        with pytest.raises(IdentifiabilityError):
+            calibrate_snapshot(snap)
 
     def test_zero_spread_is_an_error(self):
         q = Quote(MATCH_ODDS_HOME, value_buy=0.5, value_sell=0.5)
@@ -131,9 +140,12 @@ class TestCalibrateSnapshot:
 
     def test_single_variant_is_unidentifiable(self):
         mid = pricing.price(MATCH_ODDS_DRAW, STATE, LAM_TRUE).value
-        quotes = tuple(Quote.from_values(MATCH_ODDS_DRAW, mid, 0.02) for _ in range(5))
+        quotes = (Quote.from_values(MATCH_ODDS_DRAW, mid, 0.02),)
         with pytest.raises(IdentifiabilityError):
             calibrate_snapshot(QuoteSnapshot(0.0, STATE, quotes))
+        # Repeating the quote adds no variant: it is a data error.
+        with pytest.raises(ValueError, match="^MATCH_ODDS_DRAW is quoted twice in the snapshot"):
+            calibrate_snapshot(QuoteSnapshot(0.0, STATE, quotes * 5))
 
     @pytest.mark.parametrize(
         "state, unders, seed",
@@ -216,7 +228,8 @@ class TestCalibrateSeries:
     def test_zero_spread_snapshot_raises(self):
         snaps = [model_snapshot(ts=0.0, state=STATE.at_clock(0.0))]
         bad = Quote(MATCH_ODDS_HOME, value_buy=0.5, value_sell=0.5)
-        snaps.append(QuoteSnapshot(60.0, STATE.at_clock(0.011), (bad,) + snaps[0].quotes))
+        others = tuple(q for q in snaps[0].quotes if q.bet != MATCH_ODDS_HOME)
+        snaps.append(QuoteSnapshot(60.0, STATE.at_clock(0.011), (bad,) + others))
         with pytest.raises(ValueError, match="zero spread"):
             calibrate_series(snaps, step_s=60.0)
 
@@ -315,7 +328,8 @@ class TestSegmentSolve:
         snaps = mixed_series_snapshots()
         bad = Quote(MATCH_ODDS_HOME, value_buy=0.5, value_sell=0.5)
         for i in (6, 3):
-            snaps[i] = QuoteSnapshot(snaps[i].timestamp_s, snaps[i].state, snaps[i].quotes + (bad,))
+            others = tuple(q for q in snaps[i].quotes if q.bet != MATCH_ODDS_HOME)
+            snaps[i] = QuoteSnapshot(snaps[i].timestamp_s, snaps[i].state, others + (bad,))
         with pytest.raises(
             ValueError, match="^zero spread on quote for MATCH_ODDS_HOME in the snapshot at 780s$"
         ):
@@ -412,7 +426,7 @@ class TestIdentifiabilityGate:
 
     def test_a_healthy_board_passes(self):
         snap = model_snapshot()
-        seg = _Segment.of(snap)
+        seg = _Segment(SnapshotColumns.of([snap]))
         _, jac, _ = seg.residuals(np.zeros(1, dtype=np.intp), np.array([[1.3, 1.1]]))
         assert self.passes(jac[0])
 

@@ -278,6 +278,22 @@ class TestCalibrate:
 
 
 class TestHedgeReplay:
+    def test_a_bet_quoted_twice_is_data_error_naming_it(self, fixture_files, tmp_path, capsys):
+        quotes, events = fixture_files
+        lines = quotes.read_text(encoding="utf-8").splitlines(keepends=True)
+        # A copy of a row at a goal's second: same second, score and bet.
+        row = next(line for line in lines if line.startswith("synthetic,1200,MATCH_ODDS,DRAW,"))
+        quotes.write_text("".join([*lines, row]), encoding="utf-8")
+        code = main(
+            ["hedge-replay", "--quotes", str(quotes), "--events", str(events),
+             "--target", "MATCH_ODDS_HOME", "--lambda-home", "1.3", "--lambda-away", "0.7",
+             "--out-dir", str(tmp_path / "hedge")]
+        )
+        assert code == 2
+        want = f"data error: {quotes}: MATCH_ODDS_DRAW is quoted twice in the snapshot at 1200s\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "hedge").exists()
+
     def test_empty_events_file_is_data_error(self, fixture_files, tmp_path, capsys):
         quotes, events = fixture_files
         events.write_text("", encoding="utf-8")
@@ -579,12 +595,19 @@ class TestLengths:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --match-length must be positive and finite")
 
-    @pytest.mark.parametrize("command", COMMANDS[:3])
+    @pytest.mark.parametrize("command", ["price", "hedge-replay"])
     @pytest.mark.parametrize("length", ["0", "-10", "90", "120", "nan"])
     def test_half_length_must_lie_inside_the_match(self, argvs, capsys, command, length):
         assert main(argvs[command] + ["--half-length", length]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: --half-length must lie strictly between")
+
+    def test_calibrate_takes_no_half_length(self, argvs, capsys):
+        # The calibration board prices European bets only, which half time
+        # does not condition.
+        assert main(argvs["calibrate"] + ["--half-length", "45"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unrecognized arguments: --half-length 45")
 
     @pytest.mark.parametrize("command", ["calibrate", "hedge-replay"])
     @pytest.mark.parametrize("step", ["0", "inf", "nan", "0.5"])

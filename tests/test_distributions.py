@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammainc, gammaincc, gammaln, ive, logsumexp
 
-from inplay import Bet, Intensities, ScoreState, price
+from inplay import Bet, Intensities, ScoreState, distributions, price
 from inplay.distributions import (
     _poisson_sides,
     cap_for_tail,
@@ -117,6 +117,22 @@ class TestPmfVectorAndCaps:
         assert tail == poisson_tail(cap, 2.0) < 1e-13
         assert cap == 25 or poisson_tail(cap - 1, 2.0) >= 1e-13
         assert cap_for_tail(0.0) == (25, 0.0)
+
+    @pytest.mark.parametrize("mean", [2.0, 18.0, 40.0])
+    def test_the_bound_is_the_tail_the_bisection_computed(self, monkeypatch, mean):
+        calls = []
+
+        def counted(n, m):
+            calls.append(n)
+            return poisson_tail(n, m)
+
+        monkeypatch.setattr(distributions, "poisson_tail", counted)
+        cap, bound = cap_for_tail.__wrapped__(mean)
+        assert bound == poisson_tail(cap, mean)
+        # Each cap's tail is computed once: the floor's, then the bisection's.
+        assert len(calls) == len(set(calls))
+        if mean == 18.0:  # above the floor of 25: 1 + 6 bisection steps
+            assert (cap, len(calls)) == (57, 7)
 
     @pytest.mark.parametrize("floor", [4, 25])
     @pytest.mark.parametrize("tol", [1e-13, 1e-14])

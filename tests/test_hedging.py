@@ -32,7 +32,7 @@ from inplay.contracts import (
 )
 from inplay.hedging import (
     _DET_TOL,
-    _first_mids,
+    _mids,
     _next_goal_payout,
     _segment_deltas,
     GoalRecord,
@@ -427,19 +427,23 @@ class TestLedgerBranches:
         with pytest.raises(ValueError, match="first snapshot must quote"):
             replay_hedge(_with(tl, snaps), MATCH_ODDS_HOME, HEDGES, LAM)
 
-    def test_a_bet_quoted_twice_uses_its_first_two_sided_quote(self):
+    def test_a_bet_quoted_twice_in_one_snapshot_is_an_error(self):
         tl = make_model_timeline(LAM, goals=[], step_s=600.0, bets=self.BETS)
         snaps = list(tl.snapshots)
         one_sided = Quote(MATCH_ODDS_HOME, back_decimal=2.0, value_buy=0.5)
-        first, second = Quote.from_values(MATCH_ODDS_HOME, 0.41, 0.02), Quote.from_values(
-            MATCH_ODDS_HOME, 0.47, 0.02
-        )
-        snaps[2] = dataclasses.replace(
-            snaps[2], quotes=(one_sided, first, *snaps[2].quotes, second)
-        )
+        quote = Quote.from_values(MATCH_ODDS_HOME, 0.41, 0.02)
+        others = tuple(q for q in snaps[2].quotes if q.bet != MATCH_ODDS_HOME)
+        for quotes in ((one_sided, quote, *others), (*snaps[2].quotes, quote)):
+            snaps[2] = dataclasses.replace(snaps[2], quotes=quotes)
+            with pytest.raises(
+                ValueError, match="^MATCH_ODDS_HOME is quoted twice in the snapshot at 1200s$"
+            ):
+                _with(tl, snaps)
+        # Quoted once, the bet's quote is the one the replay marks.
+        snaps[2] = dataclasses.replace(snaps[2], quotes=(*others, quote))
         rep = replay_hedge(_with(tl, snaps), MATCH_ODDS_HOME, HEDGES, LAM)
-        assert rep.steps[2].target_value == first.value_mid
-        assert rep.steps[2].target_value != snaps[2].quotes[2].value_mid
+        assert rep.steps[2].target_value == quote.value_mid
+        assert rep.steps[2].target_value != tl.snapshots[2].quotes[0].value_mid
 
 
 REPLAY_TIMELINE = make_model_timeline(
@@ -582,7 +586,7 @@ def _reference_replay(tl, target, instruments, lam_source):
     if len(snaps) and _next_goal_payout(target, Team.HOME) is not None:
         seen = snaps.home + snaps.away
         snaps = snaps[: np.searchsorted(seen, seen[0], side="right")]
-    mids = np.column_stack([_first_mids(snaps, b) for b in bets])
+    mids = np.column_stack([_mids(snaps, b) for b in bets])
     quoted = (~np.isnan(mids).any(axis=1)).tolist()
     mids = mids.tolist()
     ht_score = tl.ht_score() if any(b.kind is BetKind.HT_FT for b in bets) else None

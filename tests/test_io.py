@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from inplay.calibration import (
     CalibrationResult,
     IntensitySeries,
     QuoteSnapshot,
-    QuoteTable,
     SeriesPoint,
     SnapshotColumns,
     _Segment,
@@ -170,7 +170,7 @@ class TestParseQuotes:
         draw = [q for q in snap.quotes if q.bet.kind.value == "MATCH_ODDS_DRAW"]
         assert len(draw) == 1 and not draw[0].two_sided
         filled = build_timeline([snap], [])
-        assert draw[0].bet not in _Segment.of(filled.snapshots[0]).board.bets
+        assert draw[0].bet not in _Segment(SnapshotColumns.of([filled.snapshots[0]])).board.bets
 
     def test_empty_file_is_an_error(self, tmp_path):
         f = tmp_path / "q.csv"
@@ -383,10 +383,10 @@ class TestParseQuotes:
 
 def _reference_parse(path):
     """The quotes parser's rules, one row at a time: each cell parsed by
-    ``_number`` on every row, each snapshot's rows listed under its key, and
-    the keys sorted by (timestamp, goals).  Returns the parse and the
-    warnings it would log."""
-    bets, bet_ix, backs, lays, groups, warnings = {}, [], [], [], {}, []
+    ``_number`` on every row, each quote put in its snapshot key's cell for
+    its bet, and the keys sorted by (timestamp, goals).  Returns the parse
+    and the warnings it would log."""
+    bets, cells, warnings = {}, {}, []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -405,25 +405,21 @@ def _reference_parse(path):
                 warnings.append(f"{path}:{reader.line_num}: no odds on either side, row rejected")
                 continue
             score = (int(row[6]), int(row[7])) if len(row) == 8 else None
-            groups.setdefault((ts, score), []).append(len(bet_ix))
-            bet_ix.append(ix)
-            backs.append(back)
-            lays.append(lay)
-    keys = sorted(groups, key=lambda k: (k[0], sum(k[1] or ())))
-    order = [i for k in keys for i in groups[k]]
-    stops = np.cumsum([len(groups[k]) for k in keys])
+            assert ((ts, score), ix) not in cells  # the files quote a bet once per snapshot
+            cells[(ts, score), ix] = back, lay
+    keys = sorted(dict.fromkeys(key for key, _ in cells), key=lambda k: (k[0], sum(k[1] or ())))
+    back, lay = np.full((2, len(keys), len(bets)), np.nan)
+    for (key, ix), sides in cells.items():
+        back[keys.index(key), ix], lay[keys.index(key), ix] = sides
     ts = np.array([k[0] for k in keys])
     home, away = np.array([k[1] or (-1, -1) for k in keys], dtype=np.intp).T
     columns = {
-        "bet_ix": np.array(bet_ix)[order],
-        "back": np.array(backs)[order],
-        "lay": np.array(lays)[order],
+        "back": back,
+        "lay": lay,
         "timestamps": ts,
         "home": home,
         "away": away,
         "clocks": clocks_of(ts, 90.0),
-        "starts": stops - np.diff(stops, prepend=0),
-        "stops": stops,
     }
     return match_id, tuple(bets), columns, warnings
 
@@ -437,6 +433,7 @@ _ODDS = {
     "no odds": [","],
     "below 1": ["0.9,2.54", "2.5,0.5", "0,", ",0.99"],
 }
+_ODDS_ACCEPTED = ("two-sided", "back only", "lay only")
 
 
 def _random_quotes_file(path, seed, scores):
@@ -448,7 +445,7 @@ def _random_quotes_file(path, seed, scores):
         + ["same-second scores"] * scores, 0
     )
     lines = [",".join(QUOTES_HEADER + SCORE_COLUMNS * scores)]
-    ts, home, away, seen = 600, 0, 0, []
+    ts, home, away, seen, quoted = 600, 0, 0, [], set()
     for _ in range(60):
         move = rng.choice(["next second", "spelt with .0", "new score", "come back"])
         if move == "come back" and seen:
@@ -468,8 +465,13 @@ def _random_quotes_file(path, seed, scores):
             if k == 0 and move == "next second" and rng.random() < 0.3:
                 kind = rng.choice(["no odds", "below 1"])
                 cases["new second's first row rejected"] += 1
-            cases[kind] += 1
             market, selection = _TOKENS[rng.integers(len(_TOKENS))]
+            if kind in _ODDS_ACCEPTED:
+                # A bet is quoted at most once per snapshot; a repeat is rejected.
+                if (ts, home, away, market, selection) in quoted:
+                    kind = "below 1"
+                quoted.add((ts, home, away, market, selection))
+            cases[kind] += 1
             odds = rng.choice(_ODDS[kind])
             score = f",{home},{away}" if scores else ""
             lines.append(f"g1,{ts_cell},{market},{selection},{odds}{score}")
@@ -491,9 +493,9 @@ class TestParserEquivalence:
         with caplog.at_level(logging.WARNING, logger="inplay.io"):
             got_id, snaps = io_module._parse_quotes(f)
         assert [r.getMessage() for r in caplog.records] == warnings
-        assert (got_id, snaps.table.bets) == (match_id, bets)
+        assert (got_id, snaps.bets) == (match_id, bets)
         for name, column in want.items():
-            got = getattr(snaps.table if name in ("bet_ix", "back", "lay") else snaps, name)
+            got = getattr(snaps, name)
             assert got.dtype == column.dtype, name
             assert np.array_equal(got, column, equal_nan=True), name
 
@@ -568,29 +570,31 @@ def _csv_reader_parse_quotes(path, match_length_min=90.0):
         raise QuotesParseError(f"{path}: no snapshots")
     if len(match_ids) > 1:
         raise QuotesParseError(f"{path}: multiple match ids {sorted(match_ids)}")
+    # Each run's rows go to their key's cell for their bet; keys sort stably
+    # by (timestamp, goals), so same-second keys keep their first row's order.
     ts, home, away, firsts = (runs[i::4] for i in range(4))
-    seen = {}
-    key_ix = np.array([seen.setdefault(k, i) for i, k in enumerate(zip(ts, home, away))])
-    ts, home, away = np.array(ts), np.array(home), np.array(away)
-    by = np.lexsort((key_ix, home + away, ts))
-    n = len(backs)
-    lengths = np.diff(firsts, append=n)[by]
-    stops = np.cumsum(lengths)
-    order = np.arange(n) + np.repeat(np.take(firsts, by) - stops + lengths, lengths)
-    table = QuoteTable(tuple(bets), *(np.array(c)[order] for c in (bet_ix, backs, lays)))
-    at = np.flatnonzero(np.diff(key_ix[by], prepend=-1))
-    starts = (stops - lengths)[at]
-    stops = np.append(starts[1:], n)
-    ts, home, away = ts[by[at]], home[by[at]], away[by[at]]
+    keys = sorted(dict.fromkeys(zip(ts, home, away)), key=lambda k: (k[0], k[1] + k[2]))
+    at, names = {k: i for i, k in enumerate(keys)}, tuple(bets)
+    back, lay = np.full((2, len(keys), len(bets)), np.nan)
+    seen, twice = set(), set()
+    for key, lo, hi in zip(zip(ts, home, away), firsts, [*firsts[1:], len(backs)]):
+        for row in range(lo, hi):
+            cell = at[key], bet_ix[row]
+            (twice if cell in seen else seen).add(cell)
+            back[cell], lay[cell] = backs[row], lays[row]
+    for i, j in sorted(twice)[:1]:
+        raise QuotesParseError(
+            f"{path}: {names[j]} is quoted twice in the snapshot at {keys[i][0]:.15g}s"
+        )
+    ts, home, away = (np.array(c) for c in zip(*keys))
     clocks = clocks_of(ts, match_length_min)
-    return match_ids.pop(), SnapshotColumns(table, ts, home, away, clocks, starts, stops)
+    return match_ids.pop(), SnapshotColumns(names, ts, home, away, clocks, back, lay)
 
 
 def _columns(snaps):
     """Every array of a parsed SnapshotColumns, by name."""
-    table = {"bet_ix": snaps.table.bet_ix, "back": snaps.table.back, "lay": snaps.table.lay}
-    names = ("timestamps", "home", "away", "clocks", "starts", "stops")
-    return {**table, **{name: getattr(snaps, name) for name in names}}
+    names = ("timestamps", "home", "away", "clocks", "back", "lay")
+    return {name: getattr(snaps, name) for name in names}
 
 
 def _parse_or_error(parse, path, caplog):
@@ -631,8 +635,9 @@ def _quotes_files(draw):
             ts += draw(st.integers(1, 2))
         seen.append((ts, home, away))
         ts_cell = f"{ts}.0" if move == "spelt with .0" else str(ts)
-        for _ in range(draw(st.integers(1, 4))):
-            market, selection = draw(st.sampled_from(_TOKENS))
+        # A run quotes distinct bets; a key that comes back may quote one again.
+        for market, selection in draw(st.lists(st.sampled_from(_TOKENS), min_size=1,
+                                               max_size=4, unique=True)):
             score = f",{home},{away}" if scores else ""
             lines.append(f"g1,{ts_cell},{market},{selection},{draw(st.sampled_from(odds))}{score}")
             if draw(st.integers(0, 9)) == 0:
@@ -666,7 +671,7 @@ class TestLineSplitter:
             assert got == want
             return
         (want_id, want_snaps), (got_id, got_snaps) = want, got
-        assert (got_id, got_snaps.table.bets) == (want_id, want_snaps.table.bets)
+        assert (got_id, got_snaps.bets) == (want_id, want_snaps.bets)
         wanted = _columns(want_snaps)
         for name, column in _columns(got_snaps).items():
             assert column.dtype == wanted[name].dtype, name
@@ -681,7 +686,7 @@ class TestLineSplitter:
         want_id, want = io_module._parse_quotes(f)
         monkeypatch.setattr(io_module, "_BLOCK_CHARS", block)
         got_id, got = io_module._parse_quotes(f)
-        assert (got_id, got.table.bets) == (want_id, want.table.bets)
+        assert (got_id, got.bets) == (want_id, want.bets)
         wanted = _columns(want)
         for name, column in _columns(got).items():
             assert np.array_equal(column, wanted[name], equal_nan=True), name
@@ -825,8 +830,10 @@ class TestBuildTimeline:
         write_quotes_csv(tl, quotes)
         write_events_csv(list(tl.events), events, match_id=tl.match_id)
         if not scores:
-            lines = quotes.read_text().splitlines()
-            quotes.write_text("".join(",".join(line.split(",")[:6]) + "\n" for line in lines))
+            # Without scores a second is one snapshot, so the goals' second
+            # keeps its last (post-goal) row of each bet.
+            rows = {tuple(line.split(",")[1:4]): line for line in quotes.read_text().splitlines()}
+            quotes.write_text("".join(",".join(row.split(",")[:6]) + "\n" for row in rows.values()))
         return quotes, events
 
     @pytest.mark.parametrize("source", ["scores", "no scores", "same second"])
@@ -848,8 +855,11 @@ class TestBuildTimeline:
         parsed, goals = parse_quotes_csv(quotes), parse_events_csv(events)
         built = build_timeline(parsed, goals).snapshots
         assert [(s.timestamp_s, s.state) for s in built] == [(s.timestamp_s, s.state) for s in parsed]
-        assert built.table is parsed.table
-        assert np.array_equal(built.starts, parsed.starts) and np.array_equal(built.stops, parsed.stops)
+        # The view shares the parsed grid, derived columns included.
+        assert built.bets is parsed.bets
+        for name in ("back", "lay", "buy", "sell", "two_sided", "mid", "spread"):
+            assert np.shares_memory(getattr(built, name), getattr(parsed, name)), name
+            assert np.array_equal(getattr(built, name), getattr(parsed, name), equal_nan=True)
         # Another match length restamps every clock but kickoff's.
         longer = build_timeline(parsed, goals, match_length_min=100.0).snapshots
         assert [a.state == b.state for a, b in zip(longer, parsed)] == [
@@ -867,8 +877,9 @@ class TestBuildTimeline:
         first, second, replaced = tl.snapshots
         assert first == parsed[0] and second == parsed[2]
         view = tl.snapshots
-        assert view.table is parsed.table
-        assert (view.starts[2], view.stops[2]) == (parsed.starts[1], parsed.stops[1])
+        assert view.bets is parsed.bets
+        for name in ("back", "lay", "mid"):
+            assert np.array_equal(getattr(view, name)[2], getattr(parsed, name)[1], equal_nan=True)
         assert replaced.state == ScoreState(1, 1, 600 / 5400)
 
     def test_pre_and_post_goal_snapshots_interleave_with_events(self):
@@ -1161,6 +1172,17 @@ class TestRoundTrips:
         def cell(x):
             return "" if x is None else fmt_float(x)
 
+        # A quote is written if it has a decimal; in a snapshot, by the first
+        # snapshot writing its bet, then by its bet's first appearance.
+        def has_decimal(q):
+            return q.back_decimal is not None or q.lay_decimal is not None
+
+        column = list(dict.fromkeys(q.bet for s in snaps for q in s.quotes))
+        first: dict = {}
+        for k, s in enumerate(snaps):
+            for q in filter(has_decimal, s.quotes):
+                first.setdefault(q.bet, k)
+
         want = {
             "quotes.csv": reference(
                 "quotes.csv", ",".join(QUOTES_HEADER + SCORE_COLUMNS),
@@ -1169,7 +1191,8 @@ class TestRoundTrips:
                      cell(q.back_decimal), cell(q.lay_decimal), s.state.home_goals,
                      s.state.away_goals]
                     for s in snaps
-                    for q in s.quotes
+                    for q in sorted(filter(has_decimal, s.quotes),
+                                    key=lambda q: (first[q.bet], column.index(q.bet)))
                 ],
             ),
             "events.csv": reference(
@@ -1209,43 +1232,40 @@ class TestQuoteColumns:
     @pytest.fixture()
     def source(self):
         """A model timeline with a pre/post-goal pair at 600 s, a one-sided
-        quote, a bet quoted twice in one snapshot and a sub-unit row."""
+        quote and a sub-unit row."""
         tl = make_model_timeline(
             Intensities(1.3, 0.7), goals=[(600.0, Team.HOME)], step_s=300.0, bets=self.BETS,
             end_s=1200.0,
         )
         snaps = list(tl.snapshots)
         one_sided = Quote.from_decimals(MATCH_ODDS_DRAW, 3.1, None)
-        twice = Quote.from_decimals(MATCH_ODDS_HOME, 2.0, 2.1)
         sub_unit = Quote(MATCH_ODDS_AWAY, back_decimal=0.9, lay_decimal=1.2)
         snaps[1] = QuoteSnapshot(
-            snaps[1].timestamp_s, snaps[1].state, (one_sided, *snaps[1].quotes, twice, sub_unit)
+            snaps[1].timestamp_s, snaps[1].state, (one_sided, *snaps[1].quotes, sub_unit)
         )
         return dataclasses.replace(tl, snapshots=tuple(snaps)), sub_unit
 
     @staticmethod
     def _assert_rows_match(view, i, expected):
-        """Each row of a loaded view's snapshot ``i`` equals the Quote route on
-        the written decimals."""
-        table, start = view.table, int(view.starts[i])
-        assert view.stops[i] - start == len(expected)
+        """Each cell of a loaded view's snapshot ``i`` equals the Quote route
+        on the written decimals, and its other cells are empty."""
+        expected = sorted(expected, key=lambda q: view.bets.index(q.bet))
         quotes = view[i].quotes
-        for k, src in enumerate(expected):
+        assert len(quotes) == len(expected)
+        for got, src in zip(quotes, expected):
             want = Quote.from_decimals(
                 src.bet, _decimal_as_written(src.back_decimal), _decimal_as_written(src.lay_decimal)
             )
-            got = quotes[k]
             assert got == want
-            row = start + k
-            assert table.bets[table.bet_ix[row]] == want.bet
-            assert bool(table.two_sided[row]) == want.two_sided
+            j = view.bets.index(want.bet)
+            assert bool(view.two_sided[i, j]) == want.two_sided
             for col, value in (
-                (table.buy, want.value_buy),
-                (table.sell, want.value_sell),
-                (table.mid, want.value_mid),
-                (table.spread, want.spread),
+                (view.buy, want.value_buy),
+                (view.sell, want.value_sell),
+                (view.mid, want.value_mid),
+                (view.spread, want.spread),
             ):
-                assert (np.isnan(col[row]) and value is None) or col[row] == value
+                assert (np.isnan(col[i, j]) and value is None) or col[i, j] == value
             if src.value_buy is not None and src.value_sell is not None:
                 assert got.value_mid == pytest.approx(src.value_mid, rel=1e-8)
 
@@ -1264,7 +1284,27 @@ class TestQuoteColumns:
             assert got.state == src.state
             self._assert_rows_match(view, i, [q for q in src.quotes if q != sub_unit])
         written = len(quotes.read_text().splitlines()) - 1
-        assert (view.stops - view.starts).sum() == written - 1
+        assert (~(np.isnan(view.back) & np.isnan(view.lay))).sum() == written - 1
+
+    def test_a_bet_quoted_twice_in_a_snapshot_is_an_error(self, source, tmp_path):
+        tl, _ = source
+        snaps = list(tl.snapshots)
+        twice = Quote.from_decimals(MATCH_ODDS_HOME, 2.0, 2.1)
+        snaps[1] = QuoteSnapshot(snaps[1].timestamp_s, snaps[1].state, (*snaps[1].quotes, twice))
+        with pytest.raises(
+            ValueError, match="^MATCH_ODDS_HOME is quoted twice in the snapshot at 300s$"
+        ):
+            dataclasses.replace(tl, snapshots=tuple(snaps))
+        # In a file: a second row with the same second, score and bet.
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        write_quotes_csv(tl, quotes)
+        write_events_csv(list(tl.events), events, match_id=tl.match_id)
+        lines = quotes.read_text().splitlines()
+        row = next(line for line in lines if line.startswith("synthetic,300,MATCH_ODDS,HOME,"))
+        quotes.write_text("\n".join([*lines, row]) + "\n")
+        want = "MATCH_ODDS_HOME is quoted twice in the snapshot at 300s"
+        with pytest.raises(QuotesParseError, match=f"^{re.escape(str(quotes))}: {want}$"):
+            load_timeline(quotes, events)
 
     def test_file_without_score_columns(self, source, tmp_path):
         tl, sub_unit = source
@@ -1273,12 +1313,18 @@ class TestQuoteColumns:
         lines = quotes.read_text().splitlines()
         quotes.write_text("".join(",".join(line.split(",")[:6]) + "\n" for line in lines))
         write_events_csv(list(tl.events), events, match_id=tl.match_id)
+        # Without scores the pre- and post-goal rows at 600 s are one
+        # snapshot's, which then quotes each bet twice.
+        want = "MATCH_ODDS_HOME is quoted twice in the snapshot at 600s"
+        with pytest.raises(QuotesParseError, match=f"^{re.escape(str(quotes))}: {want}$"):
+            load_timeline(quotes, events)
+        # Without the pre-goal rows, 600 s is one snapshot in the post-goal state.
+        kept = [s for s in lines if not (s.startswith("synthetic,600,") and s.endswith(",0,0"))]
+        quotes.write_text("".join(",".join(line.split(",")[:6]) + "\n" for line in kept))
         loaded = load_timeline(quotes, events)
-        # Without scores the pre- and post-goal rows at 600 s form one
-        # snapshot, in the post-goal state.
         groups: dict[float, list] = {}
         for snap in tl.snapshots:
-            groups.setdefault(snap.timestamp_s, []).append(snap)
+            groups[snap.timestamp_s] = [snap]  # the last snapshot of each second
         assert [s.timestamp_s for s in loaded.snapshots] == list(groups)
         for i, (got, group) in enumerate(zip(loaded.snapshots, groups.values())):
             assert got.state == group[-1].state
@@ -1307,13 +1353,13 @@ class TestQuoteColumns:
         write_quotes_csv(rebuilt, quotes)
         write_events_csv(list(tl.events), events, match_id=tl.match_id)
         loaded = load_timeline(quotes, events).snapshots
-        for name in ("timestamps", "home", "away", "clocks", "starts", "stops"):
+        for name in ("timestamps", "home", "away", "clocks"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name), name)
-        assert loaded.table.bets == built.table.bets
-        for name in ("bet_ix", "back", "lay", "buy", "sell", "mid", "spread", "two_sided"):
-            got, want = getattr(loaded.table, name), getattr(built.table, name)
+        assert loaded.bets == built.bets
+        for name in ("back", "lay", "buy", "sell", "mid", "spread", "two_sided", "european"):
+            got, want = getattr(loaded, name), getattr(built, name)
             np.testing.assert_array_equal(got, want, name)
-        assert np.isnan(built.table.lay).any()  # a one-sided quote
+        assert np.isnan(built.lay).any()  # a one-sided quote
 
     def test_load_and_replay_build_no_quote(self, tmp_path, monkeypatch):
         from inplay.hedging import replay_hedge
@@ -1337,8 +1383,67 @@ class TestQuoteColumns:
         loaded = load_timeline(quotes, events)
         rep = replay_hedge(loaded, MATCH_ODDS_HOME, (NEXT_GOAL_HOME, NEXT_GOAL_AWAY), lam)
         view = loaded.snapshots
-        assert (view.stops - view.starts).tolist() == [3] * len(tl.snapshots)
+        assert (~(np.isnan(view.back) & np.isnan(view.lay))).sum(axis=1).tolist() == [3] * len(
+            tl.snapshots
+        )
         assert built == []
         assert len(rep.steps) == len(tl.snapshots) and not any(s.flag for s in rep.steps)
         assert view[0].quotes[-1].bet == NEXT_GOAL_AWAY
         assert len(built) == 3
+
+
+_SPARSE_BETS = [
+    MATCH_ODDS_HOME, MATCH_ODDS_DRAW, Bet.under(2.5), Bet.correct_score(1, 0), ODD_TOTAL,
+    NEXT_GOAL_HOME, NEXT_GOAL_AWAY, Bet.ht_ft(Outcome.HOME, Outcome.DRAW),
+    Bet.ht_ft(Outcome.DRAW, Outcome.AWAY),
+]
+_DECIMALS = st.floats(1.0, 200.0)
+
+
+@st.composite
+def _sparse_quote(draw, bet):
+    """One quote of ``bet``: two-sided or one-sided decimals, or values
+    centred on a mid near 0 or 1, where a side's value leaves (0, 1] and has
+    no decimal (a buy value above 1, say)."""
+    kind = draw(st.sampled_from(["two-sided", "back only", "lay only", "values"]))
+    if kind == "values":
+        mid = draw(st.floats(-0.05, 0.05) | st.floats(0.9, 1.2))
+        return Quote.from_values(bet, mid, draw(st.floats(0.001, 0.2)))
+    back = draw(_DECIMALS) if kind != "lay only" else None
+    return Quote.from_decimals(bet, back, draw(_DECIMALS) if kind != "back only" else None)
+
+
+@st.composite
+def _sparse_timelines(draw):
+    """A model timeline's snapshots, goal seconds' pairs included, each
+    quoting some bets of a board in any order."""
+    goals = draw(st.lists(
+        st.tuples(st.integers(1, 8).map(lambda k: 600.0 * k), st.sampled_from(Team)), max_size=3
+    ))
+    tl = make_model_timeline(Intensities(1.3, 0.7), goals, step_s=1200.0, bets=[MATCH_ODDS_HOME])
+    snaps = []
+    for s in tl.snapshots:
+        bets = draw(st.lists(st.sampled_from(_SPARSE_BETS), min_size=1, unique=True))
+        quotes = tuple(draw(_sparse_quote(b)) for b in bets)
+        snaps.append(QuoteSnapshot(s.timestamp_s, s.state, quotes))
+    return dataclasses.replace(tl, snapshots=tuple(snaps)), snaps
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_sparse_timelines())
+def test_sparse_boards_round_trip(tmp_path_factory, case):
+    tl, snaps = case
+    view = SnapshotColumns.of(snaps)
+    for i, s in enumerate(snaps):
+        assert set(view[i].quotes) == set(s.quotes)
+        assert [q.bet for q in view[i].quotes] == sorted(
+            (q.bet for q in s.quotes), key=view.bets.index
+        )
+    d = tmp_path_factory.mktemp("sparse")
+    write_quotes_csv(tl, d / "a.csv")
+    write_events_csv(list(tl.events), d / "e.csv", tl.match_id)
+    if len((d / "a.csv").read_text().splitlines()) == 1:
+        return  # no quote has a decimal: there is no file to read back
+    write_quotes_csv(load_timeline(d / "a.csv", d / "e.csv"), d / "b.csv")
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()

@@ -559,6 +559,16 @@ class TestAnalyticTheta:
             -lam.away * decay, abs=1e-14
         )
 
+    @pytest.mark.parametrize("bet", [NEXT_GOAL_HOME, NEXT_GOAL_AWAY])
+    def test_a_next_goal_bets_zero_deltas_are_positive_zeros(self, bet):
+        # Worth 0, the bet's losing-side delta is 0 - 0, never -0.0.
+        own_zero = Intensities(0.0, 0.7) if bet is NEXT_GOAL_HOME else Intensities(0.7, 0.0)
+        for state, lam in ((ScoreState(0, 0, 1 / 3), own_zero),
+                           (ScoreState(0, 0, 1.0), Intensities(1.0, 0.7))):
+            g = greeks(bet, state, lam)
+            zeros = [d for d in (g.delta_home, g.delta_away) if d == 0.0]
+            assert len(zeros) == 1 and math.copysign(1.0, zeros[0]) == 1.0, (state, lam)
+
     @pytest.mark.parametrize(
         "bet", [MATCH_ODDS_HOME, Bet.over(2.5), NEXT_GOAL_HOME, Bet.ht_ft(Outcome.DRAW, Outcome.DRAW)]
     )

@@ -77,6 +77,12 @@ class TestMatchTimelineRejects:
         with pytest.raises(ValueError, match=r"snapshot at 300.0s is out of"):
             _timeline((), (600.0, (0, 0)), (300.0, (0, 0)), view=self.view)
 
+    def test_a_snapshot_repeating_its_predecessors_stamp_and_score(self):
+        # The writer would write both snapshots' quotes of a bet under one
+        # (timestamp, score) key, which the reader rejects as quoted twice.
+        with pytest.raises(ValueError, match=r"^snapshot at 600.0s is out of"):
+            _timeline(HOME_AT_600, (600.0, (1, 0)), (600.0, (1, 0)), view=self.view)
+
     def test_a_clock_other_than_its_stamps(self):
         # 600 s is the clock 1/9 of a 90-minute match, not 0.9.
         snaps = (_snap(0.0, (0, 0)), QuoteSnapshot(600.0, ScoreState(0, 0, 0.9), ()))
