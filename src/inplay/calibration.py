@@ -234,7 +234,8 @@ class _Segment:
     """The usable quotes of a series' snapshots, on one board over the bets
     some snapshot quotes usably.  ``weight`` is 1 / half-spread on a quote
     and 0 off one, where ``mid`` is 0 and so is the residual.  No score or a
-    zero spread raises, naming the earliest snapshot."""
+    zero spread raises, naming the earliest snapshot.  The solve holds only
+    the per-snapshot cost, gradient and 2x2 normal blocks of :meth:`residuals`."""
 
     def __init__(self, snaps: SnapshotColumns):
         mid = snaps.mid
@@ -256,18 +257,16 @@ class _Segment:
         self.clocks, self.scores = snaps.clocks, np.column_stack((snaps.home, snaps.away))
 
     def residuals(self, idx: np.ndarray, lam: np.ndarray) -> tuple:
-        """Residuals of snapshots ``idx`` at ``lam`` (a row each), their
-        Jacobian in lam, and the board's truncation bound."""
+        """Per snapshot of ``idx`` at its row of ``lam``, for residuals r with
+        Jacobian j in lam: the cost r.r, gradient j^T r, 2x2 normal matrix
+        j^T j and sum |r_k| w_k; then the board's truncation bound."""
         w = self.weight[idx]
         fit = self.board.evaluate(lam, self.clocks[idx], self.scores[idx], w > 0.0)
         r = w * (self.mid[idx] - fit.values)
-        return r, -w[..., None] * fit.jacobian, fit.truncation_bound
-
-
-def _normal(j: np.ndarray) -> tuple:
-    """(a, b, c, det) of [[a, b], [b, c]] = j^T j for a stack of j."""
-    (a, b), (_, c) = np.moveaxis(np.swapaxes(j, 1, 2) @ j, 0, -1)
-    return a, b, c, a * c - b * b
+        j = np.multiply(fit.jacobian, -w[..., None], out=fit.jacobian)  # the largest array
+        cost, l1 = np.einsum("sk,sk->s", r, r), np.einsum("sk,sk->s", np.abs(r), w)
+        grad, normal = np.einsum("sk,ski->si", r, j), np.swapaxes(j, 1, 2) @ j
+        return cost, grad, normal, l1, fit.truncation_bound
 
 
 def _solve2(a, b, c, det, g) -> np.ndarray:
@@ -276,11 +275,12 @@ def _solve2(a, b, c, det, g) -> np.ndarray:
     return np.column_stack(((c * g[:, 0] - b * g[:, 1]) * inv, (a * g[:, 1] - b * g[:, 0]) * inv))
 
 
-def _uncertainty(jac: np.ndarray) -> tuple:
-    """(stderr_home, stderr_away, condition) for a stack of residual
-    Jacobians j: the roots of diag((j^T j)^-1) and j's largest over its
-    smallest singular value, inf where j^T j is singular."""
-    a, b, c, det = _normal(jac)
+def _uncertainty(normal: np.ndarray) -> tuple:
+    """(stderr_home, stderr_away, condition) for a stack of normal matrices
+    j^T j: the roots of diag((j^T j)^-1) and j's largest over its smallest
+    singular value, inf where j^T j is singular."""
+    a, b, c = normal[:, 0, 0], normal[:, 0, 1], normal[:, 1, 1]
+    det = a * c - b * b
     ok = det > 0.0
     det = np.where(ok, det, 1.0)
     largest = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)  # eigenvalue of j^T j
@@ -296,57 +296,56 @@ def _solve(seg: _Segment, idx: np.ndarray, start: Intensities | None) -> list:
         start = COLD_START
     lo, hi = math.log(LAMBDA_BOX[0]), math.log(LAMBDA_BOX[1])
     u = np.clip(np.log(np.full((len(idx), 2), (start.home, start.away))), lo, hi)
-    r, jac, tail = seg.residuals(idx, np.exp(u))
-    ok = _uncertainty(jac)[2] < CONDITION_MAX
-    idx, u, r, jac = idx[ok], u[ok], r[ok], jac[ok]
+    cost, grad, normal, l1, tail = seg.residuals(idx, np.exp(u))
+    ok = _uncertainty(normal)[2] < CONDITION_MAX
+    idx, u, cost, grad, normal, l1 = idx[ok], u[ok], cost[ok], grad[ok], normal[ok], l1[ok]
     n = len(idx)
-    cost = np.einsum("sk,sk->s", r, r)
     bound, damping = np.full(n, tail), np.full(n, _DAMPING_START)
     evaluations = np.ones(n, dtype=int)
     converged, active = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     while active.any() and evaluations.max() < _MAX_EVALUATIONS:
         act = np.flatnonzero(active)
-        ju = jac[act] * np.exp(u[act])[:, None, :]  # d(residual)/d(log lam)
-        grad = np.einsum("sk,ski->si", r[act], ju)
-        # A log intensity on the box whose descent direction leaves it is
-        # held there: a zero column with 1 on the diagonal, so it never moves.
-        held = ((u[act] <= lo) & (grad > 0.0)) | ((u[act] >= hi) & (grad < 0.0))
+        lam = np.exp(u[act])
+        g = grad[act] * lam  # in log lam: the chain rule scales by lam
+        # A log intensity on the box whose descent direction leaves it is held
+        # there: a zero row and column with 1 on the diagonal, so it never moves.
+        held = ((u[act] <= lo) & (g > 0.0)) | ((u[act] >= hi) & (g < 0.0))
         free = ~held
-        a, b, c, _ = _normal(ju * free[:, None, :])
-        a, c, grad = np.where(held[:, 0], 1.0, a), np.where(held[:, 1], 1.0, c), grad * free
+        s = lam * free  # in log lam, N_ij scales by lam_i lam_j
+        a, b, c = (normal[act, i, j] * (s[:, i] * s[:, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+        a, c, g = np.where(held[:, 0], 1.0, a), np.where(held[:, 1], 1.0, c), g * free
         det = a * c - b * b
         # g^T N^-1 g: the most a full Gauss-Newton step could lower the cost.
-        explained = np.einsum("si,si->s", grad, _solve2(a, b, c, det, grad))
-        small = np.abs(grad).max(axis=1) / seg.count[idx[act]] < _GRAD_TOL
+        explained = np.einsum("si,si->s", g, _solve2(a, b, c, det, g))
+        small = np.abs(g).max(axis=1) / seg.count[idx[act]] < _GRAD_TOL
         stop = small | (explained <= _EXPLAINED_TOL * cost[act])
         converged[act] = stop & free.all(axis=1)
         active[act[stop | held.all(axis=1)]] = False
         go = active[act]
         if not go.any():
             break
-        act, grad, explained, free = act[go], grad[go], explained[go], free[go]
+        act, g, explained, free = act[go], g[go], explained[go], free[go]
         a, b, c, det = a[go], b[go], c[go], det[go]
         # Board values are good to 2 eps (1.5 eps against the 80-bit oracle),
         # so two costs compare to within 2 * 2 * 2 eps sum |r_k| / half_k.
-        rounding = 8.0 * _EPS * np.einsum("sk,sk->s", np.abs(r[act]), seg.weight[idx[act]])
+        rounding = 8.0 * _EPS * l1[act]
         da, dc = (damping[act] * np.maximum(x, np.finfo(float).tiny) for x in (a, c))
         # Damping adds to a determinant that only rounding makes negative.
-        step = -_solve2(a + da, b, c + dc, np.maximum(det, 0.0) + a * dc + c * da + da * dc, grad)
+        step = -_solve2(a + da, b, c + dc, np.maximum(det, 0.0) + a * dc + c * da + da * dc, g)
         step /= np.maximum(1.0, np.abs(step).max(axis=1) / _MAX_LOG_STEP)[:, None]
         u_new = np.clip(u[act] + step, lo, hi)
-        r_new, jac_new, tail = seg.residuals(idx[act], np.exp(u_new))
+        cost_new, *blocks, tail = seg.residuals(idx[act], np.exp(u_new))
         evaluations[act] += 1
-        cost_new = np.einsum("sk,sk->s", r_new, r_new)
         better = cost_new < cost[act]
         take = act[better]
-        u[take], r[take], jac[take] = u_new[better], r_new[better], jac_new[better]
-        cost[take], bound[take] = cost_new[better], tail
+        u[take], cost[take], bound[take] = u_new[better], cost_new[better], tail
+        grad[take], normal[take], l1[take] = (x[better] for x in blocks)
         damping[act] = np.where(better, damping[act] / 3.0, damping[act] * 4.0)
         flat = (explained <= rounding) & ~better
         converged[act] = flat & free.all(axis=1)
         active[act[flat | (damping[act] > _DAMPING_MAX)]] = False
 
-    stderr_home, stderr_away, condition = _uncertainty(jac)
+    stderr_home, stderr_away, condition = _uncertainty(normal)
     residual = np.sqrt(cost / seg.count[idx])
     columns = (residual, stderr_home, stderr_away, evaluations, converged, condition, bound)
     fits = (
@@ -361,9 +360,10 @@ def objective(lam: Intensities, snapshot: QuoteSnapshot) -> float:
     seg = _Segment(SnapshotColumns.of([snapshot]))
     if not seg.count[0]:
         raise ValueError("no usable quotes in snapshot")
-    r, _, _ = seg.residuals(np.zeros(1, dtype=np.intp), np.array([[lam.home, lam.away]]))
+    fit = seg.board.evaluate(np.array([[lam.home, lam.away]]), seg.clocks, seg.scores)
+    r = seg.weight[0] * (seg.mid[0] - fit.values[0])
     # fsum is exactly rounded, so the value cannot depend on the quote order.
-    return math.sqrt(math.fsum(r[0] * r[0]) / seg.count[0])
+    return math.sqrt(math.fsum(r * r) / seg.count[0])
 
 
 def calibrate_snapshot(

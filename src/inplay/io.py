@@ -380,9 +380,12 @@ def build_timeline(
     One with a score the events allow there (:func:`~inplay.timeline.goal_counts`)
     keeps it; otherwise a warning names the timestamp, the reconstructed
     score wins for downstream pricing and the snapshots are sorted again by
-    (timestamp, goals scored).  Every clock is taken from its stamp.  The
-    timeline's snapshots are a :class:`~inplay.calibration.SnapshotColumns`
-    view of the quotes' grid.
+    (timestamp, goals scored).  Snapshots whose keys then agree join into
+    one, as if the file had carried the reconstructed score: a bet quoted in
+    two of them raises ValueError naming it and the second.  Every clock is
+    taken from its stamp.  The timeline's snapshots are a
+    :class:`~inplay.calibration.SnapshotColumns` view of the quotes' grid, a
+    new grid where snapshots joined.
     """
     given = SnapshotColumns.of(snapshots)
     ts, home, away = given.timestamps, given.home, given.away
@@ -398,6 +401,18 @@ def build_timeline(
     order = np.lexsort((home + away, ts)) if replaced.any() else slice(None)
     view = given[order]  # a new view of the same grid: its rows may change
     view.home, view.away, view.clocks = home[order], away[order], clocks[order]
+    # After a replaced score two snapshots can share a key, (timestamp, goals),
+    # which names the score as every score is on the goals' path: their cells
+    # regroup into one snapshot.
+    head = np.diff(np.stack((view.timestamps, view.home + view.away)), prepend=np.nan).any(axis=0)
+    if replaced.any() and not head.all():
+        sides = [getattr(view, name) for name in ("back", "lay", "buy", "sell")]
+        snap, col = np.nonzero(~np.isnan(sides).all(axis=0))
+        first = np.flatnonzero(head)
+        view = SnapshotColumns.from_rows(
+            view.bets, *(getattr(view, n)[first] for n in ("timestamps", "home", "away", "clocks")),
+            (np.cumsum(head) - 1)[snap], col, *(side[snap, col] for side in sides),
+        )
     return MatchTimeline(match_id, tuple(events), view, match_length_min, half_length_min)
 
 
@@ -411,7 +426,10 @@ def load_timeline(
     events_id, events = _parse_events(events_path, match_length_min)
     if events_id not in (None, match_id):
         raise ValueError(f"{events_path}: match id {events_id!r}, but the quotes are {match_id!r}")
-    return build_timeline(snapshots, events, match_id, match_length_min, half_length_min)
+    try:  # the parsed files are valid: only joined snapshots can fail
+        return build_timeline(snapshots, events, match_id, match_length_min, half_length_min)
+    except ValueError as exc:
+        raise QuotesParseError(f"{quotes_path}: {exc}") from None
 
 
 def write_quotes_csv(timeline: MatchTimeline, path) -> None:

@@ -10,6 +10,7 @@ from inplay import calibration, io, pricing
 from inplay.calibration import (
     CONDITION_MAX,
     LAMBDA_BOX,
+    MID_FILTER,
     CalibrationResult,
     IdentifiabilityError,
     IntensitySeries,
@@ -383,11 +384,52 @@ class TestSegmentSolve:
         assert checks == [logging.DEBUG]
 
 
+class TestResidualBlocks:
+    """``_Segment.residuals`` hands the solve per-snapshot blocks, never the
+    (snapshot x bet) residuals or their Jacobian."""
+
+    def test_blocks_equal_each_snapshots_own_residuals(self):
+        # Two scores, and snapshots quoting 31, 16 and 12 bets on one union board.
+        rng = np.random.default_rng(11)
+        catalogue = calibration_catalogue()
+        boards = [
+            (ScoreState(0, 0, 0.2), catalogue),
+            (ScoreState(0, 0, 0.3), catalogue[::2]),
+            (ScoreState(1, 0, 0.5), catalogue[5:17]),
+        ]
+        snaps = [
+            make_snapshot(state, LAM_TRUE, 5400.0 * state.clock, bets, noise=0.25, rng=rng)
+            for state, bets in boards
+        ]
+        lam = np.array([[1.6, 0.9], [1.1, 0.6], [1.4, 1.2]])
+        cost, grad, normal, l1, _ = _Segment(SnapshotColumns.of(snaps)).residuals(np.arange(3), lam)
+        assert cost.shape == l1.shape == (3,) and grad.shape == (3, 2) and normal.shape == (3, 2, 2)
+        for i, snap in enumerate(snaps):
+            usable = [q for q in snap.quotes if MID_FILTER[0] < q.value_mid < MID_FILTER[1]]
+            score = (snap.state.home_goals, snap.state.away_goals)
+            board = pricing.EuropeanBoard([q.bet for q in usable])
+            fit = board.evaluate(lam[i : i + 1], [snap.state.clock], score)
+            w = np.array([2.0 / q.spread for q in usable])
+            r = w * (np.array([q.value_mid for q in usable]) - fit.values[0])
+            j = -w[:, None] * fit.jacobian[0]
+            np.testing.assert_allclose(cost[i], r @ r, rtol=1e-12)
+            np.testing.assert_allclose(grad[i], j.T @ r, rtol=1e-12)
+            np.testing.assert_allclose(normal[i], j.T @ j, rtol=1e-12)
+            np.testing.assert_allclose(l1[i], np.abs(r) @ w, rtol=1e-12)
+
+    def test_a_fit_held_on_the_box_ends_unconverged_there(self):
+        snap = model_snapshot(state=ScoreState(0, 0, 12 / 90), lam=Intensities(1.3, 1e-7))
+        fit = calibrate_snapshot(snap)
+        assert not fit.converged
+        assert fit.intensities.away == pytest.approx(LAMBDA_BOX[0], rel=1e-12)
+        assert fit.intensities.home == pytest.approx(1.3, rel=1e-4)
+
+
 class TestUncertainty:
     def test_matches_numpy_linalg(self):
         rng = np.random.default_rng(3)
         jac = rng.normal(size=(50, 31, 2)) * rng.uniform(0.1, 10.0, size=(50, 1, 2))
-        stderr_home, stderr_away, condition = _uncertainty(jac)
+        stderr_home, stderr_away, condition = _uncertainty(np.swapaxes(jac, 1, 2) @ jac)
         for j, se_h, se_a, cond in zip(jac, stderr_home, stderr_away, condition):
             cov = np.linalg.inv(j.T @ j)
             assert se_h == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
@@ -401,34 +443,36 @@ class TestUncertainty:
         j = np.array(rows)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(j.T @ j)
-        stderr_home, stderr_away, condition = _uncertainty(j[None])
+        stderr_home, stderr_away, condition = _uncertainty((j.T @ j)[None])
         assert stderr_home[0] == stderr_away[0] == condition[0] == math.inf
 
 
 class TestIdentifiabilityGate:
     """The gate :func:`calibrate_snapshot` and :func:`calibrate_series` apply
-    to the residual Jacobian at the start point."""
+    to the normal matrix j^T j of the residual Jacobian j at the start point."""
 
     @staticmethod
-    def passes(rows) -> bool:
-        return bool(_uncertainty(np.array(rows)[None])[2][0] < CONDITION_MAX)
+    def passes(normal) -> bool:
+        return bool(_uncertainty(normal[None])[2][0] < CONDITION_MAX)
 
     def test_parallel_rows_with_a_rounding_noise_row_fail(self):
         # A pairwise test scale-free per row passes this: the noise row is
         # far from parallel to the others.
-        assert not self.passes([[1.0, 1.0], [0.5, 0.5], [-2.0, -2.0], [3e-17, -1e-17]])
+        j = np.array([[1.0, 1.0], [0.5, 0.5], [-2.0, -2.0], [3e-17, -1e-17]])
+        assert not self.passes(j.T @ j)
 
     def test_a_rounding_noise_column_fails(self):
         # det / (a c) is 0.56 here, far from 0: a test scale-free per column passes it.
         home = [0.3, -0.8, 1.2, 0.05, -0.4]
         away = [1e-17, 3e-17, -2e-17, 1e-17, -1e-17]
-        assert not self.passes(list(zip(home, away)))
+        j = np.column_stack((home, away))
+        assert not self.passes(j.T @ j)
 
     def test_a_healthy_board_passes(self):
         snap = model_snapshot()
         seg = _Segment(SnapshotColumns.of([snap]))
-        _, jac, _ = seg.residuals(np.zeros(1, dtype=np.intp), np.array([[1.3, 1.1]]))
-        assert self.passes(jac[0])
+        _, _, normal, _, _ = seg.residuals(np.zeros(1, dtype=np.intp), np.array([[1.3, 1.1]]))
+        assert self.passes(normal[0])
 
 
 def series_from_totals(totals, step_s=60.0):

@@ -882,6 +882,44 @@ class TestBuildTimeline:
             assert np.array_equal(getattr(view, name)[2], getattr(parsed, name)[1], equal_nan=True)
         assert replaced.state == ScoreState(1, 1, 600 / 5400)
 
+    @staticmethod
+    def _joined_files(tmp_path, post_goal_bets):
+        """Quotes at 600 s under 0-0 and, for ``post_goal_bets`` (market,
+        selection cells), under 1-0, with the only goal at 610 s: the 1-0
+        rows become 0-0."""
+        header = ",".join(QUOTES_HEADER + SCORE_COLUMNS)
+        rows = [f"m,600,NEXT_GOAL,{s},2.0,1.9,0,0" for s in ("HOME", "AWAY")]
+        rows += [f"m,600,{bet},2.5,2.4,1,0" for bet in post_goal_bets]
+        rows += ["m,700,MATCH_ODDS,HOME,1.6,1.55,1,0"]
+        quotes, events = tmp_path / "q.csv", tmp_path / "e.csv"
+        quotes.write_text("\n".join([header, *rows]) + "\n")
+        events.write_text("match_id,timestamp_s,team,event\nm,610,HOME,GOAL\n")
+        return quotes, events
+
+    def test_joined_snapshots_quoting_one_bet_twice_name_the_file(self, tmp_path, caplog):
+        quotes, events = self._joined_files(tmp_path, ["MATCH_ODDS,HOME", "NEXT_GOAL,AWAY"])
+        with caplog.at_level(logging.WARNING, logger="inplay.io"):
+            with pytest.raises(
+                QuotesParseError, match=f"^{re.escape(str(quotes))}: "
+                "NEXT_GOAL_AWAY is quoted twice in the snapshot at 600s$"
+            ):
+                load_timeline(quotes, events)
+        assert "score column (1, 0) disagrees with events (0, 0)" in caplog.text
+
+    def test_joined_snapshots_quoting_disjoint_bets_read_as_one(self, tmp_path):
+        quotes, events = self._joined_files(tmp_path, ["MATCH_ODDS,HOME", "MATCH_ODDS,DRAW"])
+        tl = load_timeline(quotes, events)
+        carried = tmp_path / "carried.csv"  # the reconstructed score in the file
+        carried.write_text(quotes.read_text().replace(",2.5,2.4,1,0", ",2.5,2.4,0,0"))
+        want = load_timeline(carried, events).snapshots
+        assert list(tl.snapshots) == list(want) and len(want) == 2
+        assert tl.snapshots[0].state == ScoreState(0, 0, 600 / 5400)
+        assert len(tl.snapshots[0].quotes) == 4
+        report = replay_hedge(
+            tl, MATCH_ODDS_HOME, (NEXT_GOAL_HOME, NEXT_GOAL_AWAY), Intensities(1.3, 0.7)
+        )
+        assert [s.timestamp_s for s in report.steps] == [600.0, 700.0]
+
     def test_pre_and_post_goal_snapshots_interleave_with_events(self):
         lam = Intensities(1.1, 0.9)
         tl = make_model_timeline(
